@@ -27,19 +27,24 @@ from statistics import NormalDist
 from repro.bench.workload import RecordingOracle
 from repro.core import FastLivenessChecker
 from repro.core.invalidation import TransformationSession
+from repro.frontend.compile import compile_source
 from repro.ir.function import Function
 from repro.ir.instruction import Opcode
 from repro.ir.printer import print_function
 from repro.ir.value import Variable
 from repro.ssadestruct.pipeline import destruct, phi_related_variables
+from repro.synth.program_gen import random_program_source
 from repro.synth.spec_profiles import (
     IRREDUCIBLE_PERIOD,
     SPEC_PROFILES,
     BenchmarkProfile,
+    _config_for_statements,
     _irreducible_procedure,
     generate_function_with_blocks,
     sample_block_count,
 )
+
+from livebench.common import untimed
 
 _NORMAL = NormalDist()
 
@@ -77,25 +82,38 @@ class Procedure:
 
 
 def spec_functions(
-    seed: int, strata: int, tag: str, draws: int = 1
+    seed: int, strata: int, tag: str, draws: int = 1, tick=untimed
 ) -> list[tuple[BenchmarkProfile, Function]]:
     """``strata × draws`` stratified functions from each of the ten profiles.
 
     Every :data:`IRREDUCIBLE_PERIOD`-th function overall is built over an
-    irreducible CFG, as in ``generate_benchmark_functions``.
+    irreducible CFG, as in ``generate_benchmark_functions``.  The slots
+    whose targets are among the largest :data:`PIN_SHARE` hold the
+    slowest functions, which set the tail latencies; their sizes are
+    pinned by :func:`_pinned`.  ``tick`` is called between functions
+    (see :class:`livebench.common.SetupClock`).
     """
+    slots = [
+        (profile, index, sample_block_count(_Quantile((index // draws + 0.5) / strata), profile))
+        for profile in SPEC_PROFILES
+        for index in range(strata * draws)
+    ]
+    targets = sorted(target for _p, _i, target in slots)
+    pin_from = targets[min(len(targets) - 1, int(len(targets) * (1 - PIN_SHARE)))]
+    rngs = {profile.name: rng_for(seed, f"{tag}:{profile.name}") for profile in SPEC_PROFILES}
     out = []
-    for profile in SPEC_PROFILES:
-        rng = rng_for(seed, f"{tag}:{profile.name}")
-        for index in range(strata * draws):
-            u = (index // draws + 0.5) / strata
-            target = sample_block_count(_Quantile(u), profile)
-            name = f"{tag}_{profile.name.replace('.', '_')}_{index}"
-            if len(out) % IRREDUCIBLE_PERIOD == IRREDUCIBLE_PERIOD - 1:
-                function = _irreducible_procedure(rng, target, name)
-            else:
-                function = _near_target(rng, target, name, int(profile.max_blocks * 1.2))
-            out.append((profile, function))
+    for profile, index, target in slots:
+        tick()
+        rng = rngs[profile.name]
+        name = f"{tag}_{profile.name.replace('.', '_')}_{index}"
+        max_blocks = int(profile.max_blocks * 1.2)
+        if len(out) % IRREDUCIBLE_PERIOD == IRREDUCIBLE_PERIOD - 1:
+            function = _irreducible_procedure(rng, target, name)
+        elif target >= pin_from:
+            function = _pinned(rng, target, name, max_blocks, tick)
+        else:
+            function = _near_target(rng, target, name, max_blocks)
+        out.append((profile, function))
     return out
 
 
@@ -109,9 +127,9 @@ SIZE_TRIES = 4
 def _near_target(rng: random.Random, target: int, name: str, max_blocks: int) -> Function:
     """A generated function whose block count lands close to ``target``.
 
-    ``generate_function_with_blocks`` accepts anything within 35%; the
-    slowest functions set the tail latencies, so their sizes are pinned
-    tighter here to keep runs with different seeds comparable.
+    ``generate_function_with_blocks`` accepts anything within 35%; this
+    asks for :data:`SIZE_TOLERANCE`, so that runs with different seeds
+    do comparable work.  :func:`_pinned` holds the largest tighter still.
     """
     best = None
     for _ in range(SIZE_TRIES):
@@ -124,7 +142,49 @@ def _near_target(rng: random.Random, target: int, name: str, max_blocks: int) ->
     return best[1]
 
 
-def spec_procedures(seed: int, strata: int, tag: str, draws: int = 1) -> list[Procedure]:
+#: Share of the population, by block-count target, whose sizes are
+#: pinned; how close they must come; the compiles allowed to get there.
+#: A function's checker time follows its block count closely
+#: (correlation 0.93 over 24 programs drawn for one 225-block target,
+#: whose times spread by 15% with the usual tolerance), so pinning the
+#: largest functions keeps op_p99_us from following the seed.
+PIN_SHARE = 0.03
+PIN_TOLERANCE = 0.03
+PIN_TRIES = 24
+
+
+def _pinned(rng: random.Random, target: int, name: str, max_blocks: int, tick) -> Function:
+    """A function within :data:`PIN_TOLERANCE` of ``target`` blocks.
+
+    Compiles programs of the generator used by
+    ``generate_function_with_blocks``, sizing each one's statement budget
+    by the blocks per statement seen so far; the closest one under
+    ``max_blocks`` wins.
+    """
+    blocks_seen = statements_seen = 0
+    per_statement = 6.0
+    best = None
+    for _ in range(PIN_TRIES):
+        tick()
+        statements = max(1, round(target / per_statement))
+        source = random_program_source(rng, _config_for_statements(statements, target, rng), name=name)
+        function = next(iter(compile_source(source, verify=False)))
+        blocks = len(function.blocks)
+        blocks_seen += blocks
+        statements_seen += statements
+        per_statement = blocks_seen / statements_seen
+        if blocks <= max_blocks and (best is None or abs(blocks - target) < best[0]):
+            best = (abs(blocks - target), function)
+        if best is not None and best[0] <= PIN_TOLERANCE * target:
+            break
+    if best is None:
+        return _near_target(rng, target, name, max_blocks)
+    return best[1]
+
+
+def spec_procedures(
+    seed: int, strata: int, tag: str, draws: int = 1, tick=untimed
+) -> list[Procedure]:
     """Functions plus the query stream one SSA-destruction run records.
 
     Mirrors ``repro.bench.workload.build_workload``: critical edges are
@@ -132,7 +192,8 @@ def spec_procedures(seed: int, strata: int, tag: str, draws: int = 1) -> list[Pr
     mapped back onto the retained SSA function by variable name.
     """
     procedures = []
-    for profile, function in spec_functions(seed, strata, tag, draws):
+    for profile, function in spec_functions(seed, strata, tag, draws, tick):
+        tick()
         function.split_critical_edges()
         scratch = copy.deepcopy(function)
         recorder = RecordingOracle(FastLivenessChecker(scratch))

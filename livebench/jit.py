@@ -11,9 +11,10 @@ passes replay it on fresh deep copies with the checker alone.  One
 operation is one edit or one query.
 
 ``vs_dataflow_x`` compares the checker with data-flow liveness kept
-current after every edit: each pass also replays one function (in turn)
-under the tracked session, right after its checker replay, and the
-tracked replay's extra time is the data-flow share.
+current after every edit: each pass also replays :data:`TRACKED`
+functions (in turn) under the tracked session, right after their
+checker replays, and the tracked replays' extra time is the data-flow
+share.
 """
 
 from __future__ import annotations
@@ -24,7 +25,13 @@ import statistics
 from repro.core.invalidation import TransformationSession
 from repro.core.precompute import LivenessPrecomputation
 
-from livebench.common import Measurement, clock, latency_metrics, run_passes
+from livebench.common import (
+    Calibration,
+    Measurement,
+    clock,
+    latency_metrics,
+    run_passes,
+)
 from livebench.inputs import CFG_EDITS, Digest, apply_step, jit_script, spec_functions
 
 #: Functions per SPEC profile, rounds of ``EDIT_MIX`` (20 edits each) per
@@ -32,17 +39,24 @@ from livebench.inputs import CFG_EDITS, Digest, apply_step, jit_script, spec_fun
 PER_PROFILE = 3
 ROUNDS = 2
 QUERIES_PER_STEP = 10
+#: Functions per pass also replayed with data-flow liveness tracked.
+TRACKED = 3
+
+#: How this workload's time grows with the calibration kernel's (see
+#: :mod:`livebench.common`).
+SLOWDOWN_EXPONENT = 0.84
 
 #: Program counts every timed pass must reproduce exactly.
 COUNTS = ("precomputations", "patches", "fallbacks", "queries")
 
 
 class JitState:
-    def __init__(self, seed: int) -> None:
-        self.functions = [fn for _p, fn in spec_functions(seed, PER_PROFILE, "jit")]
-        self.scripts = [
-            jit_script(seed, fn, ROUNDS, QUERIES_PER_STEP) for fn in self.functions
-        ]
+    def __init__(self, seed: int, tick) -> None:
+        self.functions = [fn for _p, fn in spec_functions(seed, PER_PROFILE, "jit", tick=tick)]
+        self.scripts = []
+        for fn in self.functions:
+            tick()
+            self.scripts.append(jit_script(seed, fn, ROUNDS, QUERIES_PER_STEP))
         digest = Digest()
         for function, script in zip(self.functions, self.scripts):
             digest.add_function(function)
@@ -62,6 +76,7 @@ class JitState:
         self.expected_counts = dict.fromkeys(COUNTS, 0)
         start = clock()
         for function, script in zip(self.functions, self.scripts):
+            tick()
             session = TransformationSession(copy.deepcopy(function), track_dataflow=True)
             names = {var.name: var for var in session.defuse.variables()}
             answers, kinds = [], []
@@ -98,8 +113,8 @@ class JitState:
         pass
 
 
-def setup(seed: int, root: str, index: int) -> JitState:
-    return JitState(seed)
+def setup(seed: int, root: str, index: int, tick) -> JitState:
+    return JitState(seed, tick)
 
 
 def _replay(session: TransformationSession, script) -> tuple[list, int, list[float]]:
@@ -119,29 +134,37 @@ def _replay(session: TransformationSession, script) -> tuple[list, int, list[flo
     return answers, failed, marks
 
 
-def _pass(state: JitState, m: Measurement) -> None:
+def _pass(state: JitState, m: Measurement, calibration: Calibration) -> None:
     counts = dict.fromkeys(COUNTS, 0)
-    tracked = len(m.counts) % len(state.functions)
+    # TRACKED functions per pass also replay under the tracked session,
+    # the profiles taken in turn, so that every run of ten passes or more
+    # compares the engines on the same functions, however fast it went.
+    n = len(state.functions)
+    profiles = n // PER_PROFILE
+    order = [p * PER_PROFILE + j for j in range(PER_PROFILE) for p in range(profiles)]
+    first = len(m.counts) * TRACKED
+    tracked = {order[(first + k) % n] for k in range(TRACKED)}
     for index, (function, script, expected, kinds) in enumerate(
         zip(state.functions, state.scripts, state.expected, state.op_kinds)
     ):
         session = TransformationSession(copy.deepcopy(function), track_dataflow=False)
         answers, failed, marks = _replay(session, script)
         checker_s = marks[-1] - marks[0]
-        m.busy_s += checker_s
         latencies = [end - begin for begin, end in zip(marks, marks[1:])]
-        m.latencies.extend(latencies)
+        checker_scale = m.record(latencies, checker_s, calibration.next())
         for kind, latency in zip(kinds, latencies):
             m.add(kind, latency)
             m.add(f"{kind}:n", 1)
         failed += sum(a != e for a, e in zip(answers, expected))
         m.failed += failed
         state._count(session, counts)
-        if index == tracked:
+        if index in tracked:
             session = TransformationSession(copy.deepcopy(function), track_dataflow=True)
             answers, failed, marks = _replay(session, script)
-            m.other_s += marks[-1] - marks[0]
-            m.sample(index, (checker_s, marks[-1] - marks[0]))
+            tracked_s = marks[-1] - marks[0]
+            m.other_s += tracked_s
+            tracked_scale = m.scale(calibration.next())
+            m.sample(index, (checker_s / checker_scale, tracked_s / tracked_scale))
             m.failed += failed + sum(a != e for a, e in zip(answers, expected))
             m.attempted += len(script)
     m.ops += state.ops
@@ -151,21 +174,23 @@ def _pass(state: JitState, m: Measurement) -> None:
 
 def measure(state: JitState, seconds: float) -> Measurement:
     return run_passes(
-        seconds, lambda m: _pass(state, m), Measurement(failed=state.oracle_failures)
+        seconds,
+        lambda m, calibration: _pass(state, m, calibration),
+        Measurement(failed=state.oracle_failures, exponent=SLOWDOWN_EXPONENT),
     )
 
 
 def end_to_end(state: JitState, m: Measurement) -> dict:
     metrics = latency_metrics(m)
-    # Per function: the tracked replay pays for the checker *and* for
-    # data-flow liveness recomputed after every edit.
-    # The median over functions does not depend on how many of them a
-    # run reached.
-    ratios = []
+    # The tracked replay pays for the checker *and* for data-flow
+    # liveness recomputed after every edit.  Summed over the functions,
+    # each at its median, like Table 2: a median over functions followed
+    # the seed's smallest functions, whose ratios vary most.
+    checker_s = tracked_s = 0.0
     for samples in m.series.values():
-        checker_s = statistics.median(c for c, _t in samples)
-        ratios.append(statistics.median(t for _c, t in samples) / checker_s - 1.0)
-    metrics["vs_dataflow_x"] = statistics.median(ratios)
+        checker_s += statistics.median(c for c, _t in samples)
+        tracked_s += statistics.median(t for _c, t in samples)
+    metrics["vs_dataflow_x"] = tracked_s / checker_s - 1.0
     return metrics
 
 

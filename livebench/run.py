@@ -4,7 +4,7 @@ Run from the repository root::
 
     python3 livebench/run.py --workload spec --seed 1 --seconds 10 --trace 0
 
-``--trace 0`` sets up the workload three times (``setup_s`` is the
+``--trace 0`` sets up the workload twice (``setup_s`` is the
 median), measures for ``--seconds`` and prints every end-to-end metric
 named in ``BENCHMARK.json``.  Times are reported at reference machine
 speed (see :mod:`livebench.common`); the report line also gives them as
@@ -24,7 +24,6 @@ the program counts of one pass, ``fail_ratio`` and workload extras
 from __future__ import annotations
 
 import argparse
-import gc
 import importlib
 import json
 import os
@@ -34,7 +33,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("spec", "serve", "jit")
 #: Set-ups per untraced run; ``setup_s`` is their median.
-SETUPS = 3
+SETUPS = 2
 
 
 def parse_args(argv):
@@ -64,8 +63,8 @@ def _tracer_metrics(tracer_module, tracer, totals, untraced, traced) -> dict:
         "concurrent.lock_wait_ns": mean_us(totals, "concurrent.lock_acquire") * 1000.0,
         "persist.wal_append_us": mean_us(totals, "persist.wal_append"),
     }
-    untraced_op = untraced.busy_s / untraced.ops
-    traced_op = traced.busy_s / traced.ops
+    untraced_op = untraced.busy_ref_s / untraced.ops
+    traced_op = traced.busy_ref_s / traced.ops
     metrics["obs.trace_overhead"] = traced_op / untraced_op - 1.0
     self_us = tracer_module.layer_self_us(tracer, totals, traced.ops)
     for layer, value in self_us.items():
@@ -80,11 +79,11 @@ def _tracer_metrics(tracer_module, tracer, totals, untraced, traced) -> dict:
 def _traced(workload, args, report: dict, problems: list[str]):
     """Half the time as is, half with the layer wrappers recording."""
     from livebench import tracer as tracer_module
+    from livebench.common import untimed
 
-    state = workload.setup(args.seed, ROOT, 0)
+    state = workload.setup(args.seed, ROOT, 0, untimed)
     digests = [state.digest]
     try:
-        gc.collect()
         m = workload.measure(state, args.seconds / 2)
         extras = workload.extras(state) if hasattr(workload, "extras") else {}
     finally:
@@ -92,10 +91,9 @@ def _traced(workload, args, report: dict, problems: list[str]):
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
-        state = workload.setup(args.seed, ROOT, 1)
+        state = workload.setup(args.seed, ROOT, 1, untimed)
         digests.append(state.digest)
         try:
-            gc.collect()
             tracer.recording = True
             traced = workload.measure(state, args.seconds / 2)
         finally:
@@ -117,7 +115,7 @@ def _traced(workload, args, report: dict, problems: list[str]):
 
 def _untraced(workload, args, report: dict):
     """``SETUPS`` set-ups, then one measurement of ``--seconds``."""
-    from livebench.common import clock, latency_metrics, rss_peak_mb, slowness
+    from livebench.common import SetupClock, latency_metrics, rss_peak_mb, slowness
 
     setup_s, digests, probes = [], [], []
     state = None
@@ -125,11 +123,10 @@ def _untraced(workload, args, report: dict):
     for index in range(SETUPS):
         if state is not None:
             state.close()
-        before = slowness()
-        start = clock()
-        state = workload.setup(args.seed, ROOT, index)
-        elapsed = clock() - start
-        setup_s.append((elapsed, elapsed / ((before + slowness()) / 2)))
+        timer = SetupClock(workload.SLOWDOWN_EXPONENT)
+        state = workload.setup(args.seed, ROOT, index, timer.tick)
+        timer.stop()
+        setup_s.append((timer.wall_s, timer.reference_s))
         digests.append(state.digest)
         probes.append(getattr(state, "dataflow_probe", None))
     if probes[0] is not None:
@@ -137,7 +134,6 @@ def _untraced(workload, args, report: dict):
         # median over the set-ups, like setup_s.
         state.dataflow_probe = statistics.median(probes)
     try:
-        gc.collect()
         m = workload.measure(state, args.seconds)
         metrics = workload.end_to_end(state, m)
     finally:
@@ -194,8 +190,9 @@ def main(argv=None) -> int:
     with open(spec_path, encoding="utf-8") as handle:
         declared = json.load(handle)["per_layer" if args.trace else "end_to_end"]
 
-    from livebench.common import environment
+    from livebench.common import environment, pin_to_one_core
 
+    allowed_cores = pin_to_one_core()
     metrics, tally, problems, report = run(args)
     unknown = sorted(set(metrics) - {item["name"] for item in declared})
     if unknown:
@@ -206,7 +203,7 @@ def main(argv=None) -> int:
         seconds=args.seconds,
         trace=args.trace,
         problems=problems,
-        environment=environment(ROOT),
+        environment=dict(environment(ROOT), allowed_cores=allowed_cores),
     )
     print(json.dumps({"report": report}, sort_keys=True))
     result = {

@@ -4,8 +4,8 @@ A module of SPEC-shaped functions sits in a :class:`ShardedClient` (8
 shards, capacity above the module size, so every checker stays warm
 after setup) behind ``WireServer(workers=1)``, with a ``Durability`` WAL
 (``fsync="never"``) attached through the client's observer hook.  One
-caller thread keeps a fixed window of frames outstanding on one
-connection (closed loop).  The mix is mostly bin2 ``LivenessQuery``
+caller thread keeps a fixed window of :data:`WINDOW` frames outstanding
+on one connection (closed loop).  The mix is mostly bin2 ``LivenessQuery``
 frames, some ``BatchLiveness`` and ``LiveSetRequest``, a share of
 JSON-framed queries and about 1% ``NotifyRequest(instructions)`` writes,
 which drop query plans and def–use chains and append to the WAL.  One
@@ -53,13 +53,21 @@ from livebench.common import Measurement, clock, latency_metrics, run_passes
 from livebench.inputs import Digest, answer_all, rng_for, spec_procedures
 
 #: Functions per SPEC profile, requests per pass, frames in flight, shards.
-#: With 64 frames in flight a window's service time sits at the 5 ms GIL
-#: switch interval, so whether the caller is let in mid-window flips from
-#: pass to pass and throughput turns bimodal; 8 keeps every window far
-#: below it, and caller and worker alternate one window at a time.
-PER_PROFILE = 4
+#: With more than one frame in flight the caller wakes for a response
+#: while the worker still holds the GIL for the next frame, and waits up
+#: to the 5 ms switch interval for it: the tail then measures the
+#: interpreter's scheduler (p99 swung 1.5-4 ms between passes of one
+#: seed with 8 in flight).  With one, the caller sleeps until its
+#: response is ready and a request's latency is its own path through
+#: the stack plus one thread hand-off.
+PER_PROFILE = 8
 REQUESTS = 6000
-WINDOW = 8
+WINDOW = 1
+#: Requests between two runs of the calibration kernel (about
+#: ``common.CHUNK_S`` of work), and how this workload's time grows with
+#: the kernel's (see :mod:`livebench.common`).
+CHUNK = 64
+SLOWDOWN_EXPONENT = 0.78
 SHARDS = 8
 #: Queries per ``BatchLiveness`` request.
 BATCH = 8
@@ -71,13 +79,16 @@ LADDER_REPEATS = 7
 
 
 class ServeState:
-    def __init__(self, seed: int, root: str, index: int) -> None:
-        procedures = [p for p in spec_procedures(seed, PER_PROFILE, "serve") if p.queries]
+    def __init__(self, seed: int, root: str, index: int, tick) -> None:
+        procedures = [
+            p for p in spec_procedures(seed, PER_PROFILE, "serve", tick=tick) if p.queries
+        ]
         self.functions = [proc.function for proc in procedures]
         digest = Digest()
         oracles = {}
         ratios = []
         for proc in procedures:
+            tick()
             digest.add_function(proc.function)
             start = clock()
             oracle = DataflowLiveness(proc.function)
@@ -194,7 +205,7 @@ class ServeState:
 
     def _warm_up(self) -> int:
         """One untimed pass: builds every checker, checks every answer."""
-        responses = self.run_stream(self.frames, None)
+        responses = self.run_stream(self.frames)
         failures = 0
         self.expected_bytes: list[bytes | None] = []
         for index, raw in enumerate(responses):
@@ -203,8 +214,23 @@ class ServeState:
             self.expected_bytes.append(None if self.kinds[index] == "notify" else raw)
         return failures
 
-    def run_stream(self, frames, latencies) -> list[bytes]:
-        """Push ``frames`` with ``WINDOW`` in flight; return the responses."""
+    def run_stream(self, frames, m: Measurement | None = None, calibration=None) -> list[bytes]:
+        """Push ``frames`` with ``WINDOW`` in flight; return the responses.
+
+        With a measurement the frames go in chunks of :data:`CHUNK`, and
+        every chunk is recorded with its slowness.
+        """
+        if m is None:
+            return self._window(frames, [])
+        responses = []
+        for first in range(0, len(frames), CHUNK):
+            latencies = []
+            begin = clock()
+            responses.extend(self._window(frames[first:first + CHUNK], latencies))
+            m.record(latencies, clock() - begin, calibration.next())
+        return responses
+
+    def _window(self, frames, latencies: list) -> list[bytes]:
         submit = self.server.submit
         responses = []
         pending: deque = deque()
@@ -217,8 +243,7 @@ class ServeState:
                 sent += 1
             started, ticket = pending.popleft()
             responses.append(ticket.result(60.0))
-            if latencies is not None:
-                latencies.append(clock() - started)
+            latencies.append(clock() - started)
         return responses
 
     def counts(self) -> dict:
@@ -241,15 +266,13 @@ class ServeState:
             pass  # another set-up's directory is still there
 
 
-def setup(seed: int, root: str, index: int) -> ServeState:
-    return ServeState(seed, root, index)
+def setup(seed: int, root: str, index: int, tick) -> ServeState:
+    return ServeState(seed, root, index, tick)
 
 
-def _pass(state: ServeState, m: Measurement) -> None:
+def _pass(state: ServeState, m: Measurement, calibration) -> None:
     before = state.counts()
-    begin = clock()
-    responses = state.run_stream(state.frames, m.latencies)
-    m.busy_s += clock() - begin
+    responses = state.run_stream(state.frames, m, calibration)
     after = state.counts()
     for index, (raw, expected) in enumerate(zip(responses, state.expected_bytes)):
         if raw != expected and not state.answer_ok(index, raw):
@@ -261,7 +284,8 @@ def _pass(state: ServeState, m: Measurement) -> None:
 
 def measure(state: ServeState, seconds: float) -> Measurement:
     return run_passes(
-        seconds, lambda m: _pass(state, m), Measurement(failed=state.setup_failures)
+        seconds, lambda m, calibration: _pass(state, m, calibration),
+        Measurement(failed=state.setup_failures, exponent=SLOWDOWN_EXPONENT),
     )
 
 
@@ -327,7 +351,7 @@ def ladder(state: ServeState) -> dict:
 
     def pooled() -> float:
         start = clock()
-        state.run_stream(stream, None)
+        state.run_stream(stream)
         return (clock() - start) / len(stream) * 1e9
 
     return _interleaved(
@@ -399,7 +423,7 @@ def _histogram_mean(histograms: dict, name: str, scale: float, **labels) -> floa
 
 def program_stats(state: ServeState) -> dict:
     """The program's own histograms, read through one ``StatsRequest``."""
-    raw = state.run_stream([encode_request_json(StatsRequest())], None)[0]
+    raw = state.run_stream([encode_request_json(StatsRequest())])[0]
     histograms = decode_response(raw).snapshot["histograms"]
     return {
         "xcheck.lock_wait_ns": _histogram_mean(histograms, "lock.read.wait_seconds", 1e9),
