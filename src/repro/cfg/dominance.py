@@ -67,14 +67,10 @@ class DominatorTree:
         while stack:
             node, exiting = stack.pop()
             if exiting:
-                last = len(self._preorder_nodes) - 1
                 children = self._children[node]
                 self._maxnum[node] = (
                     self._maxnum[children[-1]] if children else self._num[node]
                 )
-                # ``last`` is only used to keep linters honest about the walk
-                # being preorder; maxnum is derived from the children.
-                del last
                 continue
             self._num[node] = len(self._preorder_nodes)
             self._preorder_nodes.append(node)

@@ -454,8 +454,10 @@ class ProcClient:
         self._timeout = timeout
         self._compact_after = compact_after
         self._closing = False
-        self._closed = False
-        self._close_lock = threading.Lock()
+        #: Guards ``_closing`` and ``_restarting`` (restarts in progress):
+        #: ``close`` waits those out, so its drain reaches every respawn.
+        self._lifecycle = threading.Condition()
+        self._restarting = 0
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else methods[0]
@@ -510,11 +512,12 @@ class ProcClient:
         deadline wait) — double-shutdown paths in servers and test
         teardowns must be cheap no-ops, never a second 5-second stall.
         """
-        with self._close_lock:
-            if self._closed:
+        deadline = self.obs.clock() + timeout
+        with self._lifecycle:
+            if self._closing:
                 return
-            self._closed = True
-        self._closing = True
+            self._closing = True
+            self._lifecycle.wait_for(lambda: not self._restarting, timeout)
         for link in self._links:
             link.alive.clear()
             try:
@@ -524,7 +527,6 @@ class ProcClient:
                         link.conn.send_bytes(_pack_control({"op": "drain"}))
             except (BrokenPipeError, OSError):
                 pass
-        deadline = self.obs.clock() + timeout
         for link in self._links:
             proc = link.proc
             if proc is None:
@@ -584,8 +586,11 @@ class ProcClient:
         for pending in drained:
             link.inflight.dec()
             pending.resolve(_CRASHED, now)
-        if self._closing:
-            return
+        with self._lifecycle:
+            if self._closing:
+                return
+            if self._auto_restart:
+                self._restarting += 1
         link.crashes.add(1)
         _logger.warning(
             "worker %d crashed; %d in-flight request(s) answered with "
@@ -595,7 +600,12 @@ class ProcClient:
             "; restarting" if self._auto_restart else "",
         )
         if self._auto_restart:
-            self._restart(link)
+            try:
+                self._restart(link)
+            finally:
+                with self._lifecycle:
+                    self._restarting -= 1
+                    self._lifecycle.notify_all()
 
     def _restart(self, link: _Link) -> None:
         """Respawn a dead worker and rebuild its state deterministically.

@@ -46,9 +46,11 @@ The patch path rests on three observations:
    edited back edge's source lies in ``R_v`` (old or new), or a
    recomputed ``T_w`` with ``w ∈ T_v`` changed — the Theorem-3 ordering
    guarantees every ``T_w`` a row depends on is final before the row is
-   visited.  Rows are recomputed with the exact Equation-1 step, so
-   incremental patching is only offered for the ``"exact"`` strategy
-   (``"propagate"`` over-approximates and falls back).
+   visited.  Rows are recomputed with the builder's exact Equation-1
+   step, so incremental patching is only offered for the ``"exact"``
+   strategy (``"propagate"`` over-approximates and falls back).  Each
+   row is written once: ``pre.r_masks``/``pre.t_masks`` *are* the
+   ``reach``/``targets`` masks their ``BitSet`` views read.
 
 Every result is provably bit-identical to a from-scratch rebuild of the
 edited graph; ``tests/core/test_incremental.py`` checks exactly that on
@@ -70,6 +72,7 @@ from repro.cfg.dfs import EdgeKind
 from repro.cfg.dominance import _immediate_dominators_iterative
 from repro.cfg.graph import ControlFlowGraph, Edge, Node
 from repro.cfg.reducibility import is_reducible
+from repro.core.targets import back_edge_groups, equation1_row
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.precompute import LivenessPrecomputation
@@ -347,7 +350,6 @@ def apply_cfg_delta(pre: "LivenessPrecomputation", delta: CfgDelta) -> UpdateRes
             dfs.note_edge_added(edit.source, edit.target, edit.kind)
 
     num = domtree.num
-    reach = pre.reach
     r_masks = pre.r_masks
     t_masks = pre.t_masks
 
@@ -355,25 +357,20 @@ def apply_cfg_delta(pre: "LivenessPrecomputation", delta: CfgDelta) -> UpdateRes
     touched_sources = {e.source for e in edits if e.kind is not EdgeKind.BACK}
     changed_r: dict[int, int] = {}  # number -> old mask
     if touched_sources:
+        back = set(dfs.back_edges())  # the builder's back-edge test
         changed_nodes: set[Node] = set()
         for node in dfs.postorder():
-            dirty = node in touched_sources
-            if not dirty:
-                for succ in graph.successors(node):
-                    if succ in changed_nodes and not dfs.is_back_edge(node, succ):
-                        dirty = True
-                        break
-            if not dirty:
+            succs = graph.successors(node)
+            if node not in touched_sources and changed_nodes.isdisjoint(succs):
                 continue
             number = num(node)
             mask = 1 << number
-            for succ in graph.successors(node):
-                if not dfs.is_back_edge(node, succ):
+            for succ in succs:
+                if (node, succ) not in back:
                     mask |= r_masks[num(succ)]
             if mask != r_masks[number]:
                 changed_r[number] = r_masks[number]
                 r_masks[number] = mask
-                reach.replace_row(node, mask)
                 changed_nodes.add(node)
 
     # --- back-edge target flags ---------------------------------------
@@ -394,9 +391,7 @@ def apply_cfg_delta(pre: "LivenessPrecomputation", delta: CfgDelta) -> UpdateRes
     # --- T: one preorder pass (Theorem-3 order) -----------------------
     t_rows_changed = 0
     if changed_r or back_src_mask:
-        targets = pre.targets
-        back_edges = dfs.back_edges()
-        back_pairs = [(num(s), num(t)) for s, t in back_edges]
+        groups = back_edge_groups(dfs, num)
         changed_t_mask = 0
         for node in dfs.preorder():
             number = num(node)
@@ -409,14 +404,10 @@ def apply_cfg_delta(pre: "LivenessPrecomputation", delta: CfgDelta) -> UpdateRes
             )
             if not dirty:
                 continue
-            mask = 1 << number
-            for source_num, target_num in back_pairs:
-                if (r_new >> source_num) & 1 and not (r_new >> target_num) & 1:
-                    mask |= t_masks[target_num]
+            mask = equation1_row(number, r_new, groups, t_masks)
             if mask != t_masks[number]:
                 changed_t_mask |= 1 << number
                 t_masks[number] = mask
-                targets.replace_row(node, mask)
                 t_rows_changed += 1
 
     # --- the reducibility flag (arms the Theorem-2 fast path) ---------

@@ -13,14 +13,12 @@ variables, rewriting uses.  Only CFG edits (adding/removing blocks or
 edges) require building a new instance, which is exactly the invalidation
 contract the paper claims as its main practical advantage.
 
-On top of the object-level views (``reach``/``targets`` return
-:class:`~repro.sets.bitset.BitSet` instances — the readable construction
-and teaching representation), the constructor lowers everything the query
-engine touches to flat parallel arrays indexed by dominance-preorder
-number: ``r_masks``, ``t_masks``, ``maxnums`` and ``is_back_target``.
-The numeric core (:mod:`repro.core.bitset_query`,
-:mod:`repro.core.batch`) runs Algorithm 3 on these raw ints with zero
-``node_of``/``BitSet`` round-trips per query.
+``R`` and ``T`` are built directly as flat lists of raw ``int`` bit masks
+indexed by dominance-preorder number; the constructor only aliases them
+(``r_masks`` *is* ``reach.masks``, ``t_masks`` *is* ``targets.masks``)
+next to ``maxnums`` and ``is_back_target``.  The numeric core
+(:mod:`repro.core.bitset_query`, :mod:`repro.core.batch`) runs Algorithm 3
+on these raw ints with zero ``node_of``/``BitSet`` round-trips per query.
 """
 
 from __future__ import annotations
@@ -52,9 +50,9 @@ class LivenessPrecomputation:
         #: ``maxnums[n]`` = largest preorder number in the subtree of node n.
         self.maxnums: list[int] = [self.domtree.maxnum(node) for node in order]
         #: ``r_masks[n]`` = raw bit mask of ``R_v`` for the node numbered n.
-        self.r_masks: list[int] = [self.reach.bitset(node).mask for node in order]
+        self.r_masks: list[int] = self.reach.masks
         #: ``t_masks[n]`` = raw bit mask of ``T_v`` for the node numbered n.
-        self.t_masks: list[int] = [self.targets.bitset(node).mask for node in order]
+        self.t_masks: list[int] = self.targets.masks
         #: ``is_back_target[n]`` = a DFS back edge points at node number n.
         self.is_back_target: list[bool] = [
             node in self._back_edge_targets for node in order

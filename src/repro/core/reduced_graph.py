@@ -8,10 +8,11 @@ back-edge-free path from the query block to a use proves liveness outright —
 and Section 5.2 notes they can be computed in a single sweep because
 reverse postorder is a topological order of ``G̃``.
 
-The sets are materialised as bitsets indexed by the *dominance-tree
-preorder number* of each block (Section 5.1), because that is the numbering
-the query algorithm needs: it lets ``T_q ∩ sdom(def(a))`` be expressed as a
-contiguous index interval.
+The sets are raw ``int`` bit masks in one list, ``masks``, indexed by the
+*dominance-tree preorder number* of each block (Section 5.1), because that
+is the numbering the query algorithm needs: it lets ``T_q ∩ sdom(def(a))``
+be expressed as a contiguous index interval.  :class:`BitSet` views are
+derived from the masks on demand.
 """
 
 from __future__ import annotations
@@ -22,8 +23,37 @@ from repro.cfg.graph import ControlFlowGraph, Node
 from repro.sets.bitset import BitSet
 
 
+def reduced_sweep(
+    graph: ControlFlowGraph,
+    dfs: DepthFirstSearch,
+    num: dict[Node, int],
+    seeds: list[int],
+) -> list[int]:
+    """``out[num(v)] = seeds[num(v)] | ⋃ out[num(w)]`` over reduced edges ``v → w``.
+
+    One pass in DFS postorder suffices: it is a reverse topological order
+    of ``G̃``, so every reduced successor's row is final before it is read.
+    """
+    back = set(dfs.back_edges())
+    out = list(seeds)
+    for node in dfs.postorder():
+        number = num[node]
+        mask = out[number]
+        for succ in graph.successors(node):
+            if (node, succ) not in back:
+                mask |= out[num[succ]]
+        out[number] = mask
+    return out
+
+
+def preorder_numbers(domtree: DominatorTree) -> dict[Node, int]:
+    """``node -> num(node)`` as one dict, for tight construction loops."""
+    order = domtree.preorder()
+    return dict(zip(order, range(len(order))))
+
+
 class ReducedReachability:
-    """Per-node reduced-reachability bitsets ``R_v``."""
+    """Per-node reduced-reachability masks ``R_v``."""
 
     def __init__(
         self,
@@ -31,29 +61,12 @@ class ReducedReachability:
         dfs: DepthFirstSearch,
         domtree: DominatorTree,
     ) -> None:
-        self._graph = graph
-        self._dfs = dfs
         self._domtree = domtree
         self._universe = len(domtree)
-        self._sets: dict[Node, BitSet] = {}
-        self._compute()
-
-    def _compute(self) -> None:
-        """Single sweep in DFS postorder (reverse topological order of G̃).
-
-        In postorder every reduced (non-back) successor of a node has
-        already been processed, so ``R_v = {v} ∪ ⋃ R_w`` is final when
-        first computed — no fixpoint iteration is needed.
-        """
-        domtree = self._domtree
-        for node in self._dfs.postorder():
-            bits = BitSet(self._universe)
-            bits.add(domtree.num(node))
-            for succ in self._graph.successors(node):
-                if self._dfs.is_back_edge(node, succ):
-                    continue
-                bits.update(self._sets[succ])
-            self._sets[node] = bits
+        #: ``masks[n]`` = bit mask of ``R_v`` for the node numbered ``n``.
+        self.masks: list[int] = reduced_sweep(
+            graph, dfs, preorder_numbers(domtree), [1 << n for n in range(len(domtree))]
+        )
 
     # ------------------------------------------------------------------
     # Queries
@@ -64,29 +77,21 @@ class ReducedReachability:
         return self._universe
 
     def bitset(self, node: Node) -> BitSet:
-        """The bitset ``R_node`` over dominance-preorder indices."""
-        return self._sets[node]
+        """``R_node`` over dominance-preorder indices (a fresh copy)."""
+        return BitSet.from_mask(self._universe, self.masks[self._domtree.num(node)])
 
     def reachable_nodes(self, node: Node) -> list[Node]:
         """``R_node`` as a list of nodes (dominance-preorder order)."""
-        return [self._domtree.node_of(index) for index in self._sets[node]]
+        return [self._domtree.node_of(index) for index in self.bitset(node)]
 
     def is_reduced_reachable(self, source: Node, target: Node) -> bool:
         """True iff ``target ∈ R_source``."""
-        return self._domtree.num(target) in self._sets[source]
-
-    def replace_row(self, node: Node, mask: int) -> None:
-        """Overwrite ``R_node`` with a recomputed raw mask.
-
-        Used by :mod:`repro.core.incremental` to patch the object-level
-        view in lockstep with the flat ``r_masks`` array after a CFG edit
-        that preserved the numbering.
-        """
-        self._sets[node] = BitSet.from_mask(self._universe, mask)
+        num = self._domtree.num
+        return bool(self.masks[num(source)] >> num(target) & 1)
 
     def storage_bits(self) -> int:
-        """Total payload bits of all ``R_v`` bitsets (memory ablation)."""
-        return sum(bits.storage_bits() for bits in self._sets.values())
+        """Payload bits of all ``R_v`` rows, each rounded up to 64-bit words."""
+        return len(self.masks) * ((self._universe + 63) // 64) * 64
 
     def __len__(self) -> int:
-        return len(self._sets)
+        return len(self.masks)

@@ -26,22 +26,50 @@ Two strategies are provided:
   never changes a query's answer; the ablation benchmark and the property
   tests quantify and check exactly that.
 
-Like ``R_v``, the sets are bitsets over dominance-preorder indices.
+Like ``R_v``, the sets are raw ``int`` masks over dominance-preorder
+indices, in one list ``masks``; ``BitSet`` views are derived on demand.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.cfg.dfs import DepthFirstSearch
 from repro.cfg.dominance import DominatorTree
 from repro.cfg.graph import ControlFlowGraph, Node
-from repro.core.reduced_graph import ReducedReachability
+from repro.core.reduced_graph import (
+    ReducedReachability,
+    preorder_numbers,
+    reduced_sweep,
+)
 from repro.sets.bitset import BitSet
 
 _STRATEGIES = ("exact", "propagate")
 
 
+def back_edge_groups(dfs: DepthFirstSearch, num: Callable[[Node], int]) -> list[tuple[int, int]]:
+    """``(num(t), mask of every back-edge source into t)`` per back-edge target."""
+    groups: dict[int, int] = {}
+    for source, target in dfs.back_edges():
+        groups[num(target)] = groups.get(num(target), 0) | 1 << num(source)
+    return list(groups.items())
+
+
+def equation1_row(number: int, r: int, groups: list[tuple[int, int]], masks: list[int]) -> int:
+    """Equation 1 for the node numbered ``number`` with ``R_v = r``.
+
+    A target ``t`` is in ``T↑_v`` iff a back edge into it starts in ``R_v``
+    and ``t ∉ R_v``; Theorem 3 makes its ``masks[t]`` final in DFS preorder.
+    """
+    mask = 1 << number
+    for t, sources in groups:
+        if r & sources and not r >> t & 1:
+            mask |= masks[t]
+    return mask
+
+
 class TargetSets:
-    """Per-node ``T_v`` bitsets."""
+    """Per-node ``T_v`` masks."""
 
     def __init__(
         self,
@@ -55,95 +83,63 @@ class TargetSets:
             raise ValueError(
                 f"unknown strategy {strategy!r}; expected one of {_STRATEGIES}"
             )
-        self._graph = graph
         self._dfs = dfs
         self._domtree = domtree
         self._reach = reach
         self._universe = len(domtree)
         self._strategy = strategy
-        self._sets: dict[Node, BitSet] = {}
+        num = preorder_numbers(domtree)
+        groups = back_edge_groups(dfs, num.__getitem__)
         if strategy == "exact":
-            self._compute_exact()
+            #: ``masks[n]`` = bit mask of ``T_v`` for the node numbered ``n``.
+            self.masks: list[int] = self._exact(dfs, num, groups)
         else:
-            self._compute_propagate()
+            self.masks = self._propagate(graph, dfs, num, groups)
 
     # ------------------------------------------------------------------
     # Exact Equation-1 construction
     # ------------------------------------------------------------------
+    def _exact(self, dfs, num, groups) -> list[int]:
+        r_masks = self._reach.masks
+        masks = [0] * self._universe
+        for node in dfs.preorder():
+            number = num[node]
+            masks[number] = equation1_row(number, r_masks[number], groups, masks)
+        return masks
+
+    # ------------------------------------------------------------------
+    # Section 5.2 three-pass propagation
+    # ------------------------------------------------------------------
+    def _propagate(self, graph, dfs, num, groups) -> list[int]:
+        r_masks = self._reach.masks
+        # Pass 1: exact T for back-edge targets, in increasing DFS preorder.
+        partial = [0] * self._universe
+        for target in sorted({t for _, t in dfs.back_edges()}, key=dfs.preorder_number):
+            t = num[target]
+            partial[t] = equation1_row(t, r_masks[t], groups, partial)
+        # Pass 2: seed back-edge sources with their targets' sets.
+        seeds = [0] * self._universe
+        for source, target in dfs.back_edges():
+            seeds[num[source]] |= partial[num[target]]
+        # Pass 3: propagate through the reduced graph, then add the node
+        # itself.  A target's pass-1 set needs no re-adding: each of its
+        # T↑ links starts at a seeded source inside R_t.
+        swept = reduced_sweep(graph, dfs, num, seeds)
+        return [mask | 1 << n for n, mask in enumerate(swept)]
+
     def t_up(self, node: Node) -> list[Node]:
         """``T↑_node`` computed directly from Definition 5.
 
-        Iterates the back edges (a few percent of all edges in practice,
-        per the paper's §6.1 statistics) and keeps the targets whose source
-        is reduced-reachable from ``node`` but which are not themselves
-        reduced-reachable.
+        Keeps the targets whose source is reduced-reachable from ``node``
+        but which are not themselves reduced-reachable.
         """
-        result: dict[Node, None] = {}
-        r_node = self._reach.bitset(node)
         num = self._domtree.num
+        r_node = self._reach.masks[num(node)]
+        result: dict[Node, None] = {}
         for source, target in self._dfs.back_edges():
-            if num(source) in r_node and num(target) not in r_node:
+            if r_node >> num(source) & 1 and not r_node >> num(target) & 1:
                 result.setdefault(target, None)
         return list(result)
-
-    def _compute_exact(self) -> None:
-        for node in self._dfs.preorder():
-            bits = BitSet(self._universe)
-            bits.add(self._domtree.num(node))
-            for target in self.t_up(node):
-                # Theorem 3: target has a smaller DFS preorder number, so
-                # its set is already final.
-                bits.update(self._sets[target])
-            self._sets[node] = bits
-
-    # ------------------------------------------------------------------
-    # Section 5.2 two-pass propagation
-    # ------------------------------------------------------------------
-    def _compute_propagate(self) -> None:
-        num = self._domtree.num
-        back_edges = self._dfs.back_edges()
-        targets_of: dict[Node, list[Node]] = {}
-        for source, target in back_edges:
-            targets_of.setdefault(source, []).append(target)
-
-        # Pass 1: T for back-edge targets, in increasing DFS preorder.
-        partial: dict[Node, BitSet] = {}
-        back_targets = sorted(
-            {target for _, target in back_edges}, key=self._dfs.preorder_number
-        )
-        for target in back_targets:
-            bits = BitSet(self._universe)
-            bits.add(num(target))
-            for upstream in self.t_up(target):
-                bits.update(partial[upstream])
-            partial[target] = bits
-
-        # Pass 2: seed back-edge sources with the union of their targets'
-        # sets (minus the source itself, added back at the end).
-        seed: dict[Node, BitSet] = {
-            node: BitSet(self._universe) for node in self._graph.nodes()
-        }
-        for source, source_targets in targets_of.items():
-            for target in source_targets:
-                seed[source].update(partial[target])
-
-        # Pass 3: propagate through the reduced graph in DFS postorder
-        # (reverse topological order), exactly like the R_v sweep.
-        for node in self._dfs.postorder():
-            bits = seed[node]
-            for succ in self._graph.successors(node):
-                if self._dfs.is_back_edge(node, succ):
-                    continue
-                bits.update(self._sets.get(succ, seed[succ]))
-            self._sets[node] = bits
-        # Finally add the node itself.
-        for node in self._graph.nodes():
-            own = self._sets[node]
-            own.add(num(node))
-            # Keep the back-edge-target pass results authoritative where we
-            # have them: they carry the exact Definition-5 sets.
-            if node in partial:
-                own.update(partial[node])
 
     # ------------------------------------------------------------------
     # Queries
@@ -159,12 +155,12 @@ class TargetSets:
         return self._universe
 
     def bitset(self, node: Node) -> BitSet:
-        """``T_node`` over dominance-preorder indices."""
-        return self._sets[node]
+        """``T_node`` over dominance-preorder indices (a fresh copy)."""
+        return BitSet.from_mask(self._universe, self.masks[self._domtree.num(node)])
 
     def target_nodes(self, node: Node) -> list[Node]:
         """``T_node`` as nodes, ordered by dominance-preorder index."""
-        return [self._domtree.node_of(index) for index in self._sets[node]]
+        return [self._domtree.node_of(index) for index in self.bitset(node)]
 
     def relevant_targets(self, query: Node, def_node: Node) -> list[Node]:
         """``T_(q,a) = T_q ∩ sdom(def(a))`` in dominance-preorder order.
@@ -177,21 +173,12 @@ class TargetSets:
         hi = self._domtree.maxnum(def_node)
         return [
             self._domtree.node_of(index)
-            for index in self._sets[query].iter_range(lo, hi)
+            for index in self.bitset(query).iter_range(lo, hi)
         ]
 
-    def replace_row(self, node: Node, mask: int) -> None:
-        """Overwrite ``T_node`` with a recomputed raw mask.
-
-        Used by :mod:`repro.core.incremental` to patch the object-level
-        view in lockstep with the flat ``t_masks`` array after a CFG edit
-        that preserved the numbering.
-        """
-        self._sets[node] = BitSet.from_mask(self._universe, mask)
-
     def storage_bits(self) -> int:
-        """Total payload bits of all ``T_v`` bitsets (memory ablation)."""
-        return sum(bits.storage_bits() for bits in self._sets.values())
+        """Payload bits of all ``T_v`` rows, each rounded up to 64-bit words."""
+        return len(self.masks) * ((self._universe + 63) // 64) * 64
 
     def __len__(self) -> int:
-        return len(self._sets)
+        return len(self.masks)

@@ -4,7 +4,7 @@ The expensive half of a cold start is rebuilding each resident checker's
 :class:`~repro.core.precompute.LivenessPrecomputation` — DFS, dominator
 tree, the quadratic reduced-reachability closure and the target sets.
 The *query* engines, however, only ever touch the flat numeric view that
-precomputation lowers everything to: ``maxnums`` / ``r_masks`` /
+precomputation exposes: ``maxnums`` / ``r_masks`` /
 ``t_masks`` / ``is_back_target`` indexed by dominance-preorder number,
 plus the name↔number mapping and two scalars (``reducible`` and the
 target-set strategy).  That view is a few arrays of integers — exactly

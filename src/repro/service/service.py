@@ -261,6 +261,7 @@ class LivenessService:
         self._obs_precomputations = metrics.counter(
             "engine.precomputations", engine=self._engine, **labels
         )
+        self._obs_labels = labels
         if module is not None:
             for function in module:
                 self.register(function)
@@ -532,7 +533,9 @@ class LivenessService:
         one, the cached checker tries the incremental patch first
         (:mod:`repro.core.incremental`) and the stats record which way it
         went — ``cfg_incremental_applied`` vs ``cfg_incremental_fallbacks``
-        — so the bench tables report an honest hit rate.  Either way the
+        — so the bench tables report an honest hit rate, and the
+        ``service.cfg.incremental_fallbacks`` metric counts fallbacks by
+        ``reason``.  Either way the
         revision bumps: the *function* changed, so outstanding handles
         must go stale regardless of how cheaply the cache absorbed it.
         """
@@ -547,6 +550,11 @@ class LivenessService:
                     self.stats.cfg_incremental_applied += 1
                 else:
                     self.stats.cfg_incremental_fallbacks += 1
+                    self.obs.counter(
+                        "service.cfg.incremental_fallbacks",
+                        reason=result.reason,
+                        **self._obs_labels,
+                    ).add(1)
 
     def notify_instructions_changed(self, function: str) -> None:
         """Instruction-level edits: drop the function's plans only."""

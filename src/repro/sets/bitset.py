@@ -75,7 +75,7 @@ class BitSet:
 
     @classmethod
     def from_mask(cls, universe: int, mask: int) -> "BitSet":
-        """Build a set from a raw integer bit mask (used by tests)."""
+        """Build a set from a raw integer bit mask (the ``R``/``T`` views)."""
         if mask < 0:
             raise ValueError("mask must be non-negative")
         if universe < mask.bit_length():

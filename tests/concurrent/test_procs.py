@@ -10,6 +10,7 @@ relayed byte-for-byte through the fleet.
 
 import json
 import logging
+import threading
 import time
 
 import pytest
@@ -295,6 +296,67 @@ class TestCrashRecovery:
         client.close()
         # Idempotent: a second close is a no-op, not an error.
         client.close()
+
+    def test_close_during_restart_drains_the_respawned_worker(
+        self, corpus, caplog, monkeypatch
+    ):
+        """``close()`` racing a crash-restart must drain the fresh worker.
+
+        The respawn is held until ``close()`` has begun and (if it is
+        going to) has sent its drain controls; only then is the fresh
+        worker installed.  ``close()`` must neither sit out its deadline
+        on that worker nor return while it keeps running undrained.
+        """
+        from repro.concurrent import procs
+
+        drain_sent = threading.Event()
+        pack_control = procs._pack_control
+
+        def spying_pack_control(header, payload=b""):
+            if header.get("op") == "drain":
+                drain_sent.set()
+            return pack_control(header, payload)
+
+        monkeypatch.setattr(procs, "_pack_control", spying_pack_control)
+        client = ProcClient(corpus, workers=WORKERS, capacity=8)
+        respawning = threading.Event()
+        respawned = threading.Event()
+        spawn = client._spawn
+
+        def gated_spawn(link):
+            respawning.set()
+            deadline = time.monotonic() + 10.0
+            while not client._closing and time.monotonic() < deadline:
+                time.sleep(0.005)
+            drain_sent.wait(0.5)
+            try:
+                spawn(link)
+            finally:
+                respawned.set()
+
+        client._spawn = gated_spawn
+        closer = threading.Thread(target=client.close)
+        try:
+            with caplog.at_level(logging.WARNING, logger="repro.obs"):
+                client.inject_crash(0)
+                assert respawning.wait(30.0)
+                started = time.monotonic()
+                closer.start()
+                closer.join(30.0)
+                elapsed = time.monotonic() - started
+                assert respawned.wait(10.0)
+            assert not closer.is_alive()
+            assert elapsed < 2.5, f"close() took {elapsed:.2f}s"
+            assert not [
+                r for r in caplog.records if "did not drain" in r.getMessage()
+            ]
+            for link in client._links:
+                link.proc.join(1.0)
+                assert not link.proc.is_alive(), f"worker {link.index} left running"
+        finally:
+            for link in client._links:
+                if link.proc.is_alive():
+                    link.proc.kill()
 
 
 class TestWireServe:

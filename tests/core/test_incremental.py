@@ -55,9 +55,8 @@ def assert_identical(pre: LivenessPrecomputation, context: str) -> None:
     assert pre.reducible == fresh.reducible, f"reducibility diverged after {context}"
     for node in pre.graph.nodes():
         assert pre.num(node) == fresh.num(node), f"numbering diverged after {context}"
-        # The object-level rows must be patched in lockstep with the
-        # flat arrays (Algorithm 3 reads the arrays, introspection and
-        # the loop-forest fallback read the objects).
+        # The object-level views (introspection, the loop-forest
+        # fallback) must read the patched rows too.
         assert pre.reach.bitset(node).mask == fresh.reach.bitset(node).mask, (
             f"reach row diverged after {context}"
         )

@@ -320,6 +320,61 @@ class TestIncrementalRouting:
         assert payload["cfg_incremental_applied"] == 0
         assert payload["cfg_incremental_fallbacks"] == 0
 
+    def test_fallbacks_are_counted_by_reason(self):
+        from repro.api.client import CompilerClient
+        from repro.api.handles import FunctionHandle
+        from repro.api.protocol import NotifyRequest, StatsRequest
+
+        module = make_module(1, seed=3, num_blocks=14)
+        deltas = fallback_deltas(module.function("fn0"))
+        assert set(deltas) == set(FALLBACK_REASONS)
+        client = CompilerClient(module)
+        for reason in FALLBACK_REASONS:
+            # A fallback drops the precomputation: rebuild it to patch.
+            client.service.checker("fn0").prepare()
+            response = client.dispatch(
+                NotifyRequest(
+                    function=FunctionHandle("fn0"), kind="cfg", delta=deltas[reason]
+                )
+            )
+            assert response.error is None
+        stats = client.dispatch(StatsRequest())
+        counters = stats.snapshot["counters"]
+        for reason in FALLBACK_REASONS:
+            assert counters[f"service.cfg.incremental_fallbacks{{reason={reason}}}"] == 1
+        assert stats.stats["cfg_incremental_fallbacks"] == len(FALLBACK_REASONS)
+        assert stats.stats["cfg_incremental_applied"] == 0
+
+
+#: One fallback of each kind a single-edge or block delta can cause.
+FALLBACK_REASONS = ("dfs-change", "dominators-changed", "tree-edge-removed", "block-edit")
+
+
+def fallback_deltas(function):
+    """``reason -> CfgDelta`` that makes the patcher fall back for that reason.
+
+    Every candidate is probed against a fresh precomputation of the
+    function's CFG, so each delta is valid against the unedited function.
+    """
+    from repro.core.incremental import CfgDelta, apply_cfg_delta
+    from repro.core.precompute import LivenessPrecomputation
+
+    cfg = function.build_cfg()
+    candidates = [CfgDelta.block_added("zzz.new")]
+    candidates += [CfgDelta.edge_removed(s, t) for s, t in cfg.edges()]
+    candidates += [
+        CfgDelta.edge_added(s, t)
+        for s in cfg.nodes()
+        for t in cfg.nodes()
+        if t != cfg.entry and not cfg.has_edge(s, t)
+    ]
+    found = {}
+    for delta in candidates:
+        reason = apply_cfg_delta(LivenessPrecomputation(cfg.copy()), delta).reason
+        if reason in FALLBACK_REASONS:
+            found.setdefault(reason, delta)
+    return found
+
 
 class TestCapacityRegression:
     def test_single_slot_cache_does_not_evict_its_own_query(self):
