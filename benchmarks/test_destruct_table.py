@@ -30,7 +30,7 @@ def test_table_destruct_report(destruct_rows, record_table):
         profile.name for profile in DESTRUCT_PROFILES
     }
     for row in destruct_rows:
-        for backend in ("fast", "mask", "dataflow", "graph"):
+        for backend in ("fast", "dataflow", "graph"):
             assert row.millis[backend] > 0
 
 
@@ -47,18 +47,6 @@ def test_query_driven_beats_interference_graph_on_large_profile(destruct_rows):
         f"query-driven coalescing must beat eager interference-graph "
         f"construction on the large profile, got {large.speedup('fast'):.2f}x "
         f"({large.millis['fast']:.0f} ms vs {large.millis['graph']:.0f} ms)"
-    )
-
-
-def test_mask_backend_beats_interference_graph_on_large_profile(destruct_rows):
-    # The fifth engine answers the same φ-driven query stream through the
-    # vectorised row kernels; it must clear the same eager-graph baseline
-    # the fast backend does.
-    large = next(row for row in destruct_rows if row.profile == "large")
-    assert large.speedup("mask") > 1.6, (
-        f"mask backend must beat eager interference-graph construction on "
-        f"the large profile, got {large.speedup('mask'):.2f}x "
-        f"({large.millis['mask']:.0f} ms vs {large.millis['graph']:.0f} ms)"
     )
 
 

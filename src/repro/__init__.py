@@ -98,15 +98,10 @@ from repro.regalloc import (
     verify_allocation,
 )
 from repro.service import LivenessRequest, LivenessService, ServiceStats
-from repro.ssa import (
-    CopyCoalescer,
-    DefUseChains,
-    InterferenceChecker,
-    construct_ssa,
-    destruct_ssa,
-)
+from repro.ssa import DefUseChains, construct_ssa
 from repro.ssadestruct import (
     DestructReport,
+    InterferenceChecker,
     destruct,
     verify_conventional_ssa,
     verify_destructed,
@@ -152,12 +147,10 @@ __all__ = [
     # ssa
     "DefUseChains",
     "construct_ssa",
-    "destruct_ssa",
-    "InterferenceChecker",
-    "CopyCoalescer",
     # ssadestruct (the staged out-of-SSA client)
     "destruct",
     "DestructReport",
+    "InterferenceChecker",
     "verify_conventional_ssa",
     "verify_destructed",
     # liveness

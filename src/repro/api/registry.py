@@ -38,10 +38,6 @@ DATAFLOW = "dataflow"
 #: The conventional *structure*: an eager full interference graph built
 #: from per-point live sets (no point-query oracle at all).
 GRAPH = "graph"
-#: The paper's checker with the accelerated batch engine: flat rows packed
-#: into fixed-width word matrices, hot-mask builds and joint live-in/out
-#: sweeps vectorised (numpy when available, scalar fallback otherwise).
-MASK = "mask"
 
 
 class UnknownEngineError(ProtocolError, ValueError):
@@ -165,12 +161,6 @@ def _dataflow_oracle(function: "Function") -> "LivenessOracle":
     return DataflowLiveness(function)
 
 
-def _mask_oracle(function: "Function") -> "LivenessOracle":
-    from repro.core.maskengine import MaskLivenessChecker
-
-    return MaskLivenessChecker(function)
-
-
 register_engine(
     EngineSpec(
         name=FAST,
@@ -214,20 +204,6 @@ register_engine(
         description=(
             "the conventional structure: an eager full interference graph "
             "from per-point live sets, answered by pair lookup"
-        ),
-    )
-)
-register_engine(
-    EngineSpec(
-        name=MASK,
-        oracle_factory=_mask_oracle,
-        capabilities=EngineCapabilities(
-            supports_edits=True, batch_queries=True
-        ),
-        description=(
-            "the fast checker with the accelerated batch engine: packed "
-            "uint64 row matrices and vectorised hot-mask/interval sweeps "
-            "(numpy when available, scalar fallback otherwise)"
         ),
     )
 )

@@ -8,8 +8,6 @@ answered swapped out:
 * ``fast`` — Budimlić tests through the fast checker: a constant number
   of Algorithm-3 queries per test, nothing precomputed over the variable
   universe;
-* ``mask`` — the same checker behind the accelerated
-  :mod:`~repro.core.maskengine` batch backend (vectorised row kernels);
 * ``dataflow`` — the same query stream answered by a conventional
   data-flow fixpoint computed once after φ isolation;
 * ``graph`` — the conventional *structure*: build the full interference
@@ -37,15 +35,14 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-import repro.core.maskengine  # noqa: F401  (pay numpy's import outside the timed region)
-from repro.api.registry import DATAFLOW, FAST, GRAPH, MASK
+from repro.api.registry import DATAFLOW, FAST, GRAPH
 from repro.bench.reporting import format_table, parse_bench_argv, write_json_report
 from repro.ir.function import Function
 from repro.ssadestruct.pipeline import destruct
 from repro.synth.spec_profiles import generate_function_with_blocks
 
 #: Backend names in reporting order; ``graph`` is the speed-up baseline.
-BACKEND_ORDER = (FAST, MASK, DATAFLOW, GRAPH)
+BACKEND_ORDER = (FAST, DATAFLOW, GRAPH)
 
 
 @dataclass(frozen=True)

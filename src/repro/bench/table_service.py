@@ -10,9 +10,6 @@ Three ways of answering the same stream are timed:
 * ``service`` — one :class:`LivenessService` with capacity for every
   function: each checker is built once on first touch and every later
   request hits the cache (the intended serving configuration);
-* ``service_mask`` — the same full-capacity service answering through
-  the fifth engine (``engine="mask"``: the accelerated
-  :mod:`~repro.core.maskengine` batch backend);
 * ``service_lru`` — the same service squeezed to a quarter of the module,
   so the LRU policy matters and the hit rate is what the cache geometry
   allows (the memory-bounded configuration);
@@ -45,7 +42,7 @@ from repro.service import LivenessRequest, LivenessService
 from repro.synth.spec_profiles import generate_function_with_blocks
 
 #: Mode names in reporting order; ``rebuild`` is the speed-up baseline.
-MODE_ORDER = ("service", "service_mask", "service_lru", "rebuild")
+MODE_ORDER = ("service", "service_lru", "rebuild")
 
 #: Default output path of the machine-readable report.
 DEFAULT_JSON_PATH = "BENCH_service.json"
@@ -199,8 +196,7 @@ def measure_profile(
                 if mode == "service_lru"
                 else len(module)
             )
-            engine = "mask" if mode == "service_mask" else "fast"
-            service = LivenessService(module, capacity=capacity, engine=engine)
+            service = LivenessService(module, capacity=capacity)
             start = time.perf_counter()
             answers = service.submit(requests)
             row.millis[mode] = (time.perf_counter() - start) * 1000.0

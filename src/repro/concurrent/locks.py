@@ -18,10 +18,13 @@ DESIGN.md), and non-reentrancy turns an ordering bug into a reproducible
 deadlock the test watchdog reports instead of a silent self-upgrade.
 
 Contention is observable: construct the lock with a :class:`LockMetrics`
-(four :class:`repro.obs.Histogram`\\ s) and the ``read()``/``write()``
-context managers record **wait** time (queueing for the lock — writer
-preference shows up here) separately from **hold** time (inside the
-critical section).  Without metrics the managers pay one ``None`` check.
+and ``acquire_read``/``acquire_write`` themselves record **wait** time
+(queueing for the lock — writer preference shows up here), so every
+caller is measured, including the serving layer that takes the lock
+without the context managers.  A reader records only when it actually
+had to queue: the uncontended read fast path reads no clock.  The writer
+also records **hold** time, from ``acquire_write`` to ``release_write``;
+it is exclusive, so one timestamp field carries it across the two calls.
 """
 
 from __future__ import annotations
@@ -33,15 +36,14 @@ from repro.obs import Observability
 
 
 class LockMetrics:
-    """Wait/hold histograms for one :class:`RWLock`, labelled per shard."""
+    """Read/write wait and write hold histograms for one :class:`RWLock`."""
 
-    __slots__ = ("clock", "read_wait", "read_hold", "write_wait", "write_hold")
+    __slots__ = ("clock", "read_wait", "write_wait", "write_hold")
 
     def __init__(self, obs: Observability, **labels) -> None:
         self.clock = obs.clock
         metrics = obs.metrics
         self.read_wait = metrics.histogram("lock.read.wait_seconds", **labels)
-        self.read_hold = metrics.histogram("lock.read.hold_seconds", **labels)
         self.write_wait = metrics.histogram("lock.write.wait_seconds", **labels)
         self.write_hold = metrics.histogram("lock.write.hold_seconds", **labels)
 
@@ -55,6 +57,8 @@ class RWLock:
         self._writer_active = False
         self._writers_waiting = 0
         self._metrics = metrics
+        #: Clock reading when the current writer acquired (metrics only).
+        self._write_acquired = 0.0
 
     # ------------------------------------------------------------------
     # Reader side
@@ -67,12 +71,17 @@ class RWLock:
             if not self._writer_active and not self._writers_waiting:
                 self._readers += 1
                 return True
+            metrics = self._metrics
+            if metrics is not None:
+                queued = metrics.clock()
             ok = self._cond.wait_for(
                 lambda: not self._writer_active and not self._writers_waiting,
                 timeout=timeout,
             )
             if ok:
                 self._readers += 1
+                if metrics is not None:
+                    metrics.read_wait.observe(metrics.clock() - queued)
             return ok
 
     def release_read(self) -> None:
@@ -88,6 +97,9 @@ class RWLock:
     # ------------------------------------------------------------------
     def acquire_write(self, timeout: float | None = None) -> bool:
         """Take the lock exclusive; ``False`` on timeout (no lock held)."""
+        metrics = self._metrics
+        if metrics is not None:
+            queued = metrics.clock()
         with self._cond:
             self._writers_waiting += 1
             ok = False
@@ -98,6 +110,9 @@ class RWLock:
                 )
                 if ok:
                     self._writer_active = True
+                    if metrics is not None:
+                        self._write_acquired = metrics.clock()
+                        metrics.write_wait.observe(self._write_acquired - queued)
                 return ok
             finally:
                 self._writers_waiting -= 1
@@ -112,6 +127,9 @@ class RWLock:
         with self._cond:
             if not self._writer_active:
                 raise RuntimeError("release_write without a matching acquire_write")
+            metrics = self._metrics
+            if metrics is not None:
+                metrics.write_hold.observe(metrics.clock() - self._write_acquired)
             self._writer_active = False
             self._cond.notify_all()
 
@@ -121,45 +139,19 @@ class RWLock:
     @contextmanager
     def read(self):
         """``with lock.read():`` — shared critical section."""
-        metrics = self._metrics
-        if metrics is None:
-            self.acquire_read()
-            try:
-                yield self
-            finally:
-                self.release_read()
-            return
-        clock = metrics.clock
-        queued = clock()
         self.acquire_read()
-        acquired = clock()
-        metrics.read_wait.observe(acquired - queued)
         try:
             yield self
         finally:
-            metrics.read_hold.observe(clock() - acquired)
             self.release_read()
 
     @contextmanager
     def write(self):
         """``with lock.write():`` — exclusive critical section."""
-        metrics = self._metrics
-        if metrics is None:
-            self.acquire_write()
-            try:
-                yield self
-            finally:
-                self.release_write()
-            return
-        clock = metrics.clock
-        queued = clock()
         self.acquire_write()
-        acquired = clock()
-        metrics.write_wait.observe(acquired - queued)
         try:
             yield self
         finally:
-            metrics.write_hold.observe(clock() - acquired)
             self.release_write()
 
     # ------------------------------------------------------------------

@@ -151,7 +151,6 @@ class _Shard:
         capacity: int,
         strategy: str,
         obs: Observability,
-        engine: str | None = None,
     ) -> None:
         from repro.concurrent.locks import LockMetrics, RWLock
 
@@ -162,7 +161,6 @@ class _Shard:
             strategy=strategy,
             obs=obs,
             obs_labels={"shard": index},
-            engine=engine,
         )
 
 
@@ -198,7 +196,6 @@ class ShardedService:
         capacity: int = DEFAULT_CAPACITY,
         strategy: str = "exact",
         obs: Observability | None = None,
-        engine: str | None = None,
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be at least 1, got {shards}")
@@ -208,7 +205,7 @@ class ShardedService:
         self._strategy = strategy
         per_shard = max(1, -(-capacity // shards))  # ceil division
         self._shards = tuple(
-            _Shard(index, per_shard, strategy, self.obs, engine)
+            _Shard(index, per_shard, strategy, self.obs)
             for index in range(shards)
         )
         #: Guards the global registration-order list (and multi-function

@@ -24,10 +24,6 @@ The package is organised to mirror the paper:
   :func:`apply_cfg_delta`: described CFG edits patched into an existing
   precomputation (only the reachable ``R``/``T`` rows), with a provable
   fallback to a full rebuild when the preorder numbering is invalidated.
-* :mod:`repro.core.maskengine` — the accelerated ``mask`` engine:
-  :class:`FastLivenessChecker` behind a batch backend that packs the
-  ``R``/``T`` rows into flat word matrices (vectorised via ``numpy``
-  when present, gated to stay scalar on small functions).
 * :mod:`repro.core.plans` — :class:`QueryPlan` / :class:`PlanCache`, the
   precompiled numeric form of one variable's def–use chain (def number,
   dominance interval, use mask), shared by the single-query, batch and
@@ -43,7 +39,6 @@ from repro.core.bitset_query import BitsetChecker
 from repro.core.incremental import CfgDelta, UpdateResult, apply_cfg_delta
 from repro.core.invalidation import TransformationSession
 from repro.core.live_checker import FastLivenessChecker
-from repro.core.maskengine import MaskLivenessChecker
 from repro.core.loopforest import LoopForestChecker
 from repro.core.plans import PlanCache, QueryPlan
 from repro.core.precompute import LivenessPrecomputation
@@ -61,7 +56,6 @@ __all__ = [
     "SetBasedChecker",
     "BitsetChecker",
     "FastLivenessChecker",
-    "MaskLivenessChecker",
     "LoopForestChecker",
     "TransformationSession",
     "CfgDelta",

@@ -44,14 +44,13 @@ Design points:
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.api.handles import FunctionHandle
 from repro.api.protocol import QueryKind
-from repro.api.registry import FAST, MASK, get_engine
+from repro.api.registry import FAST, get_engine
 from repro.core.live_checker import FastLivenessChecker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -204,12 +203,6 @@ class LivenessService:
     obs_labels:
         Label dimensions stamped on every cache metric — the sharded
         layer passes ``{"shard": i}`` so snapshots separate per shard.
-    engine:
-        Which checker implementation backs the cache: ``"fast"`` (the
-        default) or ``"mask"`` (the accelerated batch engine; answers are
-        bit-identical).  ``None`` reads the ``REPRO_ENGINE`` environment
-        variable so a deployment — or a CI lane — can switch the whole
-        service without touching call sites.
     """
 
     def __init__(
@@ -219,21 +212,9 @@ class LivenessService:
         strategy: str = "exact",
         obs: Observability | None = None,
         obs_labels: dict | None = None,
-        engine: str | None = None,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be at least 1, got {capacity}")
-        if engine is None:
-            engine = os.environ.get("REPRO_ENGINE", FAST)
-        if engine not in (FAST, MASK):
-            # The cache stores FastLivenessChecker-shaped objects (plans,
-            # batch engine, notify hooks); other registry engines don't
-            # fit that contract, so fail at construction, not query time.
-            raise ValueError(
-                f"service engine must be {FAST!r} or {MASK!r}, got {engine!r}"
-            )
-        self._engine = engine
-        self._checker_factory = self._resolve_checker_factory(engine)
         self._functions: dict[str, Function] = {}
         self._checkers: OrderedDict[str, FastLivenessChecker] = OrderedDict()
         self._revisions: dict[str, int] = {}
@@ -256,30 +237,15 @@ class LivenessService:
             "service.cache.evictions", self.stats.evictions, **labels
         )
         metrics.register_counter(
-            "engine.queries", self.stats.queries, engine=self._engine, **labels
+            "engine.queries", self.stats.queries, engine=FAST, **labels
         )
         self._obs_precomputations = metrics.counter(
-            "engine.precomputations", engine=self._engine, **labels
+            "engine.precomputations", engine=FAST, **labels
         )
         self._obs_labels = labels
         if module is not None:
             for function in module:
                 self.register(function)
-
-    @staticmethod
-    def _resolve_checker_factory(
-        engine: str,
-    ) -> Callable[..., FastLivenessChecker]:
-        if engine == MASK:
-            from repro.core.maskengine import MaskLivenessChecker
-
-            return MaskLivenessChecker
-        return FastLivenessChecker
-
-    @property
-    def engine(self) -> str:
-        """The checker implementation backing this service's cache."""
-        return self._engine
 
     # ------------------------------------------------------------------
     # Registration
@@ -372,7 +338,7 @@ class LivenessService:
             raise KeyError(f"unknown function {name!r}") from None
         self.stats.misses += 1
         with self.obs.span("checker_build", function=name):
-            checker = self._checker_factory(function, strategy=self._strategy)
+            checker = FastLivenessChecker(function, strategy=self._strategy)
             checker.prepare()
         self._obs_precomputations.add(1)
         self._checkers[name] = checker
@@ -605,10 +571,9 @@ class LivenessService:
         self._require_known(function)
         spec = get_engine(engine)  # unknown engines fail before any mutation
         fn = self._functions[function]
-        # Both cache-backed engines answer through the FastLivenessChecker
-        # interface, so either can reuse the service's resident checker
-        # (and its warm plan cache) for the translation.
-        checker = self.checker(function) if spec.name in (FAST, MASK) else None
+        # The fast engine reuses the service's resident checker (and its
+        # warm plan cache) for the translation.
+        checker = self.checker(function) if spec.name == FAST else None
         if checker is not None and checker.is_restored:
             # The pipeline borrows the checker's dominator tree, which a
             # snapshot-restored precomputation does not carry — swap in a

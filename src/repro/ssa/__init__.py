@@ -1,30 +1,19 @@
-"""SSA machinery: def–use chains, construction and destruction.
+"""SSA machinery: def–use chains and construction.
 
 * :class:`~repro.ssa.defuse.DefUseChains` — the per-variable ``def(a)`` /
   ``uses(a)`` information the checker consumes, with φ uses attributed to
   predecessor blocks per Definition 1 of the paper.
 * :func:`~repro.ssa.construction.construct_ssa` — Cytron-style SSA
   construction (φ placement at iterated dominance frontiers + renaming).
-* ``destruct_ssa`` — the deprecated out-of-SSA surface, now a thin
-  adapter over :func:`repro.ssadestruct.destruct` (see
-  :mod:`repro.ssadestruct.legacy`); new code should drive the staged
-  pipeline directly.
-* :class:`~repro.ssadestruct.interference.CopyCoalescer` — Budimlić-style
-  interference tests and copy coalescing on top of any liveness oracle
-  (re-exported from its new home for compatibility).
+
+Out-of-SSA translation lives in :mod:`repro.ssadestruct`.
 """
 
 from repro.ssa.construction import construct_ssa
 from repro.ssa.defuse import DefUseChains, VariableDefUse
-from repro.ssadestruct.interference import CopyCoalescer, InterferenceChecker
-from repro.ssadestruct.legacy import DestructionReport, destruct_ssa
 
 __all__ = [
     "DefUseChains",
     "VariableDefUse",
     "construct_ssa",
-    "destruct_ssa",
-    "DestructionReport",
-    "CopyCoalescer",
-    "InterferenceChecker",
 ]

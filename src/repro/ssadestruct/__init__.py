@@ -18,10 +18,7 @@ checker queries:
   the stages together per backend.
 
 * :mod:`repro.ssadestruct.interference` — the Budimlić interference
-  test and the conservative copy coalescer (moved here from
-  ``repro.ssa.coalescing``, which is now a deprecated shim);
-* :mod:`repro.ssadestruct.legacy` — the pre-PR-3 ``destruct_ssa``
-  surface, kept as a thin adapter over :func:`destruct`.
+  test behind the query strategy and the output verifier.
 """
 
 from repro.ssadestruct.coalesce import (
@@ -32,13 +29,8 @@ from repro.ssadestruct.coalesce import (
     QueryInterference,
     coalesce_parallel_copies,
 )
-from repro.ssadestruct.interference import (
-    CoalescingReport,
-    CopyCoalescer,
-    InterferenceChecker,
-)
+from repro.ssadestruct.interference import InterferenceChecker
 from repro.ssadestruct.isolate import IsolationReport, isolate_phis
-from repro.ssadestruct.legacy import DestructionReport, destruct_ssa
 from repro.ssadestruct.names import NameAllocator
 from repro.ssadestruct.pipeline import (
     BACKENDS,
@@ -58,9 +50,6 @@ __all__ = [
     "BACKENDS",
     "CoalesceDecision",
     "CoalesceReport",
-    "CoalescingReport",
-    "CopyCoalescer",
-    "DestructionReport",
     "InterferenceChecker",
     "CongruenceClasses",
     "ConventionalSSAError",
@@ -73,7 +62,6 @@ __all__ = [
     "apply_renaming_and_lower",
     "coalesce_parallel_copies",
     "destruct",
-    "destruct_ssa",
     "isolate_phis",
     "phi_related_variables",
     "phi_congruence_classes",

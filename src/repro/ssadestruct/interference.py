@@ -9,33 +9,17 @@ the other's is the one whose liveness is queried).  This sidesteps building
 an interference graph — each test is a constant number of liveness queries
 plus a local scan.
 
-Two clients of that test live here:
-
-* :class:`InterferenceChecker` — the test itself, usable with any
-  :class:`~repro.liveness.oracle.LivenessOracle`.  The out-of-SSA
-  pipeline (:mod:`repro.ssadestruct.coalesce`) drives it for φ congruence
-  classes, and the destructed-output verifier reuses it.
-* :class:`CopyCoalescer` — a conservative coalescing pass over explicit
-  ``copy`` instructions in an SSA function: a copy is removed (and its
-  destination merged into its source) only when the two values do not
-  interfere, i.e. when a register allocator could assign them the same
-  register.  The pass updates the shared def–use chains incrementally and
-  reports how many liveness-backed tests it issued, giving the benchmark
-  harness a second query stream with a different shape from destruction
-  (the "other passes" the paper's conclusion mentions as work in progress).
-
-This module is the single implementation; the pre-PR-3 home
-:mod:`repro.ssa.coalescing` survives as a deprecated shim over it.
+:class:`InterferenceChecker` is the test itself, usable with any
+:class:`~repro.liveness.oracle.LivenessOracle`.  The out-of-SSA pipeline
+(:mod:`repro.ssadestruct.coalesce`) drives it for φ congruence classes,
+and the destructed-output verifier reuses it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 from repro.cfg.dominance import DominatorTree
 from repro.ir.function import Function
-from repro.ir.instruction import Opcode, Phi
+from repro.ir.instruction import Phi
 from repro.ir.value import Variable
 from repro.liveness.oracle import LivenessOracle
 from repro.ssa.defuse import DefUseChains
@@ -145,74 +129,3 @@ class InterferenceChecker:
                 seen_other_def = True
         return False
 
-
-@dataclass
-class CoalescingReport:
-    """Outcome of a coalescing run."""
-
-    copies_considered: int = 0
-    copies_coalesced: int = 0
-    copies_kept: int = 0
-    interference_tests: int = 0
-
-
-class CopyCoalescer:
-    """Conservatively coalesce ``copy`` instructions in an SSA function."""
-
-    def __init__(
-        self,
-        function: Function,
-        interference: InterferenceChecker,
-        on_change: Callable[[], None] | None = None,
-    ) -> None:
-        self._function = function
-        self._interference = interference
-        #: Called after every program edit; the benchmark harness hooks the
-        #: conventional engine's invalidation here to model the cost of
-        #: keeping its sets up to date.
-        self._on_change = on_change
-
-    def run(self) -> CoalescingReport:
-        """Coalesce what can be coalesced; returns statistics."""
-        report = CoalescingReport()
-        defuse = self._interference.defuse
-        for block in list(self._function):
-            for inst in list(block.instructions):
-                if inst.opcode != Opcode.COPY:
-                    continue
-                source = inst.operands[0]
-                dest = inst.result
-                if not isinstance(source, Variable) or dest is None:
-                    continue
-                if dest not in defuse or source not in defuse:
-                    continue
-                report.copies_considered += 1
-                before = self._interference.tests
-                interferes = self._interference.interfere(dest, source)
-                report.interference_tests += self._interference.tests - before
-                if interferes:
-                    report.copies_kept += 1
-                    continue
-                self._coalesce(block, inst, dest, source)
-                report.copies_coalesced += 1
-        return report
-
-    def _coalesce(self, block, copy_inst, dest: Variable, source: Variable) -> None:
-        """Merge ``dest`` into ``source`` and delete the copy.
-
-        Replacing the uses keeps the function in SSA form (``source``'s
-        definition dominates the copy, which dominates every use of
-        ``dest``), and the def–use chains are patched incrementally — no
-        precomputation of the fast checker is invalidated.
-        """
-        defuse = self._interference.defuse
-        for use_block in defuse.uses(dest):
-            defuse.add_use(source, use_block)
-        for other_block in self._function:
-            for inst in other_block.instructions:
-                inst.replace_uses(dest, source)
-        defuse.remove_variable(dest)
-        defuse.remove_use(source, block.name)
-        block.remove(copy_inst)
-        if self._on_change is not None:
-            self._on_change()

@@ -1,8 +1,18 @@
-"""The engine registry: lookup, capabilities, third-party plug-in."""
+"""The engine registry: lookup, capabilities, third-party plug-in, and
+the four built-ins as seen from the wire."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.api.client import CompilerClient
+from repro.api.codec import CODEC_BIN2, CODEC_JSON, BytesClient
 from repro.api.errors import ErrorCode, ProtocolError
+from repro.api.protocol import AllocateRequest, DestructRequest, LivenessQuery
 from repro.api.registry import (
     DATAFLOW,
     FAST,
@@ -17,7 +27,9 @@ from repro.api.registry import (
     register_engine,
     unregister_engine,
 )
+from repro.concurrent import ShardedClient
 from repro.liveness.dataflow import DataflowLiveness
+from tests.service.test_service import make_module
 
 
 class TestBuiltins:
@@ -112,3 +124,51 @@ class TestThirdPartyPlugin:
             assert print_function(with_builtin) == print_function(with_plugin)
         finally:
             assert unregister_engine("thirdparty")
+
+
+class TestFourBuiltins:
+    """The retired ``mask`` engine is an unknown name at every boundary."""
+
+    def test_mask_is_not_registered(self):
+        assert "mask" not in available_engines()
+        with pytest.raises(UnknownEngineError):
+            get_engine("mask")
+
+    def test_importing_the_library_does_not_load_numpy(self):
+        code = (
+            "import sys, repro, repro.concurrent, repro.persist, repro.api.codec; "
+            "sys.exit('numpy' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        result = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+        assert result.returncode == 0, "importing repro loaded numpy"
+
+    @pytest.mark.parametrize("codec", [CODEC_JSON, CODEC_BIN2])
+    @pytest.mark.parametrize("client_cls", [CompilerClient, ShardedClient])
+    @pytest.mark.parametrize(
+        "make_request",
+        [
+            lambda name: DestructRequest(function=name, engine="mask"),
+            lambda name: AllocateRequest(function=name, num_registers=4, engine="mask"),
+        ],
+        ids=["destruct", "allocate"],
+    )
+    def test_mask_requests_get_unknown_engine_over_the_wire(
+        self, codec, client_cls, make_request
+    ):
+        module = make_module(2)
+        client = client_cls(module)
+        peer = BytesClient(client.bytes_session().dispatch_frame, offer=(codec,))
+        assert peer.codec == codec
+        response = peer.dispatch(make_request("fn0"))
+        assert response.error is not None
+        assert response.error.code is ErrorCode.UNKNOWN_ENGINE
+        # Rejected before any mutation: the function still answers queries.
+        function = module.function("fn0")
+        query = LivenessQuery(
+            function="fn0",
+            kind="in",
+            variable=function.variables()[0].name,
+            block=function.entry.name,
+        )
+        assert peer.dispatch(query).ok

@@ -20,7 +20,7 @@ def test_compute_and_format_tiny_profile():
     assert len(rows) == 1
     row = rows[0]
     assert row.functions == 2
-    for backend in ("fast", "mask", "dataflow", "graph"):
+    for backend in ("fast", "dataflow", "graph"):
         assert row.millis[backend] > 0
     assert row.pairs >= row.coalesced >= 0
     assert row.queries > 0  # the query-driven backends actually queried
@@ -44,7 +44,7 @@ def test_json_report_schema(tmp_path):
     assert payload["schema"] == 1
     assert payload["baseline"] == "graph"
     (row,) = payload["rows"]
-    assert set(row["speedup_vs_graph"]) == {"fast", "mask", "dataflow"}
+    assert set(row["speedup_vs_graph"]) == {"fast", "dataflow"}
 
 
 def test_speedup_handles_absent_backend():

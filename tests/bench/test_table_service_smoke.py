@@ -29,15 +29,9 @@ def test_compute_and_format_tiny_profile():
 
 def test_modes_cross_check_each_other():
     # measure_profile asserts every mode answers identically; reaching here
-    # with all four modes means the cross-check passed (including the
-    # mask-engine service against the fast-engine one).
+    # with all three modes means the cross-check passed.
     rows = compute_table_service(profiles=_TINY)
-    assert set(rows[0].millis) == {
-        "service",
-        "service_mask",
-        "service_lru",
-        "rebuild",
-    }
+    assert set(rows[0].millis) == {"service", "service_lru", "rebuild"}
 
 
 def test_generation_is_deterministic():

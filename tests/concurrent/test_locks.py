@@ -1,14 +1,19 @@
 """Tests for the RW lock and the atomic counters under real threads."""
 
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.concurrent.locks import RWLock
+from repro.api import LivenessQuery, QueryKind, StatsRequest
+from repro.concurrent import ShardedClient
+from repro.concurrent.locks import LockMetrics, RWLock
+from repro.obs import Observability
 from repro.service import LivenessService, ServiceStats
 from repro.service.service import STAT_FIELDS
 from repro.utils import AtomicCounter
+from tests.service.test_service import make_module
 
 #: Generous per-test watchdog; a hang is a deadlock, not a slow machine.
 WATCHDOG = 30.0
@@ -252,3 +257,80 @@ class TestRWLock:
         )
         join_all([writer, reader])
         lock.release_read()
+
+
+class ParkingClock:
+    """``time.perf_counter`` that flags the contended read branch.
+
+    ``acquire_read`` reads the clock only once it has found the lock
+    taken, still holding the lock's condition; a writer's
+    ``release_write`` needs that condition, so it cannot run before the
+    reader has parked in ``wait``.  Waiting on :attr:`parked` therefore
+    orders "reader parked" before "writer releases" without sleeping.
+    """
+
+    def __init__(self) -> None:
+        self.parked = threading.Event()
+
+    def __call__(self) -> float:
+        if sys._getframe(1).f_code.co_name == "acquire_read":
+            self.parked.set()
+        return time.perf_counter()
+
+
+class TestLockMetrics:
+    def test_uncontended_read_records_nothing(self):
+        metrics = LockMetrics(Observability())
+        lock = RWLock(metrics=metrics)
+        with lock.read():
+            pass
+        assert metrics.read_wait.count == 0
+
+    def test_write_records_wait_and_hold_once(self):
+        metrics = LockMetrics(Observability())
+        lock = RWLock(metrics=metrics)
+        assert lock.acquire_write()
+        lock.release_write()
+        assert metrics.write_wait.count == 1
+        assert metrics.write_hold.count == 1
+        assert metrics.write_hold.sum >= 0.0
+
+    def test_timed_out_writer_records_no_wait(self):
+        metrics = LockMetrics(Observability())
+        lock = RWLock(metrics=metrics)
+        assert lock.acquire_read()
+        assert not lock.acquire_write(timeout=0.01)
+        lock.release_read()
+        assert metrics.write_wait.count == 0
+        assert metrics.write_hold.count == 0
+
+    def test_parked_reader_wait_reaches_stats_through_the_client(self):
+        module = make_module(4)
+        clock = ParkingClock()
+        client = ShardedClient(module, shards=2, obs=Observability(clock=clock))
+        function = module.function("fn1")
+        shard = client.service.shard_of(function.name)
+        query = LivenessQuery(
+            function=function.name,
+            kind=QueryKind.LIVE_IN,
+            variable=function.variables()[0].name,
+            block=function.entry.name,
+        )
+        responses = []
+        reader = threading.Thread(
+            target=lambda: responses.append(client.dispatch(query)), daemon=True
+        )
+        with client.service.write_locked([function.name]):
+            reader.start()
+            assert clock.parked.wait(WATCHDOG), "reader never queued"
+        join_all([reader])
+        assert responses[0].ok
+        snapshot = client.dispatch(StatsRequest()).snapshot
+        wait = snapshot["histograms"][f"lock.read.wait_seconds{{shard={shard}}}"]
+        assert wait["count"] == 1
+        assert wait["sum"] > 0
+        writes = snapshot["histograms"][f"lock.write.hold_seconds{{shard={shard}}}"]
+        assert writes["count"] >= 1
+        assert not any(
+            key.startswith("lock.read.hold_seconds") for key in snapshot["histograms"]
+        )

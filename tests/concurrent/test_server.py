@@ -134,6 +134,7 @@ class TestWireServer:
         serial = CompilerClient(module)
         assert responses == [serial.dispatch_json(p) for p in payloads]
 
+    @pytest.mark.expects_deadline
     def test_stop_shares_one_deadline_across_wedged_workers(self, caplog):
         """Regression: stop() passed the full timeout to *each* join
         (worst case ``workers × timeout``) and returned silently even

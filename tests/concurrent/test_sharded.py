@@ -353,29 +353,7 @@ def spawn_indexed(target, count):
     return threads
 
 
-class TestEngineAndDeltas:
-    def test_engine_reaches_every_shard(self):
-        from repro.core.maskengine import MaskLivenessChecker
-
-        module = make_module(6)
-        sharded = ShardedService(module, shards=3, engine="mask")
-        for fn in module:
-            assert isinstance(
-                sharded.service_for(fn.name).checker(fn.name),
-                MaskLivenessChecker,
-            )
-
-    def test_mask_sharded_answers_match_fast_sharded(self):
-        module = make_module(6, num_blocks=18)
-        requests = sample_requests(module, 150)
-        fast = ShardedService(module, shards=3)
-        mask = ShardedService(module, shards=3, engine="mask")
-        assert fast.submit(requests) == mask.submit(requests)
-
-    def test_invalid_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            ShardedService(make_module(2), shards=2, engine="sets")
-
+class TestDeltaRouting:
     def test_delta_forwards_to_the_owning_shard(self):
         from repro.core.incremental import CfgDelta
         from tests.service.test_service import applicable_delta

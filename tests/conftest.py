@@ -1,18 +1,21 @@
 """Shared fixtures and reference helpers for the test suite.
 
-Two things live here:
+Three things live here:
 
 * small reusable example programs/CFGs (including the reconstruction of the
-  paper's Figure 3 example), and
+  paper's Figure 3 example),
 * *independent reference implementations* (brute-force path search for
   liveness and dominance) used by the differential tests.  They are kept
   deliberately naive — a breadth-first search straight from the paper's
   Definitions 2 and 3 — so that agreement with the optimised library code
-  constitutes real evidence.
+  constitutes real evidence, and
+* the deadline guard: a test during which a shutdown deadline expires
+  fails, so a timeout can never quietly hide a stall.
 """
 
 from __future__ import annotations
 
+import logging
 import random
 
 import pytest
@@ -199,3 +202,45 @@ def nested_function():
 def rng() -> random.Random:
     """A deterministically seeded RNG for reproducible fuzz tests."""
     return random.Random(20080406)
+
+
+# ----------------------------------------------------------------------
+# Deadline guard
+# ----------------------------------------------------------------------
+#: Warnings the serving layer logs when a shutdown deadline expires:
+#: ``ProcClient.close`` terminating an undrained worker, and
+#: ``WireServer.stop`` returning with worker threads still running.
+DEADLINE_WARNINGS = ("did not drain", "still running after")
+
+
+class _DeadlineRecords(logging.Handler):
+    def __init__(self) -> None:
+        super().__init__(logging.WARNING)
+        self.messages: list[str] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        message = record.getMessage()
+        if any(marker in message for marker in DEADLINE_WARNINGS):
+            self.messages.append(message)
+
+
+@pytest.fixture(autouse=True)
+def fail_on_expired_deadline(request):
+    """Fail any test during which a shutdown deadline expires.
+
+    Tests that drive a deadline to expiry on purpose carry the
+    ``expects_deadline`` marker.  Autouse fixtures are torn down after
+    the fixtures a test requests, so a client closed in fixture teardown
+    is still covered.
+    """
+    handler = _DeadlineRecords()
+    logger = logging.getLogger("repro.obs")
+    logger.addHandler(handler)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+    if handler.messages and request.node.get_closest_marker("expects_deadline") is None:
+        pytest.fail(
+            "a deadline expired during this test: " + "; ".join(handler.messages)
+        )

@@ -7,7 +7,8 @@ from repro.frontend import compile_source
 from repro.ir import verify_function, verify_ssa
 from repro.ir.interp import execute
 from repro.liveness import CountingOracle, DataflowLiveness, PathExplorationLiveness
-from repro.ssa import DefUseChains, destruct_ssa
+from repro.ssa import DefUseChains
+from repro.ssadestruct import destruct, phi_related_variables
 from repro.synth import generate_benchmark_functions
 from repro.synth.spec_profiles import profile_by_name
 
@@ -69,7 +70,7 @@ class TestFullPipeline:
 
         # The program computes the right thing before and after destruction.
         assert execute(function, args).return_value == expected
-        destruct_ssa(function)
+        destruct(function)
         verify_function(function)
         assert execute(function, args).return_value == expected
 
@@ -77,14 +78,14 @@ class TestFullPipeline:
         functions = generate_benchmark_functions(profile_by_name("256.bzip2"), scale=3)
         for function in functions:
             checker = CountingOracle(FastLivenessChecker(function))
-            report = destruct_ssa(function, oracle=checker)
+            report = destruct(function, oracle_factory=lambda fn: checker)
             verify_function(function)
-            assert report.phis_processed >= 0
+            assert report.phis_isolated >= 0
             # Each Budimlić test issues at most one block-level liveness
             # query; tests decided structurally (same parallel copy,
             # dominance-unrelated definitions) issue none.
             assert checker.total_queries <= report.interference_tests
-            if report.phis_processed:
+            if report.phis_isolated:
                 assert checker.total_queries > 0
 
     def test_queries_per_variable_is_in_plausible_range(self):
@@ -95,9 +96,10 @@ class TestFullPipeline:
         total_phi_vars = 0
         for function in functions:
             counting = CountingOracle(FastLivenessChecker(function))
-            report = destruct_ssa(function, oracle=counting)
+            related = phi_related_variables(function)
+            destruct(function, oracle_factory=lambda fn: counting)
             total_queries += counting.total_queries
-            total_phi_vars += max(len(report.phi_related_variables), 1)
+            total_phi_vars += max(len(related), 1)
         ratio = total_queries / total_phi_vars
         assert 0.3 < ratio < 60
 

@@ -10,7 +10,7 @@ import pytest
 from repro.core.live_checker import FastLivenessChecker
 from repro.regalloc.chordal import color_function
 from repro.regalloc.pressure import compute_pressure
-from repro.ssa.coalescing import InterferenceChecker
+from repro.ssadestruct.interference import InterferenceChecker
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -233,38 +233,17 @@ def applicable_delta(function):
     return None
 
 
-class TestEngineSelection:
-    def test_default_engine_is_fast(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert LivenessService(make_module(1)).engine == "fast"
-
-    def test_unknown_engine_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="engine"):
-            LivenessService(make_module(1), engine="dataflow")
-
-    def test_env_variable_selects_the_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "mask")
-        assert LivenessService(make_module(1)).engine == "mask"
-        monkeypatch.setenv("REPRO_ENGINE", "bogus")
-        with pytest.raises(ValueError, match="engine"):
-            LivenessService(make_module(1))
-
-    def test_explicit_engine_beats_the_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "mask")
-        assert LivenessService(make_module(1), engine="fast").engine == "fast"
-
-    def test_mask_service_builds_mask_checkers(self):
-        from repro.core.maskengine import MaskLivenessChecker
-
-        service = LivenessService(make_module(1), engine="mask")
-        assert isinstance(service.checker("fn0"), MaskLivenessChecker)
-
-    def test_mask_service_answers_match_fast(self):
-        module = make_module(4, num_blocks=18)
-        requests = sample_requests(module, 120)
-        fast = LivenessService(module)
-        mask = LivenessService(module, engine="mask")
-        assert fast.submit(requests) == mask.submit(requests)
+class TestEngineMetrics:
+    def test_engine_metrics_keep_the_fast_label(self):
+        module = make_module(2)
+        requests = sample_requests(module, 10)
+        service = LivenessService(module, obs_labels={"shard": 0})
+        service.submit(requests)
+        counters = service.obs.snapshot()["counters"]
+        assert counters["engine.queries{engine=fast,shard=0}"] == 10
+        assert counters["engine.precomputations{engine=fast,shard=0}"] == len(
+            {request.function for request in requests}
+        )
 
 
 class TestIncrementalRouting:

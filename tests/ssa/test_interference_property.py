@@ -18,7 +18,7 @@ import pytest
 from repro.core.live_checker import FastLivenessChecker
 from repro.ir.value import Variable
 from repro.liveness.dataflow import DataflowLiveness
-from repro.ssa.coalescing import InterferenceChecker
+from repro.ssadestruct.interference import InterferenceChecker
 from tests.support.genfn import GenSpec, generate_function
 
 
