@@ -9,8 +9,9 @@ the property that makes the whole liveness-checking approach work.
 Two classic constructions are provided:
 
 * :class:`DominatorTree` (default) — the Cooper–Harvey–Kennedy iterative
-  algorithm over reverse postorder ("A Simple, Fast Dominance Algorithm"),
-  which is near-linear in practice and easy to audit.
+  algorithm ("A Simple, Fast Dominance Algorithm"), run on integer
+  reverse-postorder indices as its authors designed it; near-linear in
+  practice and easy to audit.
 * :func:`immediate_dominators_lengauer_tarjan` — the Lengauer–Tarjan
   algorithm with simple path compression, used by the test suite to
   cross-validate the iterative construction on random graphs.
@@ -32,59 +33,51 @@ from repro.cfg.graph import ControlFlowGraph, Node
 
 
 class DominatorTree:
-    """Immediate dominators, dominance queries and preorder numbering."""
+    """Immediate dominators, dominance queries and preorder numbering.
+
+    Everything is held by dominance-preorder number: ``_preorder_nodes``
+    maps numbers to nodes, ``_num`` maps back, and ``_maxnums`` /
+    ``_idom_nums`` are flat lists over the numbers.  Children are not
+    stored: those of ``k`` are ``k + 1``, then ``maxnum(child) + 1``
+    after each child, up to ``maxnum(k)``.
+    """
 
     def __init__(self, graph: ControlFlowGraph, dfs: DepthFirstSearch | None = None) -> None:
         self._graph = graph
         self._dfs = dfs if dfs is not None else DepthFirstSearch(graph)
-        self._idom = _immediate_dominators_iterative(graph, self._dfs)
-        self._children: dict[Node, list[Node]] = {node: [] for node in self._idom}
-        for node, idom in self._idom.items():
-            if idom is not None and idom != node:
-                self._children[idom].append(node)
-        # Children are kept in reverse-postorder so that the preorder
-        # numbering below is deterministic and roughly follows control flow,
-        # matching the numeration shown in the paper's Figure 3.
-        rpo_index = {
-            node: index for index, node in enumerate(self._dfs.reverse_postorder())
-        }
-        for children in self._children.values():
-            children.sort(key=rpo_index.__getitem__)
-        self._num: dict[Node, int] = {}
-        self._maxnum: dict[Node, int] = {}
-        self._preorder_nodes: list[Node] = []
-        self._number_tree()
-        self._depth: dict[Node, int] = {}
-        self._compute_depths()
-
-    # ------------------------------------------------------------------
-    # Construction details
-    # ------------------------------------------------------------------
-    def _number_tree(self) -> None:
-        """Assign ``num``/``maxnum`` by an iterative preorder walk."""
-        root = self._graph.entry
-        stack: list[tuple[Node, bool]] = [(root, False)]
-        while stack:
-            node, exiting = stack.pop()
-            if exiting:
-                children = self._children[node]
-                self._maxnum[node] = (
-                    self._maxnum[children[-1]] if children else self._num[node]
-                )
-                continue
-            self._num[node] = len(self._preorder_nodes)
-            self._preorder_nodes.append(node)
-            stack.append((node, True))
-            for child in reversed(self._children[node]):
-                stack.append((child, False))
-
-    def _compute_depths(self) -> None:
-        for node in self._preorder_nodes:
-            idom = self._idom[node]
-            if idom is None or idom == node:
-                self._depth[node] = 0
-            else:
-                self._depth[node] = self._depth[idom] + 1
+        rpo = self._dfs.reverse_postorder()
+        idom = _rpo_idoms(graph, rpo)
+        count = len(rpo)
+        # Subtree sizes: an immediate dominator precedes its node in RPO,
+        # so one backward sweep folds every subtree into its root.
+        size = [1] * count
+        for index in range(count - 1, 0, -1):
+            size[idom[index]] += size[index]
+        # Preorder numbers with children visited in RPO order (so the
+        # numbering roughly follows control flow, as in the paper's
+        # Figure 3): a node takes the next free slot of its immediate
+        # dominator, and its own children start right after it.
+        number = [0] * count
+        slot = [1] * count
+        for index in range(1, count):
+            parent = idom[index]
+            first = slot[parent]
+            number[index] = first
+            slot[parent] = first + size[index]
+            slot[index] = first + 1
+        nodes: list[Node] = [None] * count
+        maxnums = [0] * count
+        idom_nums = [0] * count
+        for index, node in enumerate(rpo):
+            first = number[index]
+            nodes[first] = node
+            maxnums[first] = first + size[index] - 1
+            idom_nums[first] = number[idom[index]]
+        self._preorder_nodes = nodes
+        self._num: dict[Node, int] = dict(zip(nodes, range(count)))
+        self._maxnums = maxnums
+        self._idom_nums = idom_nums
+        self._depths: list[int] | None = None
 
     # ------------------------------------------------------------------
     # Tree structure
@@ -106,16 +99,30 @@ class DominatorTree:
 
     def immediate_dominator(self, node: Node) -> Node | None:
         """The immediate dominator of ``node`` (``None`` for the entry)."""
-        idom = self._idom[node]
-        return None if idom == node else idom
+        number = self._num[node]
+        return self._preorder_nodes[self._idom_nums[number]] if number else None
 
     def children(self, node: Node) -> list[Node]:
-        """The nodes whose immediate dominator is ``node``."""
-        return list(self._children[node])
+        """The nodes whose immediate dominator is ``node`` (RPO order)."""
+        nodes, maxnums = self._preorder_nodes, self._maxnums
+        number = self._num[node]
+        child, last = number + 1, maxnums[number]
+        result = []
+        while child <= last:
+            result.append(nodes[child])
+            child = maxnums[child] + 1
+        return result
 
     def depth(self, node: Node) -> int:
         """Distance of ``node`` from the root of the dominance tree."""
-        return self._depth[node]
+        if self._depths is None:
+            # An immediate dominator has the smaller preorder number.
+            depths = [0] * len(self._idom_nums)
+            for number, parent in enumerate(self._idom_nums):
+                if number:
+                    depths[number] = depths[parent] + 1
+            self._depths = depths
+        return self._depths[self._num[node]]
 
     # ------------------------------------------------------------------
     # Dominance queries
@@ -126,7 +133,8 @@ class DominatorTree:
         Implemented as an O(1) interval test on the preorder numbering: a
         node dominates exactly the nodes of its dominance subtree.
         """
-        return self._num[x] <= self._num[y] <= self._maxnum[x]
+        lo = self._num[x]
+        return lo <= self._num[y] <= self._maxnums[lo]
 
     def strictly_dominates(self, x: Node, y: Node) -> bool:
         """``x sdom y``: ``x dom y`` and ``x != y``."""
@@ -134,34 +142,36 @@ class DominatorTree:
 
     def dominated(self, node: Node) -> list[Node]:
         """``dom(node)``: every node dominated by ``node`` (preorder)."""
-        lo, hi = self._num[node], self._maxnum[node]
-        return self._preorder_nodes[lo : hi + 1]
+        lo = self._num[node]
+        return self._preorder_nodes[lo : self._maxnums[lo] + 1]
 
     def strictly_dominated(self, node: Node) -> list[Node]:
         """``sdom(node) = dom(node) \\ {node}`` (preorder)."""
-        lo, hi = self._num[node], self._maxnum[node]
-        return self._preorder_nodes[lo + 1 : hi + 1]
+        lo = self._num[node]
+        return self._preorder_nodes[lo + 1 : self._maxnums[lo] + 1]
 
     def dominators_of(self, node: Node) -> list[Node]:
         """All dominators of ``node``, from the node itself up to the entry."""
+        nodes, idom_nums = self._preorder_nodes, self._idom_nums
+        number = self._num[node]
         chain = [node]
-        current = node
-        while True:
-            idom = self.immediate_dominator(current)
-            if idom is None:
-                return chain
-            chain.append(idom)
-            current = idom
+        while number:
+            number = idom_nums[number]
+            chain.append(nodes[number])
+        return chain
 
     def nearest_common_dominator(self, x: Node, y: Node) -> Node:
         """The closest node dominating both ``x`` and ``y``."""
-        while x != y:
-            if self._depth[x] < self._depth[y]:
-                x, y = y, x
-            idom = self.immediate_dominator(x)
-            assert idom is not None, "walked past the dominance-tree root"
-            x = idom
-        return x
+        idom_nums = self._idom_nums
+        a, b = self._num[x], self._num[y]
+        # The larger number cannot be an ancestor of the smaller one, so
+        # it is safe to step it up to its immediate dominator.
+        while a != b:
+            if a > b:
+                a = idom_nums[a]
+            else:
+                b = idom_nums[b]
+        return self._preorder_nodes[a]
 
     # ------------------------------------------------------------------
     # Preorder numbering (Section 5.1)
@@ -172,11 +182,20 @@ class DominatorTree:
 
     def maxnum(self, node: Node) -> int:
         """Largest preorder number inside ``node``'s dominance subtree."""
-        return self._maxnum[node]
+        return self._maxnums[self._num[node]]
 
     def node_of(self, number: int) -> Node:
         """Inverse of :meth:`num`."""
         return self._preorder_nodes[number]
+
+    @property
+    def numbering(self) -> dict[Node, int]:
+        """``node -> num(node)`` as one dict (shared; do not mutate)."""
+        return self._num
+
+    def maxnums(self) -> list[int]:
+        """``maxnum`` of every node, indexed by preorder number (a copy)."""
+        return list(self._maxnums)
 
     def preorder(self) -> list[Node]:
         """Nodes ordered by their dominance-preorder number."""
@@ -196,50 +215,61 @@ class DominatorTree:
 # ----------------------------------------------------------------------
 # Cooper–Harvey–Kennedy iterative construction
 # ----------------------------------------------------------------------
+def _rpo_idoms(graph: ControlFlowGraph, rpo: list[Node]) -> list[int]:
+    """CHK on reverse-postorder indices: ``idom[i]`` is an RPO index.
+
+    ``rpo`` must be the reverse postorder of a DFS of ``graph`` from its
+    entry; ``idom[0] == 0`` marks the entry.  An immediate dominator
+    always has the smaller index, so ``intersect`` walks the larger of
+    two indices up until they meet.
+    """
+    count = len(rpo)
+    index = dict(zip(rpo, range(count)))
+    if count != len(graph):
+        missing = [node for node in graph.nodes() if node not in index]
+        raise ValueError(f"nodes unreachable from entry: {missing!r}")
+    predecessors = graph.predecessors
+    preds = [
+        [index[pred] for pred in predecessors(node) if pred in index]
+        for node in rpo
+    ]
+    idom = [-1] * count
+    idom[0] = 0
+    changed = True
+    while changed:
+        changed = False
+        for node in range(1, count):
+            new = -1
+            for pred in preds[node]:
+                if idom[pred] < 0:
+                    continue  # not reached by this sweep yet
+                if new < 0:
+                    new = pred
+                    continue
+                while pred != new:
+                    while pred > new:
+                        pred = idom[pred]
+                    while new > pred:
+                        new = idom[new]
+            if idom[node] != new:
+                idom[node] = new
+                changed = True
+    return idom
+
+
 def _immediate_dominators_iterative(
     graph: ControlFlowGraph, dfs: DepthFirstSearch
 ) -> dict[Node, Node]:
     """Compute ``idom`` with the classic RPO fixpoint iteration.
 
     The entry maps to itself (the conventional sentinel), and the public
-    :class:`DominatorTree` API converts that back to ``None``.
+    :class:`DominatorTree` API converts that back to ``None``.  ``dfs``
+    may be one preserved across edits by :mod:`repro.core.incremental`,
+    as long as it is still a genuine DFS of ``graph``.
     """
     rpo = dfs.reverse_postorder()
-    rpo_index = {node: index for index, node in enumerate(rpo)}
-    entry = graph.entry
-    idom: dict[Node, Node] = {entry: entry}
-
-    def intersect(a: Node, b: Node) -> Node:
-        while a != b:
-            while rpo_index[a] > rpo_index[b]:
-                a = idom[a]
-            while rpo_index[b] > rpo_index[a]:
-                b = idom[b]
-        return a
-
-    changed = True
-    while changed:
-        changed = False
-        for node in rpo:
-            if node == entry:
-                continue
-            candidates = [
-                pred
-                for pred in graph.predecessors(node)
-                if pred in idom and dfs.visited(pred)
-            ]
-            if not candidates:
-                continue
-            new_idom = candidates[0]
-            for pred in candidates[1:]:
-                new_idom = intersect(pred, new_idom)
-            if idom.get(node) != new_idom:
-                idom[node] = new_idom
-                changed = True
-    missing = [node for node in graph.nodes() if node not in idom]
-    if missing:
-        raise ValueError(f"nodes unreachable from entry: {missing!r}")
-    return idom
+    idom = _rpo_idoms(graph, rpo)
+    return {node: rpo[parent] for node, parent in zip(rpo, idom)}
 
 
 # ----------------------------------------------------------------------

@@ -70,6 +70,14 @@ class BatchQueryEngine:
 
     def __init__(self, checker: "FastLivenessChecker") -> None:
         self._checker = checker
+        # The checker drops its engine whenever it drops its
+        # precomputation (an in-place CFG patch keeps both, and the
+        # arrays below are patched in place), so they can be bound once.
+        pre: LivenessPrecomputation = checker.precomputation
+        self._pre = pre
+        self._numbering = pre.numbering
+        self._t_masks = pre.t_masks
+        self._is_back_target = pre.is_back_target
         # Keyed by the Variable objects themselves (identity hash);
         # holding the key keeps it alive, so a recycled id() can
         # never alias a stale setup.
@@ -82,11 +90,8 @@ class BatchQueryEngine:
         cached = self._setups.get(var)
         if cached is not None:
             return cached
-        checker = self._checker
-        checker.prepare()
-        pre: LivenessPrecomputation = checker.precomputation
-        plan = checker.plans.plan(var)
-        r_masks = pre.r_masks
+        plan = self._checker.plans.plan(var)
+        r_masks = self._pre.r_masks
         use_mask = plan.use_mask
         hot = 0
         hot_excl = 0
@@ -115,8 +120,7 @@ class BatchQueryEngine:
         plan = setup.plan
         if query_num <= plan.def_num or query_num > plan.max_dom:
             return False
-        t_q = self._checker.precomputation.t_masks[query_num]
-        return bool(t_q & setup.hot_mask)
+        return bool(self._t_masks[query_num] & setup.hot_mask)
 
     def _live_out_num(self, setup: _VariableSetup, query_num: int) -> bool:
         plan = setup.plan
@@ -124,15 +128,14 @@ class BatchQueryEngine:
             return plan.has_nonlocal_use
         if query_num <= plan.def_num or query_num > plan.max_dom:
             return False
-        pre = self._checker.precomputation
-        t_q = pre.t_masks[query_num]
+        t_q = self._t_masks[query_num]
         query_bit = 1 << query_num
         if t_q & setup.hot_mask & ~query_bit:
             return True
         if t_q & query_bit:
             # Candidate t == q: a use in q itself only counts when q can be
             # left and re-entered, i.e. when q is a back-edge target.
-            if pre.is_back_target[query_num]:
+            if self._is_back_target[query_num]:
                 return bool(setup.hot_mask & query_bit)
             return bool(setup.hot_mask_excl & query_bit)
         return False
@@ -142,18 +145,18 @@ class BatchQueryEngine:
     # ------------------------------------------------------------------
     def is_live_in(self, var: Variable, block: str) -> bool:
         """Single live-in query through the cached per-variable setup."""
-        setup = self._setup(var)
-        return self._live_in_num(setup, self._checker.precomputation.num(block))
+        setup = self._setups.get(var) or self._setup(var)
+        return self._live_in_num(setup, self._numbering[block])
 
     def is_live_out(self, var: Variable, block: str) -> bool:
         """Single live-out query through the cached per-variable setup."""
-        setup = self._setup(var)
-        return self._live_out_num(setup, self._checker.precomputation.num(block))
+        setup = self._setups.get(var) or self._setup(var)
+        return self._live_out_num(setup, self._numbering[block])
 
     def live_in_blocks(self, var: Variable) -> set[str]:
         """All blocks where ``var`` is live-in, in one interval sweep."""
         setup = self._setup(var)
-        pre = self._checker.precomputation
+        pre = self._pre
         plan = setup.plan
         return {
             pre.node_of(num)
@@ -164,7 +167,7 @@ class BatchQueryEngine:
     def live_out_blocks(self, var: Variable) -> set[str]:
         """All blocks where ``var`` is live-out, in one interval sweep."""
         setup = self._setup(var)
-        pre = self._checker.precomputation
+        pre = self._pre
         plan = setup.plan
         result = {
             pre.node_of(num)
@@ -184,11 +187,11 @@ class BatchQueryEngine:
         the per-variable setup is built once per distinct variable no
         matter how the stream interleaves them.
         """
-        pre = self._checker.precomputation
+        numbering = self._numbering
         answers: list[bool] = []
         for kind, var, block in queries:
-            setup = self._setup(var)
-            num = pre.num(block)
+            setup = self._setups.get(var) or self._setup(var)
+            num = numbering[block]
             if kind == "in":
                 answers.append(self._live_in_num(setup, num))
             elif kind == "out":
@@ -207,8 +210,7 @@ class BatchQueryEngine:
         set up once and its dominance interval swept once for both
         directions, instead of ``|V| × |B|`` full Algorithm-3 runs.
         """
-        self._checker.prepare()
-        pre = self._checker.precomputation
+        pre = self._pre
         live_in: dict[str, set[Variable]] = {node: set() for node in pre.graph.nodes()}
         live_out: dict[str, set[Variable]] = {node: set() for node in pre.graph.nodes()}
         for var in variables:
@@ -228,9 +230,8 @@ class BatchQueryEngine:
         self, variables: Sequence[Variable]
     ) -> dict[str, set[Variable]]:
         """Live-in sets for every block, restricted to ``variables``."""
-        self._checker.prepare()
         result: dict[str, set[Variable]] = {
-            block: set() for block in self._checker.precomputation.graph.nodes()
+            block: set() for block in self._pre.graph.nodes()
         }
         for var in variables:
             for block in self.live_in_blocks(var):

@@ -349,7 +349,7 @@ def apply_cfg_delta(pre: "LivenessPrecomputation", delta: CfgDelta) -> UpdateRes
         else:
             dfs.note_edge_added(edit.source, edit.target, edit.kind)
 
-    num = domtree.num
+    num = domtree.numbering.__getitem__
     r_masks = pre.r_masks
     t_masks = pre.t_masks
 
@@ -374,11 +374,11 @@ def apply_cfg_delta(pre: "LivenessPrecomputation", delta: CfgDelta) -> UpdateRes
                 changed_nodes.add(node)
 
     # --- back-edge target flags ---------------------------------------
-    back_src_mask = 0
+    back_bits: list[tuple[int, int]] = []  # (source bit, target bit)
     back_targets_touched: set[Node] = set()
     for edit in edits:
         if edit.kind is EdgeKind.BACK:
-            back_src_mask |= 1 << num(edit.source)
+            back_bits.append((1 << num(edit.source), 1 << num(edit.target)))
             back_targets_touched.add(edit.target)
     for target in back_targets_touched:
         flag = any(edge.target == target for edge in dfs.back_edges())
@@ -390,21 +390,23 @@ def apply_cfg_delta(pre: "LivenessPrecomputation", delta: CfgDelta) -> UpdateRes
 
     # --- T: one preorder pass (Theorem-3 order) -----------------------
     t_rows_changed = 0
-    if changed_r or back_src_mask:
+    if changed_r or back_bits:
         groups = back_edge_groups(dfs, num)
         changed_t_mask = 0
         for node in dfs.preorder():
             number = num(node)
-            r_new = r_masks[number]
-            r_old = changed_r.get(number, r_new)
+            r = r_masks[number]
+            # A row with an unchanged R only moves if a T row it folded
+            # in moved, or an edited back edge s -> t enters its Equation
+            # 1 term: s in R and t not in R.
             dirty = (
                 number in changed_r
-                or (r_new | r_old) & back_src_mask
                 or t_masks[number] & changed_t_mask
+                or any(r & s and not r & t for s, t in back_bits)
             )
             if not dirty:
                 continue
-            mask = equation1_row(number, r_new, groups, t_masks)
+            mask = equation1_row(number, r, groups, t_masks)
             if mask != t_masks[number]:
                 changed_t_mask |= 1 << number
                 t_masks[number] = mask

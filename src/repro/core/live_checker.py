@@ -215,35 +215,36 @@ class FastLivenessChecker(LivenessOracle):
     # Oracle interface
     # ------------------------------------------------------------------
     def is_live_in(self, var: Variable, block: str) -> bool:
-        # Hot path: skip the prepare() call when everything is resident
-        # (plans are built last, so a live plan cache implies the rest).
-        if self._plans is None:
+        # Hot path: a resident plan cache implies the rest is resident
+        # (plans are built last), so the query reads the plan and the
+        # block number straight out of their dicts.
+        plans = self._plans
+        if plans is None:
             self.prepare()
-        assert self._defuse is not None and self._pre is not None
+            plans = self._plans
         if self._use_bitsets:
-            assert self._bitset_checker is not None and self._plans is not None
-            plan = self._plans.plan(var)
+            plan = plans.compiled.get(var) or plans.plan(var)
             return self._bitset_checker.is_live_in_mask(
-                plan.def_num, plan.use_mask, self._pre.num(block)
+                plan.def_num, plan.use_mask, self._pre.numbering[block]
             )
-        assert self._set_checker is not None
+        defuse = self._defuse
         return self._set_checker.is_live_in(
-            self._defuse.def_block(var), self._defuse.use_blocks(var), block
+            defuse.def_block(var), defuse.use_blocks(var), block
         )
 
     def is_live_out(self, var: Variable, block: str) -> bool:
-        if self._plans is None:
+        plans = self._plans
+        if plans is None:
             self.prepare()
-        assert self._defuse is not None and self._pre is not None
+            plans = self._plans
         if self._use_bitsets:
-            assert self._bitset_checker is not None and self._plans is not None
-            plan = self._plans.plan(var)
+            plan = plans.compiled.get(var) or plans.plan(var)
             return self._bitset_checker.is_live_out_mask(
-                plan.def_num, plan.use_mask, self._pre.num(block)
+                plan.def_num, plan.use_mask, self._pre.numbering[block]
             )
-        assert self._set_checker is not None
+        defuse = self._defuse
         return self._set_checker.is_live_out(
-            self._defuse.def_block(var), self._defuse.use_blocks(var), block
+            defuse.def_block(var), defuse.use_blocks(var), block
         )
 
     def live_variables(self) -> list[Variable]:

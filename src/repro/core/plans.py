@@ -17,6 +17,10 @@ A :class:`QueryPlan` freezes those facts once per variable:
 * ``use_mask`` — the same set as one raw integer bit mask, which is what
   the numeric core actually consumes (``R_t ∩ uses(a)`` is one AND).
 
+Compiling a plan is one pass over the chain's use blocks: one number
+lookup per use, its bit ORed into ``use_mask``; ``use_nums`` is then read
+off the mask's set bits, already distinct and ascending.
+
 :class:`PlanCache` owns one plan per variable and is shared by the
 single-query path (:class:`~repro.core.live_checker.FastLivenessChecker`),
 the batch engine (:class:`~repro.core.batch.BatchQueryEngine`) and, through
@@ -29,8 +33,7 @@ the paper's invalidation contract, now visible in the cache layering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.core.precompute import LivenessPrecomputation
 from repro.ir.value import Variable
@@ -39,8 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance for type hints
     from repro.ssa.defuse import DefUseChains
 
 
-@dataclass(frozen=True)
-class QueryPlan:
+class QueryPlan(NamedTuple):
     """The precompiled numeric facts of one variable's def–use chain."""
 
     #: ``num(def(a))``.
@@ -58,6 +60,16 @@ class QueryPlan:
         return bool(self.use_mask & ~(1 << self.def_num))
 
 
+def _set_bits(mask: int) -> tuple[int, ...]:
+    """Positions of the set bits of ``mask``, ascending."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(bits)
+
+
 class PlanCache:
     """One :class:`QueryPlan` per variable, built lazily and shared.
 
@@ -72,7 +84,9 @@ class PlanCache:
     ) -> None:
         self._pre = precomputation
         self._defuse = defuse
-        self._plans: dict[Variable, QueryPlan] = {}
+        #: ``variable -> plan`` for every plan compiled so far.  Query
+        #: doors read it directly; only :meth:`plan` writes it.
+        self.compiled: dict[Variable, QueryPlan] = {}
         #: Number of plans compiled since construction (cache-efficiency
         #: accounting for tests and the service stats).
         self.builds = 0
@@ -89,36 +103,30 @@ class PlanCache:
 
     def plan(self, var: Variable) -> QueryPlan:
         """The (cached) plan for ``var``; compiled on first request."""
-        cached = self._plans.get(var)
+        cached = self.compiled.get(var)
         if cached is not None:
             return cached
-        pre = self._pre
-        num = pre.num
-        def_num = num(self._defuse.def_block(var))
-        use_nums = tuple(sorted({num(use) for use in self._defuse.use_blocks(var)}))
+        chain = self._defuse.chain(var)
+        numbering = self._pre.numbering
+        def_num = numbering[chain.def_block]
         use_mask = 0
-        for use in use_nums:
-            use_mask |= 1 << use
-        plan = QueryPlan(
-            def_num=def_num,
-            max_dom=pre.maxnums[def_num],
-            use_nums=use_nums,
-            use_mask=use_mask,
-        )
-        self._plans[var] = plan
+        for block in chain.use_blocks:
+            use_mask |= 1 << numbering[block]
+        plan = QueryPlan(def_num, self._pre.maxnums[def_num], _set_bits(use_mask), use_mask)
+        self.compiled[var] = plan
         self.builds += 1
         return plan
 
     def discard(self, var: Variable) -> None:
         """Drop one variable's plan (e.g. after adding a use to it)."""
-        self._plans.pop(var, None)
+        self.compiled.pop(var, None)
 
     def invalidate(self) -> None:
         """Drop every cached plan (instruction-level edits)."""
-        self._plans.clear()
+        self.compiled.clear()
 
     def __contains__(self, var: Variable) -> bool:
-        return var in self._plans
+        return var in self.compiled
 
     def __len__(self) -> int:
-        return len(self._plans)
+        return len(self.compiled)

@@ -47,8 +47,10 @@ class LivenessPrecomputation:
         # The numeric view: flat arrays indexed by dominance-preorder number.
         # ------------------------------------------------------------------
         order = self.domtree.preorder()
+        #: ``numbering[node]`` = dominance-preorder number of ``node``.
+        self.numbering: dict[Node, int] = self.domtree.numbering
         #: ``maxnums[n]`` = largest preorder number in the subtree of node n.
-        self.maxnums: list[int] = [self.domtree.maxnum(node) for node in order]
+        self.maxnums: list[int] = self.domtree.maxnums()
         #: ``r_masks[n]`` = raw bit mask of ``R_v`` for the node numbered n.
         self.r_masks: list[int] = self.reach.masks
         #: ``t_masks[n]`` = raw bit mask of ``T_v`` for the node numbered n.
@@ -63,7 +65,7 @@ class LivenessPrecomputation:
     # ------------------------------------------------------------------
     def num(self, node: Node) -> int:
         """Dominance-preorder number of ``node``."""
-        return self.domtree.num(node)
+        return self.numbering[node]
 
     def maxnum(self, node: Node) -> int:
         """Largest dominance-preorder number inside ``node``'s subtree."""

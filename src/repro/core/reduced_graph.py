@@ -46,12 +46,6 @@ def reduced_sweep(
     return out
 
 
-def preorder_numbers(domtree: DominatorTree) -> dict[Node, int]:
-    """``node -> num(node)`` as one dict, for tight construction loops."""
-    order = domtree.preorder()
-    return dict(zip(order, range(len(order))))
-
-
 class ReducedReachability:
     """Per-node reduced-reachability masks ``R_v``."""
 
@@ -65,7 +59,7 @@ class ReducedReachability:
         self._universe = len(domtree)
         #: ``masks[n]`` = bit mask of ``R_v`` for the node numbered ``n``.
         self.masks: list[int] = reduced_sweep(
-            graph, dfs, preorder_numbers(domtree), [1 << n for n in range(len(domtree))]
+            graph, dfs, domtree.numbering, [1 << n for n in range(len(domtree))]
         )
 
     # ------------------------------------------------------------------

@@ -37,11 +37,7 @@ from typing import Callable
 from repro.cfg.dfs import DepthFirstSearch
 from repro.cfg.dominance import DominatorTree
 from repro.cfg.graph import ControlFlowGraph, Node
-from repro.core.reduced_graph import (
-    ReducedReachability,
-    preorder_numbers,
-    reduced_sweep,
-)
+from repro.core.reduced_graph import ReducedReachability, reduced_sweep
 from repro.sets.bitset import BitSet
 
 _STRATEGIES = ("exact", "propagate")
@@ -88,7 +84,7 @@ class TargetSets:
         self._reach = reach
         self._universe = len(domtree)
         self._strategy = strategy
-        num = preorder_numbers(domtree)
+        num = domtree.numbering
         groups = back_edge_groups(dfs, num.__getitem__)
         if strategy == "exact":
             #: ``masks[n]`` = bit mask of ``T_v`` for the node numbered ``n``.

@@ -80,10 +80,10 @@ class RestoredPrecomputation:
     Attribute-compatible with :class:`LivenessPrecomputation` everywhere
     the numeric engines look (:mod:`repro.core.bitset_query`,
     :mod:`repro.core.plans`, :mod:`repro.core.batch`): the four arrays,
-    ``reducible``, ``targets.strategy``, ``graph.nodes()`` and the
-    ``num``/``node_of``/``is_back_edge_target`` mapping helpers.  The
-    object views (``domtree``, ``reach``, ``dfs``) are deliberately
-    absent — see the module docstring.
+    ``reducible``, ``targets.strategy``, ``graph.nodes()``, the
+    ``numbering`` dict and the ``num``/``node_of``/``is_back_edge_target``
+    mapping helpers.  The object views (``domtree``, ``reach``, ``dfs``)
+    are deliberately absent — see the module docstring.
     """
 
     #: Marks the shim so the service can swap it for a real rebuild
@@ -101,16 +101,16 @@ class RestoredPrecomputation:
         self.reducible = state.reducible
         self.targets = _RestoredTargets(state.strategy)
         self._order = list(state.order)
-        self._num = {name: index for index, name in enumerate(self._order)}
+        self.numbering = {name: index for index, name in enumerate(self._order)}
         self.graph = _RestoredGraph(self._order)
 
     def num(self, node: str) -> int:
         """Dominance-preorder number of ``node`` (``KeyError`` if unknown)."""
-        return self._num[node]
+        return self.numbering[node]
 
     def maxnum(self, node: str) -> int:
         """Largest preorder number inside ``node``'s dominance subtree."""
-        return self.maxnums[self._num[node]]
+        return self.maxnums[self.numbering[node]]
 
     def node_of(self, number: int) -> str:
         """Inverse of :meth:`num`."""
@@ -118,7 +118,7 @@ class RestoredPrecomputation:
 
     def is_back_edge_target(self, node: str) -> bool:
         """True iff a DFS back edge points at ``node``."""
-        return self.is_back_target[self._num[node]]
+        return self.is_back_target[self.numbering[node]]
 
     def num_blocks(self) -> int:
         """Number of CFG nodes the arrays cover."""

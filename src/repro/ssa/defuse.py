@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.ir.function import Function
-from repro.ir.instruction import Phi
+from repro.ir.instruction import ParallelCopy, Phi
 from repro.ir.value import Variable
 
 
@@ -58,37 +58,44 @@ class DefUseChains:
         self._build()
 
     def _build(self) -> None:
-        function = self._function
-        # Pass 1: definitions (a ParallelCopy defines several variables).
-        for block in function:
+        # One pass in program order.  A φ operand (or a block placed
+        # before the definition's block) can name a variable before the
+        # pass reaches its definition, so uses are collected per variable
+        # and strictness is checked once the pass is done.
+        chains = self._chains
+        uses: dict[Variable, list[str]] = {}
+        record = uses.setdefault
+        for block in self._function:
+            block_name = block.name
             for inst in block.instructions:
-                for var in inst.defined_variables():
-                    if var in self._chains:
-                        raise ValueError(
-                            f"variable {var.name!r} defined more than once; "
-                            "def-use chains require SSA form"
-                        )
-                    self._chains[var] = VariableDefUse(
-                        variable=var, def_block=block.name
-                    )
-        # Pass 2: uses, with φ operands attributed to predecessors.
-        for block in function:
-            for inst in block.instructions:
+                result = inst.result
+                if result is not None:
+                    if result in chains:
+                        raise _redefined(result)
+                    chains[result] = VariableDefUse(result, block_name)
+                elif isinstance(inst, ParallelCopy):
+                    for var in inst.defined_variables():
+                        if var in chains:
+                            raise _redefined(var)
+                        chains[var] = VariableDefUse(var, block_name)
                 if isinstance(inst, Phi):
+                    # φ operands are used at the end of their predecessor.
                     for pred, value in inst.incoming.items():
                         if isinstance(value, Variable):
-                            self._record_use(value, pred)
+                            record(value, []).append(pred)
                 else:
                     for value in inst.operands:
                         if isinstance(value, Variable):
-                            self._record_use(value, block.name)
+                            record(value, []).append(block_name)
+        for var, blocks in uses.items():
+            chain = chains.get(var)
+            if chain is None:
+                raise _undefined_use(var)
+            chain.use_blocks = blocks
 
     def _record_use(self, var: Variable, block_name: str) -> None:
         if var not in self._chains:
-            raise ValueError(
-                f"use of {var.name!r} without a definition; the function is "
-                "not in strict SSA form"
-            )
+            raise _undefined_use(var)
         self._chains[var].use_blocks.append(block_name)
 
     # ------------------------------------------------------------------
@@ -187,3 +194,17 @@ class DefUseChains:
         if not self._chains:
             return 0
         return max(chain.num_uses for chain in self._chains.values())
+
+
+def _redefined(var: Variable) -> ValueError:
+    return ValueError(
+        f"variable {var.name!r} defined more than once; "
+        "def-use chains require SSA form"
+    )
+
+
+def _undefined_use(var: Variable) -> ValueError:
+    return ValueError(
+        f"use of {var.name!r} without a definition; the function is "
+        "not in strict SSA form"
+    )
