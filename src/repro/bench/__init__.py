@@ -5,36 +5,9 @@ SPEC-shaped workload and returns them together with the paper's published
 values, so the pytest-benchmark drivers under ``benchmarks/`` (and the
 ``python -m repro.bench.table1`` / ``table2`` entry points) can print a
 side-by-side comparison.  See EXPERIMENTS.md for the recorded results.
+
+The package re-exports nothing: importing a table module eagerly here
+would put it in ``sys.modules`` before ``python -m`` runs it as
+``__main__``, which makes the interpreter warn about unpredictable
+behaviour.  Import the table modules themselves.
 """
-
-from repro.bench.reporting import format_table, write_json_report
-from repro.bench.table1 import compute_table1, format_table1
-from repro.bench.table2 import compute_table2, format_table2
-from repro.bench.table_regalloc import (
-    REGALLOC_PROFILES,
-    compute_table_regalloc,
-    format_table_regalloc,
-)
-from repro.bench.table_service import (
-    SERVICE_PROFILES,
-    compute_table_service,
-    format_table_service,
-)
-from repro.bench.workload import BenchmarkWorkload, build_workload
-
-__all__ = [
-    "BenchmarkWorkload",
-    "build_workload",
-    "compute_table1",
-    "format_table1",
-    "compute_table2",
-    "format_table2",
-    "REGALLOC_PROFILES",
-    "compute_table_regalloc",
-    "format_table_regalloc",
-    "SERVICE_PROFILES",
-    "compute_table_service",
-    "format_table_service",
-    "format_table",
-    "write_json_report",
-]

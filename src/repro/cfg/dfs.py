@@ -60,51 +60,48 @@ class DepthFirstSearch:
     # ------------------------------------------------------------------
     def _run(self) -> None:
         graph = self._graph
+        succs = graph.successor_lists()
+        preorder, postorder = self._preorder, self._postorder
+        pre_nodes, post_nodes = self._preorder_nodes, self._postorder_nodes
+        parent, kinds, back_edges = self._parent, self._edge_kinds, self._back_edges
+        tree, back, forward, cross = (
+            EdgeKind.TREE, EdgeKind.BACK, EdgeKind.FORWARD, EdgeKind.CROSS
+        )
         entry = graph.entry
-        self._parent[entry] = None
-        # Stack holds (node, iterator over its successors).  A node is
+        parent[entry] = None
+        preorder[entry] = 0
+        pre_nodes.append(entry)
+        # Stack holds (node, iterator over its successor list).  A node is
         # numbered in preorder when pushed and in postorder when its
-        # iterator is exhausted.
-        self._assign_preorder(entry)
-        stack: list[tuple[Node, Iterator[Node]]] = [
-            (entry, iter(graph.successors(entry)))
-        ]
-        on_stack = {entry}
+        # iterator is exhausted, so a discovered node without a postorder
+        # number is still open: an ancestor of the current node.  Edge
+        # kinds are keyed by plain ``(source, target)`` tuples, which hash
+        # and compare equal to :class:`Edge`.
+        stack: list[tuple[Node, Iterator[Node]]] = [(entry, iter(succs[entry]))]
         while stack:
             node, succ_iter = stack[-1]
-            advanced = False
             for succ in succ_iter:
-                edge = Edge(node, succ)
-                if succ not in self._preorder:
+                if succ not in preorder:
                     # First visit: tree edge.
-                    self._edge_kinds[edge] = EdgeKind.TREE
-                    self._parent[succ] = node
-                    self._assign_preorder(succ)
-                    stack.append((succ, iter(graph.successors(succ))))
-                    on_stack.add(succ)
-                    advanced = True
+                    kinds[node, succ] = tree
+                    parent[succ] = node
+                    preorder[succ] = len(pre_nodes)
+                    pre_nodes.append(succ)
+                    stack.append((succ, iter(succs[succ])))
                     break
-                if succ in on_stack:
+                if succ not in postorder:
                     # Target still open: ancestor of the source.
-                    self._edge_kinds[edge] = EdgeKind.BACK
-                    self._back_edges.append(edge)
-                elif self._preorder[node] < self._preorder[succ]:
+                    kinds[node, succ] = back
+                    back_edges.append(Edge(node, succ))
+                elif preorder[node] < preorder[succ]:
                     # Already closed but started later: descendant.
-                    self._edge_kinds[edge] = EdgeKind.FORWARD
+                    kinds[node, succ] = forward
                 else:
-                    self._edge_kinds[edge] = EdgeKind.CROSS
-            if not advanced:
+                    kinds[node, succ] = cross
+            else:
                 stack.pop()
-                on_stack.discard(node)
-                self._assign_postorder(node)
-
-    def _assign_preorder(self, node: Node) -> None:
-        self._preorder[node] = len(self._preorder_nodes)
-        self._preorder_nodes.append(node)
-
-    def _assign_postorder(self, node: Node) -> None:
-        self._postorder[node] = len(self._postorder_nodes)
-        self._postorder_nodes.append(node)
+                postorder[node] = len(post_nodes)
+                post_nodes.append(node)
 
     # ------------------------------------------------------------------
     # Numbering
@@ -172,7 +169,7 @@ class DepthFirstSearch:
 
     def edge_kinds(self) -> dict[Edge, EdgeKind]:
         """Mapping of every traversed edge to its classification."""
-        return dict(self._edge_kinds)
+        return {Edge(*edge): kind for edge, kind in self._edge_kinds.items()}
 
     def back_edges(self) -> list[Edge]:
         """The set E↑ of back edges, in traversal order."""

@@ -17,7 +17,7 @@ makes the differential tests and benchmarks reproducible.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator, NamedTuple
+from typing import Collection, Hashable, Iterable, Iterator, NamedTuple
 
 Node = Hashable
 
@@ -136,6 +136,14 @@ class ControlFlowGraph:
         self._require(node)
         return list(self._succs[node])
 
+    def successor_lists(self) -> dict[Node, list[Node]]:
+        """``node -> successors`` for every node: the graph's own lists.
+
+        Shared rather than copied, for traversals that visit every node;
+        callers must not mutate the dict or its lists.
+        """
+        return self._succs
+
     def predecessors(self, node: Node) -> list[Node]:
         """Predecessors of ``node`` in insertion order (a copy)."""
         self._require(node)
@@ -224,21 +232,26 @@ class ControlFlowGraph:
         """Nodes with no successors, in insertion order."""
         return [node for node, succs in self._succs.items() if not succs]
 
-    def validate(self) -> None:
+    def validate(self, reachable: Collection[Node] | None = None) -> None:
         """Check the CFG invariants from the paper's Section 2.1.
 
         The entry node must exist, must have no incoming edge, and every
         node must be reachable from the entry (unreachable nodes would make
         dominance ill-defined: they are dominated by everything).
-        Raises :class:`ValueError` describing the first violation found.
+        ``reachable`` holds the nodes a traversal from the entry has
+        already reached (a DFS preorder, say); without it the check runs
+        its own traversal.  Raises :class:`ValueError` describing the
+        first violation found.
         """
         entry = self.entry
         if self._preds[entry]:
             raise ValueError(
                 f"entry node {entry!r} has incoming edges {self._preds[entry]!r}"
             )
-        unreachable = self.unreachable_nodes()
-        if unreachable:
+        if reachable is None:
+            reachable = self.reachable_from(entry)
+        if len(reachable) < len(self._succs):
+            unreachable = [node for node in self._succs if node not in reachable]
             raise ValueError(f"unreachable nodes: {unreachable!r}")
 
     # ------------------------------------------------------------------
@@ -261,6 +274,35 @@ class ControlFlowGraph:
             graph.add_edge(source, target)
         if entry is not None:
             graph.set_entry(entry)
+        return graph
+
+    @classmethod
+    def from_successor_lists(
+        cls, entry: Node, successors: dict[Node, list[Node]]
+    ) -> "ControlFlowGraph":
+        """Build a graph from ready-made, duplicate-free successor lists.
+
+        ``entry`` must be a key.  The graph takes ownership of
+        ``successors`` and its lists, and derives every predecessor list in
+        one pass over them.  Node order is the dict's order, followed by
+        any target that is not a key, in order of first mention — what
+        :meth:`add_node` and :meth:`add_edge` would produce edge by edge.
+        """
+        preds: dict[Node, list[Node]] = {node: [] for node in successors}
+        unlisted: list[Node] = []
+        for source, targets in successors.items():
+            for target in targets:
+                try:
+                    preds[target].append(source)
+                except KeyError:
+                    preds[target] = [source]
+                    unlisted.append(target)
+        for node in unlisted:
+            successors[node] = []
+        graph = cls()
+        graph._succs = successors
+        graph._preds = preds
+        graph._entry = entry
         return graph
 
     def __repr__(self) -> str:

@@ -6,8 +6,9 @@ bitsets and the def–use chain:
 * blocks are numbered in dominance-tree preorder, so the nodes strictly
   dominated by ``def(a)`` form the contiguous interval
   ``(num(def), maxnum(def)]`` and ``T_q ∩ sdom(def(a))`` never has to be
-  materialised — the query just scans ``T[q]`` inside that interval with
-  ``next_set_bit``;
+  materialised — the query shifts the bits up to ``num(def)`` out of
+  ``T[q]`` and takes the lowest remaining set bit, inline, until it
+  passes ``maxnum(def)``;
 * after testing a candidate ``t``, its whole dominance subtree can be
   skipped (any ``t'`` dominated by ``t`` satisfies ``R_t' ⊆ R_t``), which
   is the ``t = maxnum(t) + 1`` jump at the bottom of the loop;
@@ -33,7 +34,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.precompute import LivenessPrecomputation
-from repro.sets.bitset import next_set_bit_in_mask
 
 
 class BitsetChecker:
@@ -81,47 +81,63 @@ class BitsetChecker:
         ``def_num`` is ``num(def(a))``, ``use_mask`` has bit ``num(u)`` set
         for every use block ``u``, ``query_num`` is ``num(q)``.
         """
-        self.last_candidates_tested = 0
-        max_dom = self._maxnums[def_num]
+        maxnums = self._maxnums
+        max_dom = maxnums[def_num]
         if query_num <= def_num or max_dom < query_num:
+            self.last_candidates_tested = 0
             return False
-        t_mask = self._t_masks[query_num]
         r_masks = self._r_masks
-        t = next_set_bit_in_mask(t_mask, def_num + 1)
-        while 0 <= t <= max_dom:
-            self.last_candidates_tested += 1
+        # T_q with every bit up to num(def) shifted out; the scan takes the
+        # lowest remaining bit until it leaves the interval (def, maxnum(def)].
+        start = def_num + 1
+        candidates = self._t_masks[query_num] >> start << start
+        tested = 0
+        while candidates:
+            t = (candidates & -candidates).bit_length() - 1
+            if t > max_dom:
+                break
+            tested += 1
             if r_masks[t] & use_mask:
+                self.last_candidates_tested = tested
                 return True
             if self._fast_path:
                 # Theorem 2: on reducible CFGs the first (most dominating)
                 # candidate already decides the query.
-                return False
-            t = next_set_bit_in_mask(t_mask, self._maxnums[t] + 1)
+                break
+            # Skip t's dominance subtree: it cannot reach more than t.
+            skip = maxnums[t] + 1
+            candidates = candidates >> skip << skip
+        self.last_candidates_tested = tested
         return False
 
     def is_live_out_mask(self, def_num: int, use_mask: int, query_num: int) -> bool:
         """Live-out check (Algorithm 2) with the uses given as one bit mask."""
-        self.last_candidates_tested = 0
         if query_num == def_num:
+            self.last_candidates_tested = 0
             return bool(use_mask & ~(1 << def_num))
-        max_dom = self._maxnums[def_num]
+        maxnums = self._maxnums
+        max_dom = maxnums[def_num]
         if query_num <= def_num or max_dom < query_num:
+            self.last_candidates_tested = 0
             return False
-        # A use in the query block itself only counts when q can be left
-        # and re-entered, i.e. when q is a back-edge target.
-        if self._is_back_target[query_num]:
-            masked_uses = use_mask
-        else:
-            masked_uses = use_mask & ~(1 << query_num)
-        t_mask = self._t_masks[query_num]
         r_masks = self._r_masks
-        t = next_set_bit_in_mask(t_mask, def_num + 1)
-        while 0 <= t <= max_dom:
-            self.last_candidates_tested += 1
-            effective = masked_uses if t == query_num else use_mask
-            if r_masks[t] & effective:
+        start = def_num + 1
+        candidates = self._t_masks[query_num] >> start << start
+        tested = 0
+        while candidates:
+            t = (candidates & -candidates).bit_length() - 1
+            if t > max_dom:
+                break
+            tested += 1
+            hit = r_masks[t] & use_mask
+            # A use in the query block itself only counts when q can be
+            # left and re-entered, i.e. when q is a back-edge target.
+            if hit and (t != query_num or hit & ~(1 << t) or self._is_back_target[t]):
+                self.last_candidates_tested = tested
                 return True
-            t = next_set_bit_in_mask(t_mask, self._maxnums[t] + 1)
+            skip = maxnums[t] + 1
+            candidates = candidates >> skip << skip
+        self.last_candidates_tested = tested
         return False
 
     # ------------------------------------------------------------------

@@ -47,7 +47,9 @@ The patch path rests on three observations:
    recomputed ``T_w`` with ``w ∈ T_v`` changed — the Theorem-3 ordering
    guarantees every ``T_w`` a row depends on is final before the row is
    visited.  Rows are recomputed with the builder's exact Equation-1
-   step, so incremental patching is only offered for the ``"exact"``
+   step — or, when the edit only adds back edges, grown by the ``T``
+   rows they already fold in (``T`` is transitive and only grows) — so
+   incremental patching is only offered for the ``"exact"``
    strategy (``"propagate"`` over-approximates and falls back).  Each
    row is written once: ``pre.r_masks``/``pre.t_masks`` *are* the
    ``reach``/``targets`` masks their ``BitSet`` views read.
@@ -374,11 +376,12 @@ def apply_cfg_delta(pre: "LivenessPrecomputation", delta: CfgDelta) -> UpdateRes
                 changed_nodes.add(node)
 
     # --- back-edge target flags ---------------------------------------
-    back_bits: list[tuple[int, int]] = []  # (source bit, target bit)
+    back_bits: list[tuple[int, int, int]] = []  # (source bit, target bit, num(t))
     back_targets_touched: set[Node] = set()
     for edit in edits:
         if edit.kind is EdgeKind.BACK:
-            back_bits.append((1 << num(edit.source), 1 << num(edit.target)))
+            t_num = num(edit.target)
+            back_bits.append((1 << num(edit.source), 1 << t_num, t_num))
             back_targets_touched.add(edit.target)
     for target in back_targets_touched:
         flag = any(edge.target == target for edge in dfs.back_edges())
@@ -391,29 +394,57 @@ def apply_cfg_delta(pre: "LivenessPrecomputation", delta: CfgDelta) -> UpdateRes
     # --- T: one preorder pass (Theorem-3 order) -----------------------
     t_rows_changed = 0
     if changed_r or back_bits:
-        groups = back_edge_groups(dfs, num)
+        # An edit that only adds back edges leaves R alone, so every T
+        # set can only grow.  T is transitive (w ∈ T_v ⇒ T_w ⊆ T_v), so
+        # a row then gains exactly the grown rows of the targets it
+        # already holds, plus T_t for each new back edge s -> t whose
+        # Equation-1 term it now meets — no Equation-1 re-sweep.
+        growing = not changed_r and not any(edit.removed for edit in edits)
+        groups = None if growing else back_edge_groups(dfs, num)
         changed_t_mask = 0
         for node in dfs.preorder():
             number = num(node)
             r = r_masks[number]
-            # A row with an unchanged R only moves if a T row it folded
-            # in moved, or an edited back edge s -> t enters its Equation
-            # 1 term: s in R and t not in R.
-            dirty = (
+            old = t_masks[number]
+            if growing:
+                mask = old
+                grown = old & changed_t_mask
+                while grown:
+                    low = grown & -grown
+                    mask |= t_masks[low.bit_length() - 1]
+                    grown ^= low
+                for s, t, t_num in back_bits:
+                    if r & s and not r & t:
+                        mask |= t_masks[t_num]
+            elif (
+                # A row with an unchanged R only moves if a T row it
+                # folded in moved, or an edited back edge s -> t enters
+                # its Equation 1 term: s in R and t not in R.
                 number in changed_r
-                or t_masks[number] & changed_t_mask
-                or any(r & s and not r & t for s, t in back_bits)
-            )
-            if not dirty:
+                or old & changed_t_mask
+                or any(r & s and not r & t for s, t, _ in back_bits)
+            ):
+                mask = equation1_row(number, r, groups, t_masks)
+            else:
                 continue
-            mask = equation1_row(number, r, groups, t_masks)
-            if mask != t_masks[number]:
+            if mask != old:
                 changed_t_mask |= 1 << number
                 t_masks[number] = mask
                 t_rows_changed += 1
 
     # --- the reducibility flag (arms the Theorem-2 fast path) ---------
-    pre.reducible = is_reducible(graph, dfs, domtree)
+    # Back edges are the only edges whose kind matters, and dominators
+    # are unchanged: an added back edge keeps the CFG reducible iff its
+    # target dominates its source; only removing one from an
+    # irreducible CFG calls for a full recheck.
+    if pre.reducible:
+        pre.reducible = all(
+            domtree.dominates(edit.target, edit.source)
+            for edit in edits
+            if edit.kind is EdgeKind.BACK and not edit.removed
+        )
+    elif any(edit.kind is EdgeKind.BACK and edit.removed for edit in edits):
+        pre.reducible = is_reducible(graph, dfs, domtree)
 
     return UpdateResult(
         True,

@@ -106,11 +106,11 @@ class PlanCache:
         cached = self.compiled.get(var)
         if cached is not None:
             return cached
-        chain = self._defuse.chain(var)
+        defuse = self._defuse
         numbering = self._pre.numbering
-        def_num = numbering[chain.def_block]
+        def_num = numbering[defuse.def_blocks[var]]
         use_mask = 0
-        for block in chain.use_blocks:
+        for block in defuse.use_lists.get(var, ()):
             use_mask |= 1 << numbering[block]
         plan = QueryPlan(def_num, self._pre.maxnums[def_num], _set_bits(use_mask), use_mask)
         self.compiled[var] = plan

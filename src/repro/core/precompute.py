@@ -35,9 +35,11 @@ class LivenessPrecomputation:
     """All per-CFG data needed to answer liveness queries."""
 
     def __init__(self, graph: ControlFlowGraph, strategy: str = "exact") -> None:
-        graph.validate()
         self.graph = graph
         self.dfs = DepthFirstSearch(graph)
+        # The nodes the DFS reached are the reachability check: no second
+        # traversal.
+        graph.validate(reachable=self.dfs.preorder())
         self.domtree = DominatorTree(graph, self.dfs)
         self.reach = ReducedReachability(graph, self.dfs, self.domtree)
         self.targets = TargetSets(graph, self.dfs, self.domtree, self.reach, strategy)

@@ -20,6 +20,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class BasicBlock:
     """A labelled basic block owned by a :class:`~repro.ir.function.Function`."""
 
+    __slots__ = ("name", "instructions", "function")
+
     def __init__(self, name: str) -> None:
         if not name:
             raise ValueError("block name must be non-empty")

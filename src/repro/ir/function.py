@@ -9,6 +9,9 @@ from repro.ir.block import BasicBlock
 from repro.ir.instruction import Instruction, Opcode, Phi
 from repro.ir.value import Variable
 
+#: Terminators with successors (``return`` has none).
+_BRANCHING = frozenset({Opcode.JUMP, Opcode.BRANCH})
+
 
 class Function:
     """A function: an ordered collection of basic blocks plus parameters.
@@ -106,16 +109,22 @@ class Function:
 
         Nodes are block *names* so the graph is independent of IR object
         identity — exactly the variable-independence the precomputation of
-        the liveness checker relies on.
+        the liveness checker relies on.  Each terminator is read once (a
+        jump has one target, a branch two); a branch whose arms coincide
+        is a single edge, as in :meth:`BasicBlock.successors`.
         """
-        graph = ControlFlowGraph()
-        for name in self.blocks:
-            graph.add_node(name)
-        graph.set_entry(self.entry.name)
+        successors: dict[str, list[str]] = {}
         for name, block in self.blocks.items():
-            for succ in block.successors():
-                graph.add_edge(name, succ)
-        return graph
+            instructions = block.instructions
+            if instructions and instructions[-1].opcode in _BRANCHING:
+                targets = instructions[-1].targets
+                if len(targets) == 2 and targets[0] == targets[1]:
+                    successors[name] = targets[:1]
+                else:
+                    successors[name] = targets[:]
+            else:
+                successors[name] = []
+        return ControlFlowGraph.from_successor_lists(self.entry.name, successors)
 
     def predecessors(self, name: str) -> list[str]:
         """Predecessor block names of ``name`` (derived from terminators)."""

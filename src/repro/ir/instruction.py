@@ -95,7 +95,14 @@ class Instruction:
     detail:
         Free-form refinement of the opcode, e.g. ``"add"`` for a ``binop``
         or the callee name for a ``call``.
+
+    Instructions are slotted: the def–use and CFG walks read ``result``,
+    ``operands`` and ``targets`` of every instruction, and slot access
+    skips the per-instance ``__dict__``.  Subclasses declare their own
+    ``__slots__`` so no instance ever grows a ``__dict__``.
     """
+
+    __slots__ = ("opcode", "result", "operands", "targets", "detail", "block")
 
     def __init__(
         self,
@@ -192,6 +199,8 @@ class Phi(Instruction):
     verifier checks the two stay consistent.
     """
 
+    __slots__ = ("incoming",)
+
     def __init__(
         self,
         result: Variable,
@@ -249,6 +258,8 @@ class ParallelCopy(Instruction):
     variables; ``result`` stays ``None`` and :meth:`defined_variables`
     returns the destinations.  Destinations must be pairwise distinct.
     """
+
+    __slots__ = ("pairs",)
 
     def __init__(self, pairs: Iterable[tuple[Variable, Value]]) -> None:
         pair_list = list(pairs)

@@ -18,6 +18,7 @@ model a JIT that edits code between queries without redoing any analysis.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -50,53 +51,65 @@ class VariableDefUse:
 
 
 class DefUseChains:
-    """Def–use chains for every variable of an SSA-form function."""
+    """Def–use chains for every variable of an SSA-form function.
+
+    The chains are two flat dicts filled by one walk of the IR:
+    :attr:`def_blocks` maps each variable to its definition block (in
+    program order, zero-use variables included) and :attr:`use_lists`
+    maps each *used* variable to its use blocks with multiplicity.  A
+    :class:`VariableDefUse` record is only built when :meth:`chain` asks
+    for one.
+    """
 
     def __init__(self, function: Function) -> None:
         self._function = function
-        self._chains: dict[Variable, VariableDefUse] = {}
+        #: ``variable -> def(a)``, in program order.
+        self.def_blocks: dict[Variable, str] = {}
+        #: ``variable -> uses(a)`` with multiplicity, for used variables
+        #: only; read with ``use_lists.get(var, ())``.
+        self.use_lists: dict[Variable, list[str]] = {}
         self._build()
 
     def _build(self) -> None:
         # One pass in program order.  A φ operand (or a block placed
         # before the definition's block) can name a variable before the
         # pass reaches its definition, so uses are collected per variable
-        # and strictness is checked once the pass is done.
-        chains = self._chains
-        uses: dict[Variable, list[str]] = {}
-        record = uses.setdefault
-        for block in self._function:
+        # and strictness is checked once the pass is done; so is single
+        # assignment, by counting definitions.  Instructions and operands
+        # are matched by exact class (the IR classes have no subclasses),
+        # which is cheaper than ``isinstance`` per operand.
+        defs = self.def_blocks
+        uses: defaultdict[Variable, list[str]] = defaultdict(list)
+        definitions = 0
+        for block in self._function.blocks.values():
             block_name = block.name
             for inst in block.instructions:
                 result = inst.result
+                cls = inst.__class__
                 if result is not None:
-                    if result in chains:
-                        raise _redefined(result)
-                    chains[result] = VariableDefUse(result, block_name)
-                elif isinstance(inst, ParallelCopy):
-                    for var in inst.defined_variables():
-                        if var in chains:
-                            raise _redefined(var)
-                        chains[var] = VariableDefUse(var, block_name)
-                if isinstance(inst, Phi):
+                    defs[result] = block_name
+                    definitions += 1
+                elif cls is ParallelCopy:
+                    for var, _ in inst.pairs:
+                        defs[var] = block_name
+                        definitions += 1
+                if cls is Phi:
                     # φ operands are used at the end of their predecessor.
                     for pred, value in inst.incoming.items():
-                        if isinstance(value, Variable):
-                            record(value, []).append(pred)
+                        if value.__class__ is Variable:
+                            uses[value].append(pred)
                 else:
                     for value in inst.operands:
-                        if isinstance(value, Variable):
-                            record(value, []).append(block_name)
-        for var, blocks in uses.items():
-            chain = chains.get(var)
-            if chain is None:
-                raise _undefined_use(var)
-            chain.use_blocks = blocks
-
-    def _record_use(self, var: Variable, block_name: str) -> None:
-        if var not in self._chains:
-            raise _undefined_use(var)
-        self._chains[var].use_blocks.append(block_name)
+                        if value.__class__ is Variable:
+                            uses[value].append(block_name)
+        if definitions != len(defs):
+            raise _redefined(_first_redefinition(self._function))
+        if not uses.keys() <= defs.keys():
+            raise _undefined_use(next(var for var in uses if var not in defs))
+        # Without a factory the defaultdict is a plain dict: a missing
+        # variable raises KeyError instead of growing an empty chain.
+        uses.default_factory = None
+        self.use_lists = uses
 
     # ------------------------------------------------------------------
     # Queries
@@ -108,33 +121,35 @@ class DefUseChains:
 
     def variables(self) -> list[Variable]:
         """All variables with a definition, in program order."""
-        return list(self._chains)
+        return list(self.def_blocks)
 
     def __contains__(self, var: Variable) -> bool:
-        return var in self._chains
+        return var in self.def_blocks
 
     def __len__(self) -> int:
-        return len(self._chains)
+        return len(self.def_blocks)
 
     def chain(self, var: Variable) -> VariableDefUse:
-        """The :class:`VariableDefUse` record for ``var``."""
-        return self._chains[var]
+        """A fresh :class:`VariableDefUse` record for ``var``."""
+        return VariableDefUse(var, self.def_blocks[var], self.uses(var))
 
     def def_block(self, var: Variable) -> str:
         """``def(a)``: the block containing the definition of ``var``."""
-        return self._chains[var].def_block
+        return self.def_blocks[var]
 
     def uses(self, var: Variable) -> list[str]:
         """``uses(a)`` with multiplicity, in discovery order."""
-        return list(self._chains[var].use_blocks)
+        if var not in self.def_blocks:
+            raise KeyError(var)
+        return list(self.use_lists.get(var, ()))
 
     def use_blocks(self, var: Variable) -> set[str]:
         """``uses(a)`` as a set of block names."""
-        return self._chains[var].use_block_set
+        return set(self.uses(var))
 
     def num_uses(self, var: Variable) -> int:
         """Length of the def–use chain of ``var``."""
-        return self._chains[var].num_uses
+        return len(self.uses(var))
 
     # ------------------------------------------------------------------
     # Incremental maintenance
@@ -145,30 +160,42 @@ class DefUseChains:
         Adding a variable never invalidates the checker's precomputation —
         that is the point of the paper — so a JIT can call this at will.
         """
-        if var in self._chains:
+        if var in self.def_blocks:
             raise ValueError(f"variable {var.name!r} already registered")
-        self._chains[var] = VariableDefUse(variable=var, def_block=def_block)
+        self.def_blocks[var] = def_block
 
     def remove_variable(self, var: Variable) -> None:
         """Forget a variable entirely (e.g. after dead-code elimination)."""
-        del self._chains[var]
+        del self.def_blocks[var]
+        self.use_lists.pop(var, None)
 
     def add_use(self, var: Variable, block_name: str) -> None:
         """Record an additional use of ``var`` in ``block_name``."""
-        self._record_use(var, block_name)
+        if var not in self.def_blocks:
+            raise _undefined_use(var)
+        self.use_lists.setdefault(var, []).append(block_name)
 
     def remove_use(self, var: Variable, block_name: str) -> None:
         """Remove one use of ``var`` from ``block_name``."""
-        self._chains[var].use_blocks.remove(block_name)
+        if var not in self.def_blocks:
+            raise KeyError(var)
+        blocks = self.use_lists.get(var, [])
+        blocks.remove(block_name)
+        if not blocks:
+            del self.use_lists[var]
 
     # ------------------------------------------------------------------
     # Statistics (Table 1)
     # ------------------------------------------------------------------
+    def _use_counts(self) -> list[int]:
+        use_lists = self.use_lists
+        return [len(use_lists.get(var, ())) for var in self.def_blocks]
+
     def uses_histogram(self) -> dict[int, int]:
         """Histogram mapping def–use chain length to number of variables."""
         histogram: dict[int, int] = {}
-        for chain in self._chains.values():
-            histogram[chain.num_uses] = histogram.get(chain.num_uses, 0) + 1
+        for count in self._use_counts():
+            histogram[count] = histogram.get(count, 0) + 1
         return dict(sorted(histogram.items()))
 
     def uses_cdf(self, thresholds: Iterable[int] = (1, 2, 3, 4)) -> dict[int, float]:
@@ -178,22 +205,28 @@ class DefUseChains:
         ("% ≤ 1 … % ≤ 4").  Returns an empty dict for functions without
         variables.
         """
-        total = len(self._chains)
-        if total == 0:
+        counts = self._use_counts()
+        if not counts:
             return {}
-        result = {}
-        for threshold in thresholds:
-            count = sum(
-                1 for chain in self._chains.values() if chain.num_uses <= threshold
-            )
-            result[threshold] = count / total
-        return result
+        return {
+            threshold: sum(1 for count in counts if count <= threshold) / len(counts)
+            for threshold in thresholds
+        }
 
     def max_uses(self) -> int:
         """The longest def–use chain in the function (0 if no variables)."""
-        if not self._chains:
-            return 0
-        return max(chain.num_uses for chain in self._chains.values())
+        return max(self._use_counts(), default=0)
+
+
+def _first_redefinition(function: Function) -> Variable:
+    """The first variable, in program order, defined a second time."""
+    seen: set[Variable] = set()
+    for inst in function.instructions():
+        for var in inst.defined_variables():
+            if var in seen:
+                return var
+            seen.add(var)
+    raise AssertionError("no variable is defined twice")
 
 
 def _redefined(var: Variable) -> ValueError:

@@ -130,3 +130,28 @@ class TestCommandLineEntryPoints:
         output = capsys.readouterr().out
         assert "Table 1" in output
         assert "176.gcc" in output and "300.twolf" in output
+
+    @pytest.mark.parametrize("module", ["repro.bench.table1", "repro.bench.table2"])
+    def test_python_m_runs_without_runtime_warning(self, module):
+        """``repro.bench`` must not import its table modules eagerly.
+
+        If it did, ``python -m`` would find the module already in
+        ``sys.modules`` and warn about unpredictable behaviour; with
+        ``-W error::RuntimeWarning`` that warning is a failure.
+        """
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        import repro
+
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", module, "1"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "RuntimeWarning" not in result.stderr
+        assert "Table" in result.stdout

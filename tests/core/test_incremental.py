@@ -230,6 +230,45 @@ class TestDifferentialSequences:
 # ----------------------------------------------------------------------
 # Guards and fallback reasons
 # ----------------------------------------------------------------------
+class TestBackEdgeGrowth:
+    """Deltas that only add back edges grow T without an Equation-1 sweep."""
+
+    @staticmethod
+    def dominated_back_edges(pre: LivenessPrecomputation) -> list[tuple]:
+        graph, domtree = pre.graph, pre.domtree
+        return [
+            (source, target)
+            for source in graph.nodes()
+            for target in graph.nodes()
+            if target != graph.entry
+            and domtree.dominates(target, source)
+            and not graph.has_edge(source, target)
+        ]
+
+    @pytest.mark.parametrize("irreducible", [False, True])
+    def test_single_and_batched_back_edge_additions(self, irreducible):
+        rng = random.Random(0xB4C + irreducible)
+        grown = 0
+        for _ in range(40):
+            size = rng.randrange(4, 20)
+            graph = (
+                random_irreducible_cfg(rng, size)
+                if irreducible
+                else random_reducible_cfg(rng, size)
+            )
+            pre = LivenessPrecomputation(graph)
+            for step in range(6):
+                pairs = self.dominated_back_edges(pre)
+                if not pairs:
+                    break
+                batch = rng.sample(pairs, min(len(pairs), 1 + step % 3))
+                result = apply_cfg_delta(pre, CfgDelta(added_edges=batch))
+                assert result.applied, result
+                assert_identical(pre, f"back edges {batch}")
+                grown += result.t_rows_changed > 0
+        assert grown > 20
+
+
 class TestFallbacks:
     def diamond(self) -> ControlFlowGraph:
         return ControlFlowGraph.from_edges(
