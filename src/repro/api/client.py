@@ -70,6 +70,19 @@ from repro.obs import Observability
 from repro.service.service import DEFAULT_CAPACITY, LivenessService
 
 
+def api_error(exc: Exception) -> ApiError:
+    """The structured error an exception escaping a handler becomes."""
+    if isinstance(exc, ProtocolError):
+        return exc.error
+    if isinstance(exc, KeyError):
+        # The service's loud unknown-function failures surface here;
+        # any other KeyError is an internal bug and must say so.
+        if "unknown function" in str(exc):
+            return ApiError(ErrorCode.UNKNOWN_FUNCTION, str(exc))
+        return ApiError(ErrorCode.INTERNAL, f"KeyError: {exc}")
+    return ApiError(ErrorCode.INTERNAL, f"{type(exc).__name__}: {exc}")
+
+
 def guarded_dispatch(request, handler, failure):
     """Run ``handler(request)``, converting every escape into a response.
 
@@ -81,18 +94,48 @@ def guarded_dispatch(request, handler, failure):
     """
     try:
         return handler(request)
-    except ProtocolError as exc:
-        return failure(request, exc.error)
-    except KeyError as exc:
-        # The service's loud unknown-function failures surface here;
-        # any other KeyError is an internal bug and must say so.
-        if "unknown function" in str(exc):
-            return failure(request, ApiError(ErrorCode.UNKNOWN_FUNCTION, str(exc)))
-        return failure(request, ApiError(ErrorCode.INTERNAL, f"KeyError: {exc}"))
     except Exception as exc:  # noqa: BLE001 - the boundary must hold
-        return failure(
-            request, ApiError(ErrorCode.INTERNAL, f"{type(exc).__name__}: {exc}")
-        )
+        return failure(request, api_error(exc))
+
+
+#: The two successful liveness answers, indexed by the bit (responses
+#: are frozen, so the lane hands out shared instances).
+LIVENESS_ANSWERS = (LivenessResponse(value=False), LivenessResponse(value=True))
+
+
+def timed_lane(obs: Observability, histogram, answer):
+    """Wrap a liveness answer core as a client's ``query_liveness`` lane.
+
+    The returned callable runs ``answer(name, revision, want_in,
+    variable, block, request)`` under a ``dispatch`` span and records
+    its wall time in ``histogram`` (``dispatch.seconds``), so a lane
+    query lands there exactly once, like every other request.
+    """
+    clock = obs.clock
+    span = obs.tracer.span
+
+    def query_liveness(name, revision, want_in, variable, block, request=None):
+        start = clock()
+        with span("dispatch", request="LivenessQuery"):
+            result = answer(name, revision, want_in, variable, block, request)
+        histogram.observe(clock() - start)
+        return result
+
+    return query_liveness
+
+
+def dispatch_liveness(query_liveness, request: LivenessQuery) -> LivenessResponse:
+    """Typed dispatch of a :class:`LivenessQuery` through a client's lane."""
+    handle = request.function
+    result = query_liveness(
+        handle.name,
+        handle.revision,
+        request.kind is QueryKind.LIVE_IN,
+        request.variable,
+        request.block,
+        request,
+    )
+    return LIVENESS_ANSWERS[result] if result.__class__ is bool else result
 
 
 def failure_response(request, error: ApiError) -> Response:
@@ -150,6 +193,63 @@ def dispatch_json_via(dispatch, payload, obs: "Observability | None" = None) -> 
     return envelope
 
 
+def answer_batch(queries, client_for) -> BatchLivenessResponse:
+    """Answer a :class:`BatchLiveness` stream in one pass, in order.
+
+    ``client_for(name)`` is the :class:`CompilerClient` owning a
+    function (the client itself when serial, the shard's client when
+    sharded; the caller holds every involved lock).  Answers flow
+    through exactly the per-checker batch engines
+    :meth:`LivenessService.submit` uses; handle validation, checker
+    lookup and variable-name resolution are amortised to once per
+    function per batch (a mid-batch stream cannot observe edits, so a
+    validated handle stays valid for the rest of the dispatch), and the
+    first failing query decides the batch's error.  Keeping this loop
+    lean is what the dispatch-overhead bench guard measures.
+    """
+    values: list[bool] = []
+    resolved: dict = {}
+    live_in = QueryKind.LIVE_IN
+    for query in queries:
+        handle = query.function
+        name = handle.name
+        entry = resolved.get(name)
+        if entry is None:
+            client = client_for(name)
+            service = client._service
+            function = client._resolve_function(handle)
+            entry = (
+                handle.revision,
+                function,
+                service.checker(name).batch,
+                client._variable_map(name),
+                service,
+            )
+            resolved[name] = entry
+        elif handle.revision != entry[0]:
+            entry[4].check_handle(handle)
+            entry = (handle.revision,) + entry[1:]
+            resolved[name] = entry
+        _, function, batch, variables, service = entry
+        var = variables.get(query.variable)
+        if var is None:
+            raise ProtocolError(
+                ErrorCode.UNKNOWN_VARIABLE,
+                f"function {name!r} has no variable {query.variable!r}",
+            )
+        if query.block not in function:
+            raise ProtocolError(
+                ErrorCode.UNKNOWN_BLOCK,
+                f"function {name!r} has no block {query.block!r}",
+            )
+        service.stats.queries += 1
+        if query.kind is live_in:
+            values.append(batch.is_live_in(var, query.block))
+        else:
+            values.append(batch.is_live_out(var, query.block))
+    return BatchLivenessResponse(values=tuple(values))
+
+
 class CompilerClient:
     """Typed request/response façade over the compiler-server stack.
 
@@ -189,6 +289,17 @@ class CompilerClient:
         # request lands in exactly one dispatch.seconds histogram.
         self._dispatch_seconds = (
             self.obs.histogram("dispatch.seconds") if record_dispatch else None
+        )
+        self._span = self.obs.tracer.span
+        #: The liveness lane: ``(name, revision, want_in, variable, block,
+        #: request=None) -> bool | LivenessResponse`` — the bit, or the
+        #: error-carrying response; never raises.  Typed
+        #: :class:`LivenessQuery` dispatch, JSON frames and bin2 frames
+        #: all answer through it (see :func:`timed_lane`).
+        self.query_liveness = (
+            self._liveness
+            if self._dispatch_seconds is None
+            else timed_lane(self.obs, self._dispatch_seconds, self._liveness)
         )
         #: function name → (revision the map was built at, name → Variable).
         #: Safe for concurrent readers: entries are immutable tuples
@@ -231,6 +342,8 @@ class CompilerClient:
     # ------------------------------------------------------------------
     def dispatch(self, request: Request) -> Response:
         """Answer one protocol request; never raises across the boundary."""
+        if isinstance(request, LivenessQuery):
+            return dispatch_liveness(self.query_liveness, request)
         if self._dispatch_seconds is None:
             return guarded_dispatch(request, self._dispatch, self._failure)
         clock = self.obs.clock
@@ -255,7 +368,7 @@ class CompilerClient:
         from repro.api.codec import BytesServerSession
 
         return BytesServerSession(
-            self.dispatch, obs=self.obs, fast_query=self.fast_liveness
+            self.dispatch, obs=self.obs, liveness=self.query_liveness
         )
 
     def dispatch_bytes(self, data) -> bytes:
@@ -269,57 +382,59 @@ class CompilerClient:
             self._default_bytes_session = self.bytes_session()
         return self._default_bytes_session.dispatch_frame(data)
 
-    def fast_liveness(
+    def _liveness(self, name, revision, want_in, variable, block, request=None):
+        try:
+            return self.answer_liveness(name, revision, want_in, variable, block)
+        except Exception as exc:  # noqa: BLE001 - the boundary must hold
+            return LivenessResponse(error=api_error(exc))
+
+    def answer_liveness(
         self,
         name: str,
         revision: int | None,
         want_in: bool,
         variable: str,
         block: str,
-    ) -> bool | None:
-        """Lean lane for the hottest message: a single liveness bit.
+    ) -> bool:
+        """The answer core every liveness query shares.
 
-        Answers a :class:`LivenessQuery` without building request or
-        response objects — the binary codec's fast path rides this.
-        Returns ``None`` for *any* unusual condition (unknown function,
-        stale or pinned-mismatched revision, unknown variable or block)
-        so the caller falls back to full dispatch and gets exactly the
-        structured error and stats accounting that path produces.
+        The hit path is a handful of dict probes and the kernel query.
+        A miss — unknown function, stale handle, unknown variable or
+        block — falls back to the resolution helpers, which raise the
+        structured :class:`ProtocolError`.  Under the sharded layer the
+        caller holds the owning shard's read lock.
         """
         service = self._service
         try:
             current = service.revision(name)
         except KeyError:
-            return None
-        if revision is not None and revision != current:
-            return None
+            current = None
+        if current is None or (revision is not None and revision != current):
+            self._resolve_function(FunctionHandle(name, revision))
         cached = self._variable_maps.get(name)
         if cached is not None and cached[0] == current:
             variables = cached[1]
         else:
-            variables = {
-                var.name: var for var in service.function(name).variables()
-            }
-            self._variable_maps[name] = (current, variables)
+            variables = self._variable_map(name)
         var = variables.get(variable)
         if var is None:
-            return None
-        if block not in service.function(name):
-            return None
-        checker = service.checker(name)
+            self._resolve_variable(name, variable)
+        function = service.function(name)
+        if block not in function:
+            self._require_block(function, block)
+        with self._span("checker_lookup", function=name):
+            checker = service.checker(name)
         service.stats.queries += 1
-        if want_in:
-            return checker.batch.is_live_in(var, block)
-        return checker.batch.is_live_out(var, block)
+        with self._span("kernel_query", kind="in" if want_in else "out"):
+            batch = checker.batch
+            return batch.is_live_in(var, block) if want_in else batch.is_live_out(var, block)
 
     def _failure(self, request, error: ApiError) -> Response:
         return failure_response(request, error)
 
     def _dispatch(self, request: Request) -> Response:
-        if isinstance(request, LivenessQuery):
-            return self._liveness_query(request)
         if isinstance(request, BatchLiveness):
-            return self._batch_liveness(request)
+            return answer_batch(request.queries, lambda _name: self)
         if isinstance(request, LiveSetRequest):
             return self._live_set(request)
         if isinstance(request, DestructRequest):
@@ -381,84 +496,18 @@ class CompilerClient:
     # ------------------------------------------------------------------
     # Request handlers
     # ------------------------------------------------------------------
-    def _liveness_query(self, request: LivenessQuery) -> LivenessResponse:
-        function = self._resolve_function(request.function)
-        name = request.function.name
-        var = self._resolve_variable(name, request.variable)
-        block = self._require_block(function, request.block)
-        with self.obs.span("checker_lookup", function=name):
-            checker = self._service.checker(name)
-        self._service.stats.queries += 1
-        with self.obs.span("kernel_query", kind=request.kind.value):
-            if request.kind == QueryKind.LIVE_IN:
-                value = checker.batch.is_live_in(var, block)
-            else:
-                value = checker.batch.is_live_out(var, block)
-        return LivenessResponse(value=value)
-
-    def _batch_liveness(self, request: BatchLiveness) -> BatchLivenessResponse:
-        # Answers flow through exactly the per-checker batch engines
-        # LivenessService.submit uses; handle validation, checker lookup
-        # and variable-name resolution are amortised to once per function
-        # per batch (a mid-batch stream cannot observe edits, so a
-        # validated handle stays valid for the rest of the dispatch).
-        # Keeping this loop lean is what the dispatch-overhead bench
-        # guard measures.
-        service = self._service
-        stats = service.stats
-        values: list[bool] = []
-        resolved: dict[str, tuple[int | None, Function, object, dict[str, Variable]]] = {}
-        live_in = QueryKind.LIVE_IN
-        for query in request.queries:
-            handle = query.function
-            entry = resolved.get(handle.name)
-            if entry is None:
-                function = self._resolve_function(handle)
-                entry = (
-                    handle.revision,
-                    function,
-                    service.checker(handle.name).batch,
-                    self._variable_map(handle.name),
-                )
-                resolved[handle.name] = entry
-            elif handle.revision != entry[0]:
-                service.check_handle(handle)
-                entry = (handle.revision, entry[1], entry[2], entry[3])
-                resolved[handle.name] = entry
-            _, function, batch, variables = entry
-            var = variables.get(query.variable)
-            if var is None:
-                raise ProtocolError(
-                    ErrorCode.UNKNOWN_VARIABLE,
-                    f"function {handle.name!r} has no variable "
-                    f"{query.variable!r}",
-                )
-            if query.block not in function:
-                raise ProtocolError(
-                    ErrorCode.UNKNOWN_BLOCK,
-                    f"function {handle.name!r} has no block {query.block!r}",
-                )
-            stats.queries += 1
-            if query.kind is live_in:
-                values.append(batch.is_live_in(var, query.block))
-            else:
-                values.append(batch.is_live_out(var, query.block))
-        return BatchLivenessResponse(values=tuple(values))
-
     def _live_set(self, request: LiveSetRequest) -> LiveSetResponse:
         function = self._resolve_function(request.function)
         name = request.function.name
         block = self._require_block(function, request.block)
         checker = self._service.checker(name)
-        members: list[str] = []
         if request.kind == QueryKind.LIVE_IN:
             probe = checker.batch.is_live_in
         else:
             probe = checker.batch.is_live_out
-        for var in checker.live_variables():
-            self._service.stats.queries += 1
-            if probe(var, block):
-                members.append(var.name)
+        variables = checker.live_variables()
+        self._service.stats.queries += len(variables)
+        members = [var.name for var in variables if probe(var, block)]
         return LiveSetResponse(variables=tuple(sorted(members)))
 
     def _destruct(self, request: DestructRequest) -> DestructResponse:

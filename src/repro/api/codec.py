@@ -159,6 +159,10 @@ class _Reader:
         data = self.data
         pos = self.pos
         end = self.end
+        if pos < end and data[pos] < 0x80:
+            # One-byte varints (values below 128) are the common case.
+            self.pos = pos + 1
+            return data[pos]
         result = 0
         shift = 0
         while True:
@@ -1030,7 +1034,21 @@ def decode_request_bin2(data, table: StringTable | None = None) -> Request:
 
 
 def encode_response_bin2(response: Response | ErrorResponse) -> bytes:
-    """One bin2 frame for ``response`` (strings inline, no table)."""
+    """One bin2 frame for ``response`` (strings inline, no table).
+
+    The two successful liveness answers are constant frames built once
+    at import; everything else is encoded here.
+    """
+    if (
+        response.__class__ is LivenessResponse
+        and response.error is None
+        and response.value.__class__ is bool
+    ):
+        return _LIVENESS_FRAMES[response.value]
+    return _encode_response_bin2(response)
+
+
+def _encode_response_bin2(response: Response | ErrorResponse) -> bytes:
     entry = _BIN2_RESPONSE_ENCODERS.get(type(response))
     if entry is None:
         raise ProtocolError(
@@ -1041,6 +1059,14 @@ def encode_response_bin2(response: Response | ErrorResponse) -> bytes:
     body = bytearray()
     encoder(response, body)
     return _frame(opcode, (), body)
+
+
+#: The successful liveness answers carry no connection state, so their
+#: frames are constants (indexed by the bit).
+_LIVENESS_FRAMES = (
+    _encode_response_bin2(LivenessResponse(value=False)),
+    _encode_response_bin2(LivenessResponse(value=True)),
+)
 
 
 def decode_response_bin2(data) -> Response | ErrorResponse:
@@ -1267,22 +1293,23 @@ class BytesServerSession:
     so concurrent *submitters* may share a session (ingest is serialized
     by the wire server), but two independent clients need two sessions.
 
-    ``fast_query`` is an optional lean lane for the hottest message:
-    ``(name, revision, want_in, variable, block) -> bool | None``, where
-    ``None`` means "fall back to the full dispatch pipeline" (which then
-    reproduces the exact structured error and its stats side effects).
+    ``liveness`` is the client's liveness lane for the hottest message:
+    ``(name, revision, want_in, variable, block) -> bool |
+    LivenessResponse`` — the bit, or the error-carrying response — so a
+    ``LivenessQuery`` frame is answered without building request or
+    response objects.
     """
 
     def __init__(
         self,
         dispatch: Callable[[Request], Response],
         obs=None,
-        fast_query: Callable[..., bool | None] | None = None,
+        liveness: Callable[..., bool | LivenessResponse] | None = None,
     ) -> None:
         from repro.obs import Observability
 
         self._dispatch = dispatch
-        self._fast_query = fast_query
+        self._liveness = liveness
         self.obs = obs if obs is not None else Observability()
         self._table = StringTable()
         self._bytes_in = {
@@ -1412,10 +1439,10 @@ class BytesServerSession:
         if token.body_pos is None:
             _read_defs(r, self._table)
             body_pos = r.pos
-        if opcode == OP_LIVENESS_QUERY and self._fast_query is not None:
-            fast = self._fast_liveness(r, clock, start)
-            if fast is not None:
-                return fast
+        if opcode == OP_LIVENESS_QUERY and self._liveness is not None:
+            frame = self._liveness_frame(r, clock, start)
+            if frame is not None:
+                return frame
             # Fall through re-reads the body generically below.
             r = _Reader(token.data, body_pos)
         decoder = _BIN2_REQUEST_DECODERS.get(opcode)
@@ -1451,13 +1478,14 @@ class BytesServerSession:
         self._bin2_out_add(len(frame))
         return frame
 
-    def _fast_liveness(self, r: _Reader, clock, start: float) -> bytes | None:
-        """Hand-rolled hot lane for ``LivenessQuery`` frames.
+    def _liveness_frame(self, r: _Reader, clock, start: float) -> bytes | None:
+        """Hand-rolled lane for ``LivenessQuery`` frames.
 
-        Parses the five fields without building request objects, asks the
-        injected ``fast_query``, and answers from a pre-encoded response
-        frame.  Returns ``None`` on *any* unusual condition so the
-        generic path (and its exact error semantics) takes over.
+        Parses the five fields without building a request object and
+        hands them to the client's liveness lane, which answers with the
+        bit (sent as a constant frame) or the error-carrying response.
+        Returns ``None`` on a malformed body, so the generic decoder
+        reports the exact structured error.
         """
         try:
             name = self._table.lookup(r.uvarint())
@@ -1465,19 +1493,17 @@ class BytesServerSession:
             kind = r.u8()
             variable = r.str_()
             block = r.str_()
-            if kind > 1 or r.pos != r.end:
-                return None
         except ProtocolError:
             return None
-        self._bin2_decode_observe(clock() - start)
-        try:
-            value = self._fast_query(name, revision, kind == 0, variable, block)
-        except Exception:  # noqa: BLE001 — the lean lane must stay safe
-            value = None
-        if value is None:
+        if kind > 1 or r.pos != r.end:
             return None
+        self._bin2_decode_observe(clock() - start)
+        result = self._liveness(name, revision, kind == 0, variable, block)
         start = clock()
-        frame = _FAST_LIVENESS_FRAMES[value]
+        if result.__class__ is bool:
+            frame = _LIVENESS_FRAMES[result]
+        else:
+            frame = encode_response_bin2(result)
         self._bin2_encode_observe(clock() - start)
         self._bin2_out_add(len(frame))
         return frame
@@ -1537,13 +1563,6 @@ class BytesServerSession:
         self._bytes_out[CODEC_JSON].add(len(out))
         return out
 
-
-#: Pre-encoded answers for the lean liveness lane (responses carry no
-#: connection state, so the ok frames are constants).
-_FAST_LIVENESS_FRAMES = {
-    True: encode_response_bin2(LivenessResponse(value=True)),
-    False: encode_response_bin2(LivenessResponse(value=False)),
-}
 
 _INTERNAL_ERROR_FRAME = encode_response_bin2(
     ErrorResponse(error=ApiError(ErrorCode.INTERNAL, "encoder failure"))

@@ -40,10 +40,15 @@ import threading
 from typing import Callable, Iterable
 
 from repro.api.client import (
+    LIVENESS_ANSWERS,
     CompilerClient,
+    answer_batch,
+    api_error,
     dispatch_json_via,
+    dispatch_liveness,
     failure_response,
     guarded_dispatch,
+    timed_lane,
 )
 from repro.api.errors import ErrorCode, ProtocolError
 from repro.api.handles import FunctionHandle
@@ -56,8 +61,10 @@ from repro.api.protocol import (
     DestructRequest,
     EvictRequest,
     LivenessQuery,
+    LivenessResponse,
     LiveSetRequest,
     NotifyRequest,
+    QueryKind,
     Request,
     Response,
     StatsRequest,
@@ -101,6 +108,13 @@ class ShardedClient:
         )
         self._dispatch_seconds = self.obs.histogram("dispatch.seconds")
         self._observer = observer
+        #: The one liveness lane, thread-safe and observed:
+        #: ``(name, revision, want_in, variable, block, request=None) ->
+        #: bool | LivenessResponse``.  Typed, JSON and bin2 callers all
+        #: end here; see :meth:`_liveness`.
+        self.query_liveness = timed_lane(
+            self.obs, self._dispatch_seconds, self._liveness
+        )
         self._observed = threading.local()
         #: Lazily-created session backing :meth:`dispatch_bytes`.
         self._default_bytes_session = None
@@ -159,6 +173,8 @@ class ShardedClient:
     # ------------------------------------------------------------------
     def dispatch(self, request: Request) -> Response:
         """Answer one protocol request; thread-safe, never raises."""
+        if isinstance(request, LivenessQuery):
+            return dispatch_liveness(self.query_liveness, request)
         clock = self.obs.clock
         start = clock()
         self._observed.seen = False
@@ -180,14 +196,13 @@ class ShardedClient:
 
         One session per connection (the string table is connection
         state); many submitter threads may share one session when the
-        wire server serializes ingestion.  The binary fast-query lane is
-        only taken when no :class:`Observer` is installed — the
-        differential harness must see every request as a full dispatch.
+        wire server serializes ingestion.  Liveness-query frames ride
+        :meth:`query_liveness`, observed like every other request.
         """
         from repro.api.codec import BytesServerSession
 
         return BytesServerSession(
-            self.dispatch, obs=self.obs, fast_query=self._fast_query_raw
+            self.dispatch, obs=self.obs, liveness=self.query_liveness
         )
 
     def dispatch_bytes(self, data) -> bytes:
@@ -196,33 +211,41 @@ class ShardedClient:
             self._default_bytes_session = self.bytes_session()
         return self._default_bytes_session.dispatch_frame(data)
 
-    def _fast_query_raw(
-        self,
-        name: str,
-        revision: int | None,
-        want_in: bool,
-        variable: str,
-        block: str,
-    ) -> bool | None:
-        """Lean liveness lane under a directly-held shard read lock.
+    def _liveness(self, name, revision, want_in, variable, block, request=None):
+        """Answer one liveness query under the owning shard's read lock.
 
-        ``None`` means "take the full dispatch path" — either an
-        observer needs the linearization callback, the function is
-        unregistered, or the per-shard client's own fast lane declined.
+        Takes the lock directly, answers through the shard client's
+        :meth:`CompilerClient.answer_liveness` core, and calls the
+        observer *under the lock* — building the ``(LivenessQuery,
+        LivenessResponse)`` pair only when an observer is installed.
+        Returns the bit, or the error-carrying :class:`LivenessResponse`;
+        never raises (a failing observer becomes an ``INTERNAL`` error).
         """
-        if self._observer is not None:
-            return None
-        entry = self._sharded.query_shard(name)
-        if entry is None:
-            return None
-        index, lock, _service = entry
-        lock.acquire_read()
+        index, lock = self._sharded.read_shard(name)
         try:
-            return self._clients[index].fast_liveness(
-                name, revision, want_in, variable, block
-            )
+            try:
+                result = self._clients[index].answer_liveness(
+                    name, revision, want_in, variable, block
+                )
+            except Exception as exc:  # noqa: BLE001 - the boundary must hold
+                result = LivenessResponse(error=api_error(exc))
+            if self._observer is not None:
+                if request is None:
+                    request = LivenessQuery(
+                        function=FunctionHandle(name, revision),
+                        kind=QueryKind.LIVE_IN if want_in else QueryKind.LIVE_OUT,
+                        variable=variable,
+                        block=block,
+                    )
+                self._observer(
+                    request,
+                    LIVENESS_ANSWERS[result] if result.__class__ is bool else result,
+                )
+        except Exception as exc:  # noqa: BLE001 - a failing observer
+            result = LivenessResponse(error=api_error(exc))
         finally:
             lock.release_read()
+        return result
 
     _failure = staticmethod(failure_response)
 
@@ -232,7 +255,7 @@ class ShardedClient:
             self._observer(request, response)
 
     def _dispatch(self, request: Request) -> Response:
-        if isinstance(request, (LivenessQuery, LiveSetRequest)):
+        if isinstance(request, LiveSetRequest):
             name = request.function.name
             with self._sharded.read_locked([name]):
                 response = self._client_for(name).dispatch(request)
@@ -263,41 +286,17 @@ class ShardedClient:
     # ------------------------------------------------------------------
     # Cross-shard requests
     # ------------------------------------------------------------------
-    def _batch(self, request: BatchLiveness) -> BatchLivenessResponse:
+    def _batch(self, request: BatchLiveness) -> Response:
         queries = request.queries
-        if not queries:
-            # Nothing to lock; observed post-guard like other stateless
-            # responses.
-            return BatchLivenessResponse(values=())
-        # Hold every involved shard's read lock for the whole stream, then
-        # answer it as maximal consecutive same-shard runs: relative order
-        # is preserved (so the first failing query still decides the
-        # batch's error, exactly as in the serial client) and each run
-        # rides its shard client's per-function amortization.
-        names = [query.function.name for query in queries]
-        with self._sharded.read_locked(names):
-            values: list[bool] = []
-            start = 0
-            while start < len(queries):
-                shard = self._sharded.shard_of(queries[start].function.name)
-                stop = start + 1
-                while (
-                    stop < len(queries)
-                    and self._sharded.shard_of(queries[stop].function.name)
-                    == shard
-                ):
-                    stop += 1
-                sub = self._clients[shard].dispatch(
-                    BatchLiveness(queries=queries[start:stop])
-                )
-                if sub.error is not None:
-                    response = BatchLivenessResponse(error=sub.error)
-                    self._notify(request, response)
-                    return response
-                assert sub.values is not None
-                values.extend(sub.values)
-                start = stop
-            response = BatchLivenessResponse(values=tuple(values))
+        # Hold every involved shard's read lock for the whole stream and
+        # answer it in one pass against the owning shards' clients: the
+        # first failing query decides the batch's error, exactly as in
+        # the serial client.  An empty batch locks nothing.
+        with self._sharded.read_locked([query.function.name for query in queries]):
+            try:
+                response = answer_batch(queries, self._client_for)
+            except Exception as exc:  # noqa: BLE001 - the boundary must hold
+                response = BatchLivenessResponse(error=api_error(exc))
             self._notify(request, response)
             return response
 

@@ -52,7 +52,10 @@ class RWLock:
     """Many concurrent readers XOR one exclusive writer, writers first."""
 
     def __init__(self, metrics: LockMetrics | None = None) -> None:
-        self._cond = threading.Condition()
+        #: The condition's own mutex, entered directly (a C-level
+        #: ``with``) on the uncontended read paths.
+        self._mutex = threading.Lock()
+        self._cond = threading.Condition(self._mutex)
         self._readers = 0
         self._writer_active = False
         self._writers_waiting = 0
@@ -65,7 +68,7 @@ class RWLock:
     # ------------------------------------------------------------------
     def acquire_read(self, timeout: float | None = None) -> bool:
         """Take the lock shared; ``False`` on timeout (no lock held)."""
-        with self._cond:
+        with self._mutex:
             # Uncontended fast path: no predicate lambda, no wait_for
             # machinery — this is the per-query cost of every read.
             if not self._writer_active and not self._writers_waiting:
@@ -85,11 +88,13 @@ class RWLock:
             return ok
 
     def release_read(self) -> None:
-        with self._cond:
+        with self._mutex:
             if self._readers <= 0:
                 raise RuntimeError("release_read without a matching acquire_read")
             self._readers -= 1
-            if not self._readers:
+            # Only a queued writer waits on "no readers": parked readers
+            # wait for the writers, whose own exits wake them.
+            if not self._readers and self._writers_waiting:
                 self._cond.notify_all()
 
     # ------------------------------------------------------------------

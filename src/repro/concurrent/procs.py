@@ -207,9 +207,7 @@ def _worker_main(conn, index: int, capacity: int, strategy: str) -> None:
     obs = Observability()
     service = LivenessService(capacity=capacity, strategy=strategy, obs=obs)
     client = CompilerClient(service=service, obs=obs)
-    session = BytesServerSession(
-        client.dispatch, obs=obs, fast_query=client.fast_liveness
-    )
+    session = client.bytes_session()
     served = 0
     while True:
         try:

@@ -49,8 +49,7 @@ from __future__ import annotations
 
 import threading
 import zlib
-from contextlib import contextmanager
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from repro.api.handles import FunctionHandle
 from repro.ir.function import Function
@@ -164,6 +163,40 @@ class _Shard:
         )
 
 
+class _ShardLocks:
+    """One ``with`` block holding the locks of the shards at ``indices``.
+
+    ``indices`` must be sorted (the global lock order).  Acquisition
+    runs under a ``shard_lock`` span; every lock taken is released in
+    reverse on exit — exceptions included, and also when acquisition
+    itself fails half-way.
+    """
+
+    __slots__ = ("locks", "write", "obs", "acquired")
+
+    def __init__(self, service: "ShardedService", indices, write: bool) -> None:
+        self.locks = [service._shards[index].lock for index in indices]
+        self.write = write
+        self.obs = service.obs
+        self.acquired: list = []
+
+    def __enter__(self) -> None:
+        try:
+            with self.obs.span("shard_lock", mode="write" if self.write else "read"):
+                for lock in self.locks:
+                    lock.acquire_write() if self.write else lock.acquire_read()
+                    self.acquired.append(lock)
+        except BaseException:
+            self.__exit__()
+            raise
+
+    def __exit__(self, *exc_info) -> bool:
+        while self.acquired:
+            lock = self.acquired.pop()
+            lock.release_write() if self.write else lock.release_read()
+        return False
+
+
 class ShardedService:
     """Thread-safe multi-function liveness serving, partitioned by name.
 
@@ -251,20 +284,22 @@ class ShardedService:
         hold the shard's lock (see :meth:`read_locked`/:meth:`write_locked`)."""
         return self._shards[self.shard_of(name)].service
 
-    def query_shard(self, name: str):
-        """Lock-free routing for the lean query lane.
+    def read_shard(self, name: str):
+        """Read-lock the one shard owning ``name``; return ``(index, lock)``.
 
-        Returns ``(index, lock, service)`` for a *registered* ``name``,
-        ``None`` otherwise — the caller acquires the read lock itself,
-        skipping the ``read_locked`` span/contextmanager overhead.  Only
-        the ``_shard_index`` dict is probed (atomic under the GIL), so
-        this never blocks behind a writer.
+        The single-function query path: routing probes only the
+        memoized ``_shard_index`` dict (atomic under the GIL; the hash
+        for an unregistered name), and the lock is taken with a plain
+        ``acquire_read`` under a ``shard_lock`` span.  The caller
+        releases with ``lock.release_read()``.
         """
         index = self._shard_index.get(name)
         if index is None:
-            return None
-        shard = self._shards[index]
-        return index, shard.lock, shard.service
+            index = shard_of(name, len(self._shards))
+        lock = self._shards[index].lock
+        with self.obs.span("shard_lock", mode="read"):
+            lock.acquire_read()
+        return index, lock
 
     def shard_services(self) -> tuple[LivenessService, ...]:
         """Every shard's service, by shard index (for per-shard clients)."""
@@ -273,40 +308,21 @@ class ShardedService:
     # ------------------------------------------------------------------
     # Lock helpers (the client layer builds on these)
     # ------------------------------------------------------------------
-    @contextmanager
-    def read_locked(self, names: Iterable[str]) -> Iterator[None]:
+    def read_locked(self, names: Iterable[str]) -> "_ShardLocks":
         """Hold the read lock of every shard owning one of ``names``.
 
         Locks are acquired in increasing shard index (the global lock
         order) and released in reverse, so any set of functions can be
         read atomically without deadlock.
         """
-        indices = sorted({self.shard_of(name) for name in names})
-        acquired = []
-        try:
-            with self.obs.span("shard_lock", mode="read"):
-                for index in indices:
-                    self._shards[index].lock.acquire_read()
-                    acquired.append(index)
-            yield
-        finally:
-            for index in reversed(acquired):
-                self._shards[index].lock.release_read()
+        return _ShardLocks(self, self._indices(names), write=False)
 
-    @contextmanager
-    def write_locked(self, names: Iterable[str]) -> Iterator[None]:
+    def write_locked(self, names: Iterable[str]) -> "_ShardLocks":
         """Hold the write lock of every shard owning one of ``names``."""
-        indices = sorted({self.shard_of(name) for name in names})
-        acquired = []
-        try:
-            with self.obs.span("shard_lock", mode="write"):
-                for index in indices:
-                    self._shards[index].lock.acquire_write()
-                    acquired.append(index)
-            yield
-        finally:
-            for index in reversed(acquired):
-                self._shards[index].lock.release_write()
+        return _ShardLocks(self, self._indices(names), write=True)
+
+    def _indices(self, names: Iterable[str]) -> list[int]:
+        return sorted({self.shard_of(name) for name in names})
 
     # ------------------------------------------------------------------
     # Registration
@@ -430,31 +446,22 @@ class ShardedService:
         checker (shard order, LRU within a shard), and ``pin``'s value
         (0 when absent).
         """
-        with self._registry_lock:
-            acquired: list[_Shard] = []
-            try:
-                with self.obs.span("shard_lock", mode="read"):
-                    for shard in self._shards:
-                        shard.lock.acquire_read()
-                        acquired.append(shard)
-                pinned = pin() if pin is not None else 0
-                functions = []
-                for name in self._order:
-                    service = self.service_for(name)
-                    functions.append(
-                        (
-                            name,
-                            service.revision(name),
-                            print_function(service.function(name)),
-                        )
+        with self._registry_lock, _ShardLocks(self, range(self.num_shards), write=False):
+            pinned = pin() if pin is not None else 0
+            functions = []
+            for name in self._order:
+                service = self.service_for(name)
+                functions.append(
+                    (
+                        name,
+                        service.revision(name),
+                        print_function(service.function(name)),
                     )
-                precomps: list[tuple[str, object]] = []
-                for shard in self._shards:
-                    precomps.extend(shard.service.export_precomputations())
-                return functions, precomps, pinned
-            finally:
-                for shard in reversed(acquired):
-                    shard.lock.release_read()
+                )
+            precomps: list[tuple[str, object]] = []
+            for shard in self._shards:
+                precomps.extend(shard.service.export_precomputations())
+            return functions, precomps, pinned
 
     def import_state(self, functions) -> None:
         """Reinstate exported ``(name, revision, source)`` triples.
@@ -467,25 +474,14 @@ class ShardedService:
         names = [name for name, _revision, _source in triples]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate function name in snapshot: {names!r}")
-        with self._registry_lock:
-            acquired: list[_Shard] = []
-            try:
-                with self.obs.span("shard_lock", mode="write"):
-                    for shard in self._shards:
-                        shard.lock.acquire_write()
-                        acquired.append(shard)
-                for name in names:
-                    if name in self.service_for(name):
-                        raise ValueError(f"duplicate function name {name!r}")
-                for name, revision, source in triples:
-                    self.service_for(name).import_function(
-                        name, revision, source
-                    )
-                    self._order.append(name)
-                    self._shard_index[name] = self.shard_of(name)
-            finally:
-                for shard in reversed(acquired):
-                    shard.lock.release_write()
+        with self._registry_lock, _ShardLocks(self, range(self.num_shards), write=True):
+            for name in names:
+                if name in self.service_for(name):
+                    raise ValueError(f"duplicate function name {name!r}")
+            for name, revision, source in triples:
+                self.service_for(name).import_function(name, revision, source)
+                self._order.append(name)
+                self._shard_index[name] = self.shard_of(name)
 
     def install_checker(self, name: str, checker) -> None:
         """Install a pre-built checker on the owning shard (restore path)."""
@@ -497,13 +493,19 @@ class ShardedService:
     # ------------------------------------------------------------------
     def is_live_in(self, function: str, var: Variable, block: str) -> bool:
         """Live-in query under the owning shard's read lock."""
-        with self.read_locked([function]):
-            return self.service_for(function).is_live_in(function, var, block)
+        index, lock = self.read_shard(function)
+        try:
+            return self._shards[index].service.is_live_in(function, var, block)
+        finally:
+            lock.release_read()
 
     def is_live_out(self, function: str, var: Variable, block: str) -> bool:
         """Live-out query under the owning shard's read lock."""
-        with self.read_locked([function]):
-            return self.service_for(function).is_live_out(function, var, block)
+        index, lock = self.read_shard(function)
+        try:
+            return self._shards[index].service.is_live_out(function, var, block)
+        finally:
+            lock.release_read()
 
     def submit(
         self, requests: Sequence[LivenessRequest | tuple[str, str, Variable, str]]
@@ -543,14 +545,9 @@ class ShardedService:
                 last_name = name
         # Pass 2: answer in request order under the read locks.
         answers: list[bool] = []
-        acquired: list[int] = []
         live_in = QueryKind.LIVE_IN
         live_out = QueryKind.LIVE_OUT
-        try:
-            with self.obs.span("shard_lock", mode="read"):
-                for index in sorted(involved):
-                    shards[index].lock.acquire_read()
-                    acquired.append(index)
+        with _ShardLocks(self, sorted(involved), write=False):
             current_name: str | None = None
             batch = None
             stats = None
@@ -575,9 +572,6 @@ class ShardedService:
                     answers.append(batch.is_live_out(request.variable, request.block))
                 else:
                     raise ValueError(f"unknown query kind {kind!r}")
-        finally:
-            for index in reversed(acquired):
-                shards[index].lock.release_read()
         return answers
 
     # ------------------------------------------------------------------

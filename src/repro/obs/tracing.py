@@ -16,8 +16,8 @@ Two properties matter more than the feature itself:
   alter a response.  The PR-5 differential harness runs with tracing
   enabled to prove it.
 * **negligible cost when idle** — with no active trace, ``span()``
-  checks one context variable and yields a shared no-op; no clock
-  reads, no allocation beyond the generator frame.
+  checks one context variable and returns one shared no-op context
+  manager; no clock reads, no allocation, no generator frame.
 
 Trace ids are deterministic (a per-tracer ``itertools.count``) unless a
 caller supplies one explicitly — e.g. propagated off the wire envelope.
@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import deque
-from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Callable, Iterator
 
@@ -87,6 +86,49 @@ class Span:
         return f"Span({self.name!r}, trace_id={self.trace_id!r}, {state})"
 
 
+class _NoopScope:
+    """The shared context manager of an untraced region: does nothing."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc_info) -> bool:
+        return False
+
+
+_NOOP = _NoopScope()
+
+
+class _Scope:
+    """Makes ``span`` the active span for one ``with`` block.
+
+    On exit — exceptions included — the span's end time is stamped and
+    the previously active span restored; a root scope then hands the
+    finished tree to ``finish``.
+    """
+
+    __slots__ = ("span", "clock", "finish", "token")
+
+    def __init__(self, span: Span, clock: Callable[[], float], finish=None) -> None:
+        self.span = span
+        self.clock = clock
+        self.finish = finish
+        self.token = None
+
+    def __enter__(self) -> Span:
+        self.token = _ACTIVE_SPAN.set(self.span)
+        return self.span
+
+    def __exit__(self, *exc_info) -> bool:
+        self.span.end = self.clock()
+        _ACTIVE_SPAN.reset(self.token)
+        if self.finish is not None:
+            self.finish(self.span)
+        return False
+
+
 class Tracer:
     """Builds span trees for requests and retains the finished ones.
 
@@ -108,52 +150,42 @@ class Tracer:
         self._auto_ids = itertools.count(1)
 
     # -- root spans ------------------------------------------------------
-    @contextmanager
     def request_trace(self, name: str, trace_id: str | None = None, **attributes):
         """Open a root span for one request; record the tree on exit.
 
         ``trace_id`` is honoured when the caller propagates one (say,
         off a wire envelope); otherwise a deterministic local id is
         minted.  When the tracer is disabled *and* no explicit id was
-        supplied, this is a no-op yielding ``None`` — but an explicit id
-        always produces a trace, so wire callers asking to be traced
-        get their tree even against a quiet default tracer.
+        supplied, this is the shared no-op (entering it yields ``None``)
+        — but an explicit id always produces a trace, so wire callers
+        asking to be traced get their tree even against a quiet default
+        tracer.
         """
         if not self.enabled and trace_id is None:
-            yield None
-            return
+            return _NOOP
         if trace_id is None:
             trace_id = f"local-{next(self._auto_ids)}"
         root = Span(name, trace_id, self._clock(), **attributes)
-        token = _ACTIVE_SPAN.set(root)
-        try:
-            yield root
-        finally:
-            root.end = self._clock()
-            _ACTIVE_SPAN.reset(token)
-            with self._lock:
-                self._finished.append(root)
+        return _Scope(root, self._clock, self._finish)
 
     # -- child spans -----------------------------------------------------
-    @contextmanager
     def span(self, name: str, **attributes):
         """Bracket a timed region under the current trace, if any.
 
-        Without an active trace this yields ``None`` after a single
-        context-variable read — the instrumented hot paths stay hot.
+        Without an active trace this returns the shared no-op (entering
+        it yields ``None``) after a single context-variable read — the
+        instrumented hot paths stay hot.
         """
         parent = _ACTIVE_SPAN.get()
         if parent is None:
-            yield None
-            return
+            return _NOOP
         child = Span(name, parent.trace_id, self._clock(), **attributes)
         parent.children.append(child)
-        token = _ACTIVE_SPAN.set(child)
-        try:
-            yield child
-        finally:
-            child.end = self._clock()
-            _ACTIVE_SPAN.reset(token)
+        return _Scope(child, self._clock)
+
+    def _finish(self, root: Span) -> None:
+        with self._lock:
+            self._finished.append(root)
 
     # -- retained traces -------------------------------------------------
     def finished_traces(self) -> list[Span]:
