@@ -6,13 +6,14 @@ records wire req/s flat across 1/2/4/8 threads.  This module promotes
 the PR-5 shard architecture to worker *processes*:
 
 * each shard is a **worker process** running one serial
-  :class:`~repro.service.LivenessService` +
   :class:`~repro.api.client.CompilerClient` behind its own
   :class:`~repro.api.codec.BytesServerSession` — a full single-process
   server, reached over a :func:`multiprocessing.Pipe`;
-* the parent runs a **coordinator** (:class:`ProcClient`) that routes by
-  the same crc32 :func:`~repro.concurrent.sharded.shard_of` partition,
-  splits cross-worker ``BatchLiveness`` requests, and merges the answers
+* the parent runs a **coordinator** (:class:`ProcClient`): the shared
+  :class:`~repro.api.client.Router` with the worker links as its
+  placement.  It routes by the same crc32
+  :func:`~repro.api.client.shard_of` partition, keeps the one registry,
+  splits cross-worker ``BatchLiveness`` requests and merges the answers
   back in request order, so there is still exactly one linearization
   point per request;
 * the wire path **relays frames verbatim**: the coordinator mirrors the
@@ -26,10 +27,11 @@ the PR-5 shard architecture to worker *processes*:
 
 Linearizability story (what the differential harness checks):
 
-* typed requests hold the owning worker link's mutex for the whole
-  send-await-observe window; cross-worker batches take the involved
-  mutexes in index order — exactly the PR-5 shard-lock structure, so the
-  :class:`TraceRecorder` observer records a valid linearization;
+* typed requests — the liveness lane included — hold the owning worker
+  link's mutex for the whole send-await-observe window; cross-worker
+  batches take the involved mutexes in index order — the router's own
+  locking, with link mutexes for shard locks, so the observer records a
+  valid linearization;
 * :meth:`ProcClient.serve` (the wire loop) is a single-caller path:
   per-link FIFO plus in-list-order sends make list order itself a valid
   linearization.
@@ -56,17 +58,18 @@ import os
 import struct
 import threading
 from contextlib import ExitStack
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.api.client import (
     CompilerClient,
-    dispatch_json_via,
-    failure_response,
-    guarded_dispatch,
+    Observer,
+    Placement,
+    Router,
+    liveness_query,
+    shard_of,
 )
 from repro.api.codec import (
     RELAY_OPCODES,
-    BytesServerSession,
     decode_request_bin2,
     decode_response_bin2,
     encode_request_bin2,
@@ -76,35 +79,21 @@ from repro.api.codec import (
     relay_route,
 )
 from repro.api.errors import ApiError, ErrorCode, ProtocolError
-from repro.api.handles import FunctionHandle
 from repro.api.protocol import (
-    AllocateRequest,
     BatchLiveness,
     BatchLivenessResponse,
-    CompileSourceRequest,
-    CompileSourceResponse,
-    DestructRequest,
     ErrorResponse,
-    EvictRequest,
-    LivenessQuery,
-    LiveSetRequest,
-    NotifyRequest,
     Request,
     Response,
-    StatsRequest,
-    StatsResponse,
     dumps_compact,
     encode_response,
 )
-from repro.concurrent.sharded import shard_of
 from repro.ir.function import Function
 from repro.ir.module import Module
-from repro.ir.parser import parse_function
 from repro.ir.printer import print_function
 from repro.obs import Observability
-from repro.obs.metrics import metric_key
 from repro.persist.policy import is_replayable, is_worker_failure
-from repro.service.service import DEFAULT_CAPACITY, STAT_FIELDS, LivenessService
+from repro.service.service import DEFAULT_CAPACITY
 
 __all__ = [
     "DEFAULT_WORKERS",
@@ -133,7 +122,7 @@ _RELAY_JSON_TYPES = frozenset(("liveness_query", "live_set", "evict"))
 # message boundaries): a FRAMES bundle of wire frames the worker answers
 # through its ``BytesServerSession`` one-for-one in order, and a CONTROL
 # message (JSON header + raw payload tail) for everything else —
-# registration, typed dispatch, stats, health, drain.  The worker
+# installation, export, typed dispatch, stats, health, drain.  The worker
 # processes messages strictly FIFO and replies FIFO, which is the
 # invariant every ordering argument above leans on.
 _MSG_FRAMES = 1
@@ -205,8 +194,7 @@ def _worker_main(conn, index: int, capacity: int, strategy: str) -> None:
     shared with the parent.
     """
     obs = Observability()
-    service = LivenessService(capacity=capacity, strategy=strategy, obs=obs)
-    client = CompilerClient(service=service, obs=obs)
+    client = CompilerClient(capacity=capacity, strategy=strategy, obs=obs)
     session = client.bytes_session()
     served = 0
     while True:
@@ -242,7 +230,7 @@ def _worker_main(conn, index: int, capacity: int, strategy: str) -> None:
             break
         try:
             reply, reply_payload = _worker_control(
-                op, header, payload, service, client, session, obs, served
+                op, header, payload, client, session, served
             )
         except Exception as exc:  # noqa: BLE001 — the worker must not die silently
             reply, reply_payload = (
@@ -260,9 +248,7 @@ def _worker_main(conn, index: int, capacity: int, strategy: str) -> None:
         pass
 
 
-def _worker_control(
-    op, header, payload, service, client, session, obs, served
-) -> tuple[dict, bytes]:
+def _worker_control(op, header, payload, client, session, served) -> tuple[dict, bytes]:
     if op == "dispatch":
         # Typed lane: the frame is self-contained (throwaway interner),
         # decoded against an isolated table so it can never collide with
@@ -287,25 +273,20 @@ def _worker_control(
             {"ok": True, "error_index": error_index},
             encode_response_bin2(response),
         )
-    if op == "register":
-        for text in header.get("sources", ()):
-            service.register(parse_function(text))
+    if op == "install":
+        # ``(name, revision, printed source)`` triples, revisions intact:
+        # live registrations arrive at revision 0, restores as exported.
+        client.import_state(header.get("functions", ()))
         return {"ok": True}, b""
     if op == "export":
-        # Snapshot surface: ``(name, revision, printed source)`` triples
-        # in this worker's registration order (see
-        # :meth:`LivenessService.export_functions`).
-        return {"ok": True, "functions": service.export_functions()}, b""
-    if op == "import":
-        # Restore surface: reinstate exported triples, revisions intact.
-        for name, revision, source in header.get("functions", ()):
-            service.import_function(name, int(revision), source)
-        return {"ok": True}, b""
+        # Snapshot surface: this worker's triples in registration order.
+        return {"ok": True, "functions": client.export_state()[0]}, b""
     if op == "stats":
+        obs = client.obs
         snapshot = obs.snapshot()
-        stats = service.stats.as_dict()
+        stats = client.service.stats.as_dict()
         if header.get("reset"):
-            service.stats.reset()
+            client.service.stats.reset()
             obs.metrics.reset()
         return {"ok": True, "snapshot": snapshot, "stats": stats}, b""
     if op == "reset":
@@ -396,26 +377,20 @@ class _Link:
         self.restarts = obs.counter("proc.restarts", worker=index)
 
 
-class _CoordinatorSession(BytesServerSession):
-    """The parent's outer-connection session.
-
-    Identical to a single-process server session (same ingest, same
-    typed/hello/error paths, same metrics) — the coordinator only adds
-    the relay branch on top, reading the mirrored string table through
-    the public :attr:`string_table` property.
-    """
-
-
 # ----------------------------------------------------------------------
 # The coordinator
 # ----------------------------------------------------------------------
-class ProcClient:
+class ProcClient(Placement, Router):
     """Multi-process drop-in for :class:`~repro.concurrent.ShardedClient`.
 
     Same protocol, same structured errors, same never-raise boundary —
     but every shard is a worker process, so CPU-bound serving scales with
     cores instead of saturating one GIL.  Construction spawns the
     workers; :meth:`close` (or the context manager) drains them.
+
+    The client is its own placement: the shared
+    :class:`~repro.api.client.Router` front door over the worker links
+    (``Placement`` comes first so the registry surface is its own).
 
     ``capacity`` is the whole deployment's checker budget, split
     per-worker with the same ceiling division :class:`ShardedService`
@@ -429,7 +404,7 @@ class ProcClient:
         workers: int = DEFAULT_WORKERS,
         capacity: int = DEFAULT_CAPACITY,
         strategy: str = "exact",
-        observer: Callable[[Request, Response], None] | None = None,
+        observer: Observer | None = None,
         obs: Observability | None = None,
         auto_restart: bool = True,
         timeout: float = 60.0,
@@ -442,12 +417,9 @@ class ProcClient:
             raise ValueError(
                 f"compact_after must be at least 1, got {compact_after}"
             )
-        self.obs = obs if obs is not None else Observability()
-        self._workers_n = workers
-        self._per_worker = max(1, -(-capacity // workers))  # ceil division
-        self._strategy = strategy
-        self._observer = observer
-        self._observed = threading.local()
+        per_worker = max(1, -(-capacity // workers))  # ceil division
+        Placement.__init__(self, workers, per_worker, strategy)
+        Router.__init__(self, self, obs if obs is not None else Observability(), observer)
         self._auto_restart = auto_restart
         self._timeout = timeout
         self._compact_after = compact_after
@@ -460,22 +432,18 @@ class ProcClient:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else methods[0]
         self._ctx = multiprocessing.get_context(start_method)
-        #: Guards the global registration order (acquired before mutexes).
-        self._registry_lock = threading.Lock()
-        self._names: dict[str, int] = {}
-        self._order: list[str] = []
-        self._dispatch_seconds = self.obs.histogram("dispatch.seconds")
         self._links = [_Link(index, self.obs) for index in range(workers)]
         for link in self._links:
             self._spawn(link)
             link.alive.set()
         #: The outer connection: ingests every frame (mirroring the
         #: client's string table) and answers the typed/JSON/hello/error
-        #: paths itself through :meth:`dispatch`.
-        self._session = _CoordinatorSession(self.dispatch, obs=self.obs)
+        #: paths itself through :meth:`dispatch`; the relay reads the
+        #: mirrored table through its :attr:`string_table`.
+        self._session = self.bytes_session()
         self._request_seconds = self.obs.histogram("wire.request_seconds")
         if module is not None:
-            self._register_functions(list(module))
+            self.register_all(list(module))
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -484,7 +452,7 @@ class ProcClient:
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, link.index, self._per_worker, self._strategy),
+            args=(child_conn, link.index, self._per_part, self._strategy),
             daemon=True,
             name=f"repro-proc-worker-{link.index}",
         )
@@ -540,6 +508,12 @@ class ProcClient:
                 proc.join(1.0)
                 if proc.is_alive():
                     proc.kill()
+            # The reader exits on the dead worker's EOF.  Join it before
+            # the pipe closes: a reader still between reads could
+            # otherwise read from the next pipe that reuses this file
+            # descriptor number and steal that link's replies.
+            if link.reader is not None:
+                link.reader.join(max(1.0, deadline - self.obs.clock()))
             with link.io_lock:
                 if link.conn is not None:
                     try:
@@ -623,12 +597,7 @@ class ProcClient:
             if link.baseline:
                 self._post(
                     link,
-                    _pack_control(
-                        {
-                            "op": "import",
-                            "functions": [list(t) for t in link.baseline],
-                        }
-                    ),
+                    _pack_control({"op": "install", "functions": link.baseline}),
                     force=True,
                 )
             for request in list(link.log):
@@ -688,28 +657,12 @@ class ProcClient:
             )
         return header, payload
 
-    def _roundtrip(
-        self, link: _Link, request: Request, want_error_index: bool = False
-    ) -> tuple[Response, int | None]:
-        msg = _pack_control(
-            {"op": "dispatch", "error_index": want_error_index},
-            encode_request_bin2(request),
-        )
-        pending = self._send_ready(link, msg)
-        header, payload = self._await_control(link, pending)
-        return decode_response_bin2(payload), header.get("error_index")
-
     # ------------------------------------------------------------------
     # Introspection / conveniences
     # ------------------------------------------------------------------
     @property
     def workers(self) -> int:
-        return self._workers_n
-
-    def functions(self) -> list[str]:
-        """Registered names in registration order."""
-        with self._registry_lock:
-            return list(self._order)
+        return self.parts
 
     def ping(self, index: int) -> dict:
         """Health-check one worker: ``{"pid": ..., "served": ...}``.
@@ -738,187 +691,151 @@ class ProcClient:
 
     def worker_of(self, name: str) -> int:
         """The worker index owning function ``name`` (crc32 routing)."""
-        return shard_of(name, self._workers_n)
+        return shard_of(name, self.parts)
 
     # ------------------------------------------------------------------
-    # Snapshot export / import (the persist layer's surface)
+    # Placement hooks (the router calls these)
     # ------------------------------------------------------------------
-    def export_state(self, pin=None):
-        """A consistent cut of the fleet's observable state.
+    def _locked(self, indices, write: bool) -> ExitStack:
+        # One mutex per link: reads and writes alike hold it for the
+        # whole send-await-observe window.
+        stack = ExitStack()
+        for index in indices:
+            stack.enter_context(self._links[index].mutex)
+        return stack
 
-        Holds the registry lock and *every* link mutex (in index order),
-        so no mutation is in flight anywhere; ``pin``, if given, is
-        called while they are held (the durability layer passes
-        ``lambda: wal.last_seq``).  Returns ``(functions, precomps,
-        pinned)`` like :meth:`ShardedService.export_state`, except
-        ``precomps`` is always empty — worker checker caches live across
-        a pipe and are rebuilt on demand, not serialized.
+    def _read_one(self, name: str):
+        index = self.index_of(name)
+        mutex = self._links[index].mutex
+        mutex.acquire()
+        return index, mutex.release
 
-        Raises :class:`ProtocolError` if a worker is down or hung — a
-        snapshot of half a fleet would be a lie.
-        """
-        with self._registry_lock:
-            with ExitStack() as stack:
-                for link in self._links:
-                    stack.enter_context(link.mutex)
-                pinned = pin() if pin is not None else 0
-                posted = []
-                for link in self._links:
-                    posted.append(
-                        (
-                            link,
-                            self._send_ready(
-                                link, _pack_control({"op": "export"})
-                            ),
-                        )
-                    )
-                by_name: dict[str, tuple[str, int, str]] = {}
-                for link, pending in posted:
-                    header, _payload = self._await_control(link, pending)
-                    for name, revision, source in header.get("functions") or ():
-                        by_name[name] = (name, int(revision), source)
-                functions = [by_name[name] for name in self._order]
-                return functions, [], pinned
+    def _answer(self, index, name, revision, want_in, variable, block, request=None):
+        if request is None:
+            request = liveness_query(name, revision, want_in, variable, block)
+        return self._run(index, request, None)
 
-    def import_state(self, functions) -> None:
-        """Reinstate exported ``(name, revision, source)`` triples.
-
-        The restore-path mirror of :meth:`_register_functions`: same
-        atomicity (a worker failure force-restarts every worker that
-        already acknowledged, rolling the batch back), but revisions
-        land exactly as exported and the triples join each link's
-        restart baseline directly.
-        """
-        triples = [
-            (name, int(revision), source)
-            for name, revision, source in functions
-        ]
-        names = [name for name, _revision, _source in triples]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate function name in snapshot: {names!r}")
-        with self._registry_lock:
-            per_worker: dict[int, list[tuple[str, int, str]]] = {}
-            for triple in triples:
-                per_worker.setdefault(
-                    shard_of(triple[0], self._workers_n), []
-                ).append(triple)
-            involved = sorted(per_worker)
-            with ExitStack() as stack:
-                for index in involved:
-                    stack.enter_context(self._links[index].mutex)
-                for name in names:
-                    if name in self._names:
-                        raise ValueError(f"duplicate function name {name!r}")
-                acked: list[_Link] = []
-                try:
-                    posted = []
-                    for index in involved:
-                        link = self._links[index]
-                        msg = _pack_control(
-                            {
-                                "op": "import",
-                                "functions": [
-                                    list(t) for t in per_worker[index]
-                                ],
-                            }
-                        )
-                        posted.append((link, self._send_ready(link, msg)))
-                    for link, pending in posted:
-                        self._await_control(link, pending)
-                        acked.append(link)
-                except ProtocolError:
-                    for link in acked:
-                        self._force_restart(link)
-                    raise
-                for index in involved:
-                    self._links[index].baseline.extend(per_worker[index])
-                for name, _revision, _source in triples:
-                    self._names[name] = shard_of(name, self._workers_n)
-                    self._order.append(name)
-
-    def topology(self) -> dict:
-        """Serving geometry for snapshot headers: shards/capacity/strategy.
-
-        Workers play the role shards play in-process; ``capacity`` is
-        the whole fleet's budget (per-worker share times workers, the
-        same stable-fixpoint sum :class:`ShardedService` reports).
-        """
-        return {
-            "shards": self._workers_n,
-            "capacity": self._per_worker * self._workers_n,
-            "strategy": self._strategy,
-        }
-
-    def compile(
-        self, source: str, module_name: str = "module"
-    ) -> tuple[FunctionHandle, ...]:
-        """Compile and register ``source``; raise on failure."""
-        response = self.dispatch(
-            CompileSourceRequest(source=source, module_name=module_name)
-        )
-        if response.error is not None:
-            raise ProtocolError(response.error.code, response.error.detail)
-        assert response.functions is not None
-        return response.functions
-
-    # ------------------------------------------------------------------
-    # Typed dispatch (the ShardedClient-compatible front door)
-    # ------------------------------------------------------------------
-    def dispatch(self, request: Request) -> Response:
-        """Answer one protocol request; thread-safe, never raises."""
-        clock = self.obs.clock
-        start = clock()
-        self._observed.seen = False
-        with self.obs.span("dispatch", request=type(request).__name__):
-            response = guarded_dispatch(request, self._dispatch, self._failure)
-        if not getattr(self._observed, "seen", True):
-            self._notify(request, response)
-        self._dispatch_seconds.observe(clock() - start)
+    def _run(self, index: int, request: Request, handler=None) -> Response:
+        """One request at its worker (link mutex held); logs confirmed edits."""
+        link = self._links[index]
+        msg = _pack_control({"op": "dispatch"}, encode_request_bin2(request))
+        _header, payload = self._await_control(link, self._send_ready(link, msg))
+        response = decode_response_bin2(payload)
+        if is_replayable(request, response):
+            link.log.append(request)
+            if len(link.log) >= self._compact_after:
+                self._compact_link(link)
         return response
 
-    def dispatch_json(self, payload) -> dict:
-        """Wire driver: JSON envelope in, JSON envelope out, thread-safe."""
-        return dispatch_json_via(self.dispatch, payload, obs=self.obs)
+    def _answer_batch(self, queries) -> BatchLivenessResponse:
+        """Fan the batch out per worker (mutexes held), merge in order."""
+        groups: dict[int, list[int]] = {}
+        for position, query in enumerate(queries):
+            groups.setdefault(
+                shard_of(query.function.name, self.parts), []
+            ).append(position)
+        involved = sorted(groups)
+        # Fan out first (all workers chew their sub-batches in parallel),
+        # then collect; per-link FIFO keeps this one linearization point
+        # despite the concurrency underneath.
+        posted = []
+        for index in involved:
+            link = self._links[index]
+            sub = BatchLiveness(queries=tuple(queries[pos] for pos in groups[index]))
+            msg = _pack_control(
+                {"op": "dispatch", "error_index": True}, encode_request_bin2(sub)
+            )
+            posted.append((link, self._send_ready(link, msg)))
+        answers: dict[int, tuple[Response, int | None]] = {}
+        for link, pending in posted:
+            header, payload = self._await_control(link, pending)
+            answers[link.index] = (
+                decode_response_bin2(payload),
+                header.get("error_index"),
+            )
+        failing = [index for index in involved if answers[index][0].error is not None]
+        if failing:
+            # The batch's error is the error of the globally-first failing
+            # query, exactly as in-process (batch errors are
+            # position-independent, so the winning worker's sub-batch
+            # error *is* that query's error).
+            def first_global(index: int) -> int:
+                error_index = answers[index][1]
+                return groups[index][error_index if error_index is not None else 0]
 
-    _failure = staticmethod(failure_response)
+            winner = min(failing, key=first_global)
+            return BatchLivenessResponse(error=answers[winner][0].error)
+        values: list[bool] = [False] * len(queries)
+        for index in involved:
+            for pos, value in zip(groups[index], answers[index][0].values):
+                values[pos] = value
+        return BatchLivenessResponse(values=tuple(values))
 
-    def _notify(self, request: Request, response: Response) -> None:
-        self._observed.seen = True
-        if self._observer is not None:
-            self._observer(request, response)
+    def _install(self, groups) -> None:
+        """Install entries on their workers atomically (all or nothing).
 
-    def _link_for(self, name: str) -> _Link:
-        return self._links[shard_of(name, self._workers_n)]
+        Handles are minted at revision 0 by the registry, so a serial
+        replay against a ``ShardedClient`` sees identical responses.  If
+        a worker dies mid-install, every worker that already
+        acknowledged is force-restarted (its rebuild recipe does not
+        include the new functions), rolling the whole batch back.
+        """
+        triples = {
+            index: [
+                (name, revision, payload if isinstance(payload, str) else print_function(payload))
+                for name, revision, payload in entries
+            ]
+            for index, entries in groups.items()
+        }
+        acked: list[_Link] = []
+        try:
+            posted = []
+            for index in sorted(triples):
+                link = self._links[index]
+                msg = _pack_control({"op": "install", "functions": triples[index]})
+                posted.append((link, self._send_ready(link, msg)))
+            for link, pending in posted:
+                self._await_control(link, pending)
+                acked.append(link)
+        except ProtocolError:
+            for link in acked:
+                self._force_restart(link)
+            raise
+        for index, entries in triples.items():
+            self._links[index].baseline.extend(entries)
 
-    def _dispatch(self, request: Request) -> Response:
-        if isinstance(request, (LivenessQuery, LiveSetRequest, EvictRequest)):
-            link = self._link_for(request.function.name)
-            with link.mutex:
-                response, _index = self._roundtrip(link, request)
-                self._notify(request, response)
-                return response
-        if isinstance(
-            request, (DestructRequest, AllocateRequest, NotifyRequest)
-        ):
-            link = self._link_for(request.function.name)
-            with link.mutex:
-                response, _index = self._roundtrip(link, request)
-                if is_replayable(request, response):
-                    link.log.append(request)
-                    if len(link.log) >= self._compact_after:
-                        self._compact_link(link)
-                self._notify(request, response)
-                return response
-        if isinstance(request, BatchLiveness):
-            return self._batch(request)
-        if isinstance(request, CompileSourceRequest):
-            return self._compile_source(request)
-        if isinstance(request, StatsRequest):
-            return self._stats(request)
-        raise ProtocolError(
-            ErrorCode.INVALID_REQUEST,
-            f"unsupported request type {type(request).__name__}",
-        )
+    def _export_parts(self):
+        """Every worker's triples; worker checker caches live across a
+        pipe and are rebuilt on demand, so no precomputation is handed
+        over.  Raises :class:`ProtocolError` if a worker is down or hung
+        — a snapshot of half a fleet would be a lie."""
+        posted = [
+            (link, self._send_ready(link, _pack_control({"op": "export"})))
+            for link in self._links
+        ]
+        return [
+            (self._await_control(link, pending)[0].get("functions") or (), ())
+            for link, pending in posted
+        ]
+
+    def _stats_parts(self, reset: bool):
+        """Every live worker's metrics and counters (a dead worker
+        contributes nothing to the scrape); never waits on a mutex."""
+        posted = []
+        for link in self._links:
+            try:
+                msg = _pack_control({"op": "stats", "reset": bool(reset)})
+                posted.append((link, self._post(link, msg)))
+            except (BrokenPipeError, OSError):
+                continue
+        parts = []
+        for link, pending in posted:
+            try:
+                header, _payload = self._await_control(link, pending)
+            except ProtocolError:
+                continue
+            parts.append((link.index, header.get("snapshot") or {}, header.get("stats") or {}))
+        return parts
 
     def _compact_link(self, link: _Link) -> None:
         """Fold the confirmed-mutation log into the baseline (mutex held).
@@ -944,226 +861,12 @@ class ProcClient:
         ]
         link.log.clear()
 
-    # ------------------------------------------------------------------
-    # Cross-worker requests
-    # ------------------------------------------------------------------
-    def _batch(self, request: BatchLiveness) -> BatchLivenessResponse:
-        queries = request.queries
-        if not queries:
-            return BatchLivenessResponse(values=())
-        groups: dict[int, list[int]] = {}
-        for position, query in enumerate(queries):
-            groups.setdefault(
-                shard_of(query.function.name, self._workers_n), []
-            ).append(position)
-        involved = sorted(groups)
-        with ExitStack() as stack:
-            for index in involved:
-                stack.enter_context(self._links[index].mutex)
-            # Fan out first (all workers chew their sub-batches in
-            # parallel), then collect; per-link FIFO keeps this one
-            # linearization point despite the concurrency underneath.
-            posted = []
-            for index in involved:
-                link = self._links[index]
-                sub = BatchLiveness(
-                    queries=tuple(queries[pos] for pos in groups[index])
-                )
-                msg = _pack_control(
-                    {"op": "dispatch", "error_index": True},
-                    encode_request_bin2(sub),
-                )
-                posted.append((link, self._send_ready(link, msg)))
-            answers: dict[int, tuple[Response, int | None]] = {}
-            for link, pending in posted:
-                header, payload = self._await_control(link, pending)
-                answers[link.index] = (
-                    decode_response_bin2(payload),
-                    header.get("error_index"),
-                )
-            failing = [
-                index
-                for index in involved
-                if answers[index][0].error is not None
-            ]
-            if failing:
-                # The batch's error is the error of the globally-first
-                # failing query, exactly as in the serial client (batch
-                # errors are position-independent, so the winning
-                # worker's sub-batch error *is* that query's error).
-                def first_global(index: int) -> int:
-                    sub_response, error_index = answers[index]
-                    within = error_index if error_index is not None else 0
-                    return groups[index][within]
-
-                winner = min(failing, key=first_global)
-                response = BatchLivenessResponse(
-                    error=answers[winner][0].error
-                )
-                self._notify(request, response)
-                return response
-            values: list[bool] = [False] * len(queries)
-            for index in involved:
-                sub_response, _ = answers[index]
-                assert sub_response.values is not None
-                for pos, value in zip(groups[index], sub_response.values):
-                    values[pos] = value
-            response = BatchLivenessResponse(values=tuple(values))
-            self._notify(request, response)
-            return response
-
-    def _register_functions(
-        self,
-        functions: Sequence[Function],
-        on_registered: Callable[[list[FunctionHandle]], None] | None = None,
-    ) -> list[FunctionHandle]:
-        """Register functions atomically across workers (all or nothing).
-
-        Mirrors :meth:`ShardedService.register_all` — same duplicate
-        checks, same error messages, handles minted at revision 0 — so a
-        serial replay against a ``ShardedClient`` sees identical
-        responses.  If a worker dies mid-registration, every worker that
-        already acknowledged is force-restarted (its rebuild recipe does
-        not include the new functions), rolling the whole batch back.
-        """
-        names = [function.name for function in functions]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate function name in batch: {names!r}")
-        with self._registry_lock:
-            per_worker: dict[int, list[tuple[str, str]]] = {}
-            for function in functions:
-                per_worker.setdefault(
-                    shard_of(function.name, self._workers_n), []
-                ).append((function.name, print_function(function)))
-            involved = sorted(per_worker)
-            with ExitStack() as stack:
-                for index in involved:
-                    stack.enter_context(self._links[index].mutex)
-                for function in functions:
-                    if function.name in self._names:
-                        raise ValueError(
-                            f"duplicate function name {function.name!r}"
-                        )
-                acked: list[_Link] = []
-                try:
-                    posted = []
-                    for index in involved:
-                        link = self._links[index]
-                        msg = _pack_control(
-                            {
-                                "op": "register",
-                                "sources": [
-                                    source
-                                    for _name, source in per_worker[index]
-                                ],
-                            }
-                        )
-                        posted.append((link, self._send_ready(link, msg)))
-                    for link, pending in posted:
-                        self._await_control(link, pending)
-                        acked.append(link)
-                except ProtocolError:
-                    for link in acked:
-                        self._force_restart(link)
-                    raise
-                for index in involved:
-                    self._links[index].baseline.extend(
-                        (name, 0, source)
-                        for name, source in per_worker[index]
-                    )
-                for function in functions:
-                    self._names[function.name] = shard_of(
-                        function.name, self._workers_n
-                    )
-                    self._order.append(function.name)
-                handles = [
-                    FunctionHandle(name=function.name, revision=0)
-                    for function in functions
-                ]
-                if on_registered is not None:
-                    on_registered(handles)
-                return handles
-
     def _force_restart(self, link: _Link) -> None:
         """Kill a worker so the crash path rebuilds it from its recipe."""
         link.alive.clear()
         proc = link.proc
         if proc is not None and proc.is_alive():
             proc.terminate()
-
-    def _compile_source(
-        self, request: CompileSourceRequest
-    ) -> CompileSourceResponse:
-        from repro.frontend.compile import compile_source
-
-        try:
-            module = compile_source(request.source, name=request.module_name)
-        except ValueError as exc:
-            raise ProtocolError(ErrorCode.COMPILE_ERROR, str(exc)) from None
-        holder: list[CompileSourceResponse] = []
-
-        def observe_registered(handles: list[FunctionHandle]) -> None:
-            response = CompileSourceResponse(functions=tuple(handles))
-            holder.append(response)
-            self._notify(request, response)
-
-        try:
-            self._register_functions(
-                list(module), on_registered=observe_registered
-            )
-        except ValueError as exc:
-            raise ProtocolError(ErrorCode.DUPLICATE_FUNCTION, str(exc)) from None
-        return holder[0]
-
-    def _stats(self, request: StatsRequest) -> StatsResponse:
-        """Aggregated introspection: every worker's metrics, relabelled.
-
-        Worker snapshot keys gain a ``worker=i`` label (so one scrape
-        shows per-worker wire/queue/cache series side by side); the
-        ``stats`` roll-up sums the per-worker service counters exactly
-        like :meth:`ShardedService.stats` sums shards.  Lock-free with
-        respect to the mutexes — stats must never stall serving — and
-        excluded from differential traffic for the same reason.
-        """
-        posted = []
-        for link in self._links:
-            try:
-                posted.append(
-                    (
-                        link,
-                        self._post(
-                            link,
-                            _pack_control(
-                                {"op": "stats", "reset": bool(request.reset)}
-                            ),
-                        ),
-                    )
-                )
-            except (BrokenPipeError, OSError):
-                continue  # a dead worker contributes nothing to the scrape
-        merged = self.obs.snapshot()
-        totals = {name: 0 for name in STAT_FIELDS}
-        for link, pending in posted:
-            try:
-                header, _payload = self._await_control(link, pending)
-            except ProtocolError:
-                continue
-            snapshot = header.get("snapshot") or {}
-            for section in ("counters", "gauges", "histograms"):
-                target = merged.setdefault(section, {})
-                for key, value in (snapshot.get(section) or {}).items():
-                    target[_relabel(key, worker=link.index)] = value
-            for name, value in (header.get("stats") or {}).items():
-                if name in totals:
-                    totals[name] += int(value)
-        for section in ("counters", "gauges", "histograms"):
-            merged[section] = dict(sorted(merged[section].items()))
-        lookups = totals["hits"] + totals["misses"]
-        stats = dict(totals)
-        stats["hit_rate"] = totals["hits"] / lookups if lookups else 0.0
-        if request.reset:
-            self.obs.metrics.reset()
-        return StatsResponse(snapshot=merged, stats=stats)
 
     # ------------------------------------------------------------------
     # The wire loop (single-caller serving path)
@@ -1265,7 +968,7 @@ class ProcClient:
             # (unroutable means undecodable: same lookup, same message).
             results[slot] = _failure_bytes(exc.error, True)
             return
-        index = shard_of(name, self._workers_n)
+        index = shard_of(name, self.parts)
         link = self._links[index]
         if data[7] != 0:
             # Defs-carrying frame: forward verbatim (the worker applies
@@ -1316,7 +1019,7 @@ class ProcClient:
                 if name is not None:
                     # JSON frames carry no connection state: forward the
                     # original bytes, the worker parses and answers.
-                    index = shard_of(name, self._workers_n)
+                    index = shard_of(name, self.parts)
                     buffer_frame(index, slot, token.data, False, start)
                     return
                 # Malformed body: fall through — the typed path produces
@@ -1363,10 +1066,7 @@ class ProcClient:
                 observe(resolved_at - start)
 
     def __repr__(self) -> str:
-        return (
-            f"ProcClient(workers={self._workers_n}, "
-            f"functions={len(self._names)})"
-        )
+        return f"ProcClient(workers={self.parts}, functions={len(self._order)})"
 
 
 # ----------------------------------------------------------------------
@@ -1378,15 +1078,3 @@ def _failure_bytes(error: ApiError, binary: bool) -> bytes:
     if binary:
         return encode_response_bin2(response)
     return dumps_compact(encode_response(response)).encode("utf-8")
-
-
-def _relabel(key: str, **extra) -> str:
-    """Insert labels into a canonical ``name{k=v,...}`` metric key."""
-    name, brace, inner = key.partition("{")
-    labels: dict[str, object] = {}
-    if brace:
-        for pair in inner[:-1].split(","):
-            label, _eq, value = pair.partition("=")
-            labels[label] = value
-    labels.update(extra)
-    return metric_key(name, labels)

@@ -48,13 +48,12 @@ higher-indexed shard's lock or any cache mutex.
 from __future__ import annotations
 
 import threading
-import zlib
 from typing import Iterable, Sequence
 
+from repro.api.client import LocalPlacement, shard_of
 from repro.api.handles import FunctionHandle
 from repro.ir.function import Function
 from repro.ir.module import Module
-from repro.ir.printer import print_function
 from repro.ir.value import Variable
 from repro.obs import Observability
 from repro.service.service import (
@@ -67,17 +66,6 @@ from repro.service.service import (
 #: Default shard count; small enough that per-shard LRU caches stay
 #: useful, large enough that independent functions rarely contend.
 DEFAULT_SHARDS = 4
-
-
-def shard_of(name: str, shards: int) -> int:
-    """The shard index owning function ``name``.
-
-    Uses ``crc32`` rather than ``hash()`` so the partition is stable
-    across processes and ``PYTHONHASHSEED`` values — the differential
-    harness replays a concurrent run in a fresh service and the routing
-    must be identical.
-    """
-    return zlib.crc32(name.encode("utf-8")) % shards
 
 
 class _ShardService(LivenessService):
@@ -197,12 +185,18 @@ class _ShardLocks:
         return False
 
 
-class ShardedService:
+class ShardedService(LocalPlacement):
     """Thread-safe multi-function liveness serving, partitioned by name.
 
     Drop-in for :class:`~repro.service.LivenessService` where it matters
     (``register``/``submit``/``notify_*``/``destruct``/handles/stats),
     with the concurrency contract described in the module docstring.
+    It is also the thread placement of
+    :class:`~repro.concurrent.client.ShardedClient`: the registry
+    (``register_all``, ``import_state``, the ``export_state`` cut) and
+    the request handlers come from
+    :class:`~repro.api.client.LocalPlacement`, run under the shard locks
+    taken here.
 
     Parameters
     ----------
@@ -235,21 +229,12 @@ class ShardedService:
         if capacity < 1:
             raise ValueError(f"capacity must be at least 1, got {capacity}")
         self.obs = obs if obs is not None else Observability()
-        self._strategy = strategy
         per_shard = max(1, -(-capacity // shards))  # ceil division
         self._shards = tuple(
             _Shard(index, per_shard, strategy, self.obs)
             for index in range(shards)
         )
-        #: Guards the global registration-order list (and multi-function
-        #: registration as a whole).  Acquired *before* any shard lock.
-        self._registry_lock = threading.Lock()
-        self._order: list[str] = []
-        #: name → shard index, memoized at registration time so the hot
-        #: submit path does one dict probe instead of a crc32 per request.
-        #: Written only under the registry lock; read lock-free (a dict
-        #: store is atomic under the GIL, and entries are never changed).
-        self._shard_index: dict[str, int] = {}
+        super().__init__([shard.service for shard in self._shards])
         if module is not None:
             for function in module:
                 self.register(function)
@@ -260,54 +245,42 @@ class ShardedService:
     @property
     def num_shards(self) -> int:
         """Number of shards."""
-        return len(self._shards)
+        return self.parts
 
-    @property
-    def capacity(self) -> int:
-        """Total resident-checker budget (sum of shard capacities)."""
-        return sum(shard.service.capacity for shard in self._shards)
-
-    @property
-    def strategy(self) -> str:
-        """``TargetSets`` strategy handed to every shard's checkers."""
-        return self._strategy
-
-    def shard_of(self, name: str) -> int:
-        """The shard index owning function ``name``."""
-        index = self._shard_index.get(name)
-        if index is None:
-            index = shard_of(name, len(self._shards))
-        return index
+    #: The shard index owning function ``name``.
+    shard_of = LocalPlacement.index_of
 
     def service_for(self, name: str) -> LivenessService:
         """The (unlocked) shard service owning ``name`` — callers must
         hold the shard's lock (see :meth:`read_locked`/:meth:`write_locked`)."""
-        return self._shards[self.shard_of(name)].service
+        return self._services[self.index_of(name)]
 
-    def read_shard(self, name: str):
-        """Read-lock the one shard owning ``name``; return ``(index, lock)``.
+    def shard_services(self) -> tuple[LivenessService, ...]:
+        """Every shard's service, by shard index."""
+        return self._services
+
+    # ------------------------------------------------------------------
+    # Locking (the placement hooks and their public forms)
+    # ------------------------------------------------------------------
+    def _locked(self, indices, write: bool) -> "_ShardLocks":
+        return _ShardLocks(self, indices, write)
+
+    def _read_one(self, name: str):
+        """Read-lock the one shard owning ``name``; return ``(index, release)``.
 
         The single-function query path: routing probes only the
-        memoized ``_shard_index`` dict (atomic under the GIL; the hash
-        for an unregistered name), and the lock is taken with a plain
-        ``acquire_read`` under a ``shard_lock`` span.  The caller
-        releases with ``lock.release_read()``.
+        memoized name → index dict (atomic under the GIL; the hash for
+        an unregistered name), and the lock is taken with a plain
+        ``acquire_read`` under a ``shard_lock`` span.
         """
-        index = self._shard_index.get(name)
+        index = self._index.get(name)
         if index is None:
-            index = shard_of(name, len(self._shards))
+            index = shard_of(name, self.parts)
         lock = self._shards[index].lock
         with self.obs.span("shard_lock", mode="read"):
             lock.acquire_read()
-        return index, lock
+        return index, lock.release_read
 
-    def shard_services(self) -> tuple[LivenessService, ...]:
-        """Every shard's service, by shard index (for per-shard clients)."""
-        return tuple(shard.service for shard in self._shards)
-
-    # ------------------------------------------------------------------
-    # Lock helpers (the client layer builds on these)
-    # ------------------------------------------------------------------
     def read_locked(self, names: Iterable[str]) -> "_ShardLocks":
         """Hold the read lock of every shard owning one of ``names``.
 
@@ -315,64 +288,15 @@ class ShardedService:
         order) and released in reverse, so any set of functions can be
         read atomically without deadlock.
         """
-        return _ShardLocks(self, self._indices(names), write=False)
+        return _ShardLocks(self, self.indices(names), write=False)
 
     def write_locked(self, names: Iterable[str]) -> "_ShardLocks":
         """Hold the write lock of every shard owning one of ``names``."""
-        return _ShardLocks(self, self._indices(names), write=True)
-
-    def _indices(self, names: Iterable[str]) -> list[int]:
-        return sorted({self.shard_of(name) for name in names})
+        return _ShardLocks(self, self.indices(names), write=True)
 
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def register(self, function: Function) -> Function:
-        """Make ``function`` servable (thread-safe; names must be unique)."""
-        self.register_all([function])
-        return function
-
-    def register_all(
-        self, functions: Sequence[Function], on_registered=None
-    ) -> list[FunctionHandle]:
-        """Register several functions atomically (all or nothing).
-
-        Duplicate names — against the service *or* within the batch —
-        fail before anything is registered, mirroring the serial
-        compile-and-register path.  Returns the freshly minted handles;
-        ``on_registered``, if given, is called with them *while the locks
-        are still held* — the linearization hook the trace-recording
-        client needs (a concurrent query must not be able to slip between
-        the registration and its observation).
-        """
-        names = [function.name for function in functions]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate function name in batch: {names!r}")
-        with self._registry_lock:
-            with self.write_locked(names):
-                for function in functions:
-                    if function.name in self.service_for(function.name):
-                        raise ValueError(
-                            f"duplicate function name {function.name!r}"
-                        )
-                handles = []
-                for function in functions:
-                    service = self.service_for(function.name)
-                    service.register(function)
-                    self._order.append(function.name)
-                    self._shard_index[function.name] = self.shard_of(
-                        function.name
-                    )
-                    handles.append(service.handle(function.name))
-                if on_registered is not None:
-                    on_registered(handles)
-                return handles
-
-    def functions(self) -> list[str]:
-        """Names of every registered function, in registration order."""
-        with self._registry_lock:
-            return list(self._order)
-
     def function(self, name: str) -> Function:
         """The registered function object (``KeyError`` when unknown)."""
         with self.read_locked([name]):
@@ -427,62 +351,8 @@ class ShardedService:
                 shard.service.clear()
 
     # ------------------------------------------------------------------
-    # Snapshot export / import (the persist layer's surface)
+    # Restore
     # ------------------------------------------------------------------
-    def export_state(self, pin=None):
-        """A consistent cut of the whole service's observable state.
-
-        Acquires the registry lock, then *every* shard's read lock in
-        index order — with all of them held no mutation is in flight
-        anywhere, so the cut is a linearization point.  ``pin``, if
-        given, is called **while the locks are held**; the durability
-        layer passes ``lambda: wal.last_seq`` so the snapshot and the
-        WAL position agree exactly (appends happen under shard write
-        locks, which are all excluded here).
-
-        Returns ``(functions, precomps, pinned)``: the
-        ``(name, revision, printed source)`` triples in registration
-        order, the ``(name, precomputation)`` pairs of every warm
-        checker (shard order, LRU within a shard), and ``pin``'s value
-        (0 when absent).
-        """
-        with self._registry_lock, _ShardLocks(self, range(self.num_shards), write=False):
-            pinned = pin() if pin is not None else 0
-            functions = []
-            for name in self._order:
-                service = self.service_for(name)
-                functions.append(
-                    (
-                        name,
-                        service.revision(name),
-                        print_function(service.function(name)),
-                    )
-                )
-            precomps: list[tuple[str, object]] = []
-            for shard in self._shards:
-                precomps.extend(shard.service.export_precomputations())
-            return functions, precomps, pinned
-
-    def import_state(self, functions) -> None:
-        """Reinstate exported ``(name, revision, source)`` triples.
-
-        The restore-path mirror of :meth:`register_all`: all-or-nothing
-        validation, global registration order preserved, but revisions
-        land exactly as exported instead of starting at 0.
-        """
-        triples = list(functions)
-        names = [name for name, _revision, _source in triples]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate function name in snapshot: {names!r}")
-        with self._registry_lock, _ShardLocks(self, range(self.num_shards), write=True):
-            for name in names:
-                if name in self.service_for(name):
-                    raise ValueError(f"duplicate function name {name!r}")
-            for name, revision, source in triples:
-                self.service_for(name).import_function(name, revision, source)
-                self._order.append(name)
-                self._shard_index[name] = self.shard_of(name)
-
     def install_checker(self, name: str, checker) -> None:
         """Install a pre-built checker on the owning shard (restore path)."""
         with self.write_locked([name]):
@@ -493,19 +363,19 @@ class ShardedService:
     # ------------------------------------------------------------------
     def is_live_in(self, function: str, var: Variable, block: str) -> bool:
         """Live-in query under the owning shard's read lock."""
-        index, lock = self.read_shard(function)
+        index, release = self._read_one(function)
         try:
-            return self._shards[index].service.is_live_in(function, var, block)
+            return self._services[index].is_live_in(function, var, block)
         finally:
-            lock.release_read()
+            release()
 
     def is_live_out(self, function: str, var: Variable, block: str) -> bool:
         """Live-out query under the owning shard's read lock."""
-        index, lock = self.read_shard(function)
+        index, release = self._read_one(function)
         try:
-            return self._shards[index].service.is_live_out(function, var, block)
+            return self._services[index].is_live_out(function, var, block)
         finally:
-            lock.release_read()
+            release()
 
     def submit(
         self, requests: Sequence[LivenessRequest | tuple[str, str, Variable, str]]
@@ -524,9 +394,9 @@ class ShardedService:
         """
         from repro.api.protocol import QueryKind
 
-        shard_index = self._shard_index
-        num_shards = len(self._shards)
-        shards = self._shards
+        shard_index = self._index
+        num_shards = self.parts
+        services = self._services
         # Pass 1: the involved-shard set (shard lookups amortized over
         # runs of the same function name, the common stream shape).
         involved: set[int] = set()
@@ -559,7 +429,7 @@ class ShardedService:
                     index = shard_index.get(name)
                     if index is None:
                         index = shard_of(name, num_shards)
-                    service = shards[index].service
+                    service = services[index]
                     batch = service.checker(name).batch
                     stats = service.stats
                     current_name = name
@@ -608,13 +478,11 @@ class ShardedService:
     @property
     def stats(self) -> ServiceStats:
         """A snapshot summing every shard's counters."""
-        return ServiceStats.aggregate(
-            shard.service.stats for shard in self._shards
-        )
+        return ServiceStats.aggregate(service.stats for service in self._services)
 
     def shard_stats(self) -> list[ServiceStats]:
         """Per-shard stats objects (live, not snapshots), by shard index."""
-        return [shard.service.stats for shard in self._shards]
+        return [service.stats for service in self._services]
 
     def __repr__(self) -> str:
         return (

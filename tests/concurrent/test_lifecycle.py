@@ -24,6 +24,15 @@ def test_proc_client_context_manager_then_close():
     client.close()  # __exit__ already closed; this must not raise
 
 
+def test_proc_client_close_joins_every_reader_thread():
+    # A reader left running after close() could read from a later
+    # client's pipe that reuses its file descriptor number.
+    for _ in range(10):
+        client = ProcClient(corpus_functions(2), workers=2, capacity=4)
+        client.close()
+        assert not any(link.reader.is_alive() for link in client._links)
+
+
 def test_wire_server_stop_is_idempotent():
     server = WireServer(lambda payload: payload, workers=2)
     server.start()

@@ -5,10 +5,12 @@ answer through the client's ``query_liveness`` lane, observed or not.
 Pinned here:
 
 * every request lands in ``dispatch.seconds`` exactly once, whichever
-  caller sent it and whether it succeeded or failed;
+  caller sent it and whether it succeeded or failed — on the serial,
+  the thread-sharded and the multi-process client;
 * an observer sees the same ``(request, response)`` sequence — each
-  request exactly once, failures included — from all three callers, and
-  a ``Durability``-attached client writes the same WAL records;
+  request exactly once, failures included — from every caller of the
+  thread-sharded and the multi-process client, and a
+  ``Durability``-attached client writes the same WAL records;
 * free-running threads on bin2 connections replay serially, and
   bin2 frames read by the lane — any varint width — get the generic
   decoder's exact bytes back;
@@ -38,6 +40,7 @@ from repro.api.protocol import (
     decode_response,
 )
 from repro.concurrent.client import ShardedClient
+from repro.concurrent.procs import ProcClient
 from repro.concurrent.sharded import ShardedService
 from repro.obs import Observability, Tracer, current_span
 from repro.persist.durability import Durability
@@ -52,8 +55,24 @@ from tests.support.concurrency import (
     run_free,
 )
 
-CLIENTS = [CompilerClient, ShardedClient]
+CLIENTS = [CompilerClient, ShardedClient, ProcClient]
 CALLERS = ["typed", "json", "bin2"]
+#: The worker-process client is driven through typed ``dispatch`` and
+#: ``dispatch_json`` (its bin2 traffic is relayed to the workers).
+PROC_CALLERS = ["typed", "json"]
+
+_open_clients = []
+
+
+@pytest.fixture(autouse=True)
+def close_worker_clients():
+    yield
+    while _open_clients:
+        _open_clients.pop().close()
+
+
+def callers_of(cls):
+    return PROC_CALLERS if cls is ProcClient else CALLERS
 
 
 class CountingClock:
@@ -71,6 +90,10 @@ def make_client(cls, observer=None):
     functions = corpus_functions(4)
     if cls is ShardedClient:
         return ShardedClient(functions, shards=2, capacity=4, observer=observer)
+    if cls is ProcClient:
+        client = ProcClient(functions, workers=2, capacity=4, observer=observer)
+        _open_clients.append(client)
+        return client
     assert observer is None
     return CompilerClient(functions, capacity=4)
 
@@ -79,6 +102,11 @@ def caller(client, kind):
     """``request -> response`` through one of the three front doors."""
     if kind == "typed":
         return client.dispatch
+    if isinstance(client, ProcClient):
+        assert kind == "json"
+        return lambda request: decode_response(
+            client.dispatch_json(encode_request_json(request))
+        )
     session = client.bytes_session()
     if kind == "json":
         return lambda request: decode_response(
@@ -90,9 +118,9 @@ def caller(client, kind):
     )
 
 
-def mixed_stream(client):
+def mixed_stream():
     """Hits on every function, a write, then each of the four failures."""
-    infos = [fn_info(client.service.function(name)) for name in client.service.functions()]
+    infos = [fn_info(function) for function in corpus_functions(4)]
     stream = []
     for index, info in enumerate(infos):
         for position, variable in enumerate(info.variables[:3]):
@@ -133,25 +161,26 @@ class TestDispatchSecondsOncePerRequest:
     def test_every_caller_records_each_request_once(self, cls):
         client = make_client(cls)
         histogram = client.obs.histogram("dispatch.seconds")
-        info = fn_info(client.service.function(client.service.functions()[0]))
+        info = fn_info(corpus_functions(4)[0])
         queries = [
             LivenessQuery(function=info.name, kind="in", variable=var, block=info.blocks[0])
             for var in info.variables[:4]
         ]
         # Four hits and one failure per caller.
         queries.append(LivenessQuery(function=info.name, kind="in", variable="zz", block="bb"))
-        for kind in CALLERS:
+        for kind in callers_of(cls):
             send = caller(client, kind)
             before = histogram.count
             responses = [send(query) for query in queries]
             assert [response.ok for response in responses] == [True] * 4 + [False]
             assert histogram.count - before == len(queries), kind
 
-    def test_observed_sharded_lane_records_each_request_once(self):
-        client = make_client(ShardedClient, observer=Recorder())
+    @pytest.mark.parametrize("cls", [ShardedClient, ProcClient], ids=lambda cls: cls.__name__)
+    def test_observed_sharded_lane_records_each_request_once(self, cls):
+        client = make_client(cls, observer=Recorder())
         histogram = client.obs.histogram("dispatch.seconds")
-        stream = mixed_stream(client)
-        for kind in CALLERS:
+        stream = mixed_stream()
+        for kind in callers_of(cls):
             send = caller(client, kind)
             before = histogram.count
             for request in stream:
@@ -160,16 +189,17 @@ class TestDispatchSecondsOncePerRequest:
 
 
 class TestObserverParity:
-    def run(self, kind):
+    def run(self, cls, kind):
         recorder = Recorder()
-        client = make_client(ShardedClient, observer=recorder)
+        client = make_client(cls, observer=recorder)
         send = caller(client, kind)
-        stream = mixed_stream(client)
+        stream = mixed_stream()
         responses = [canonical_response(send(request)) for request in stream]
         return stream, responses, recorder.entries
 
-    def test_typed_json_and_bin2_are_observed_identically(self):
-        stream, typed_responses, typed = self.run("typed")
+    @pytest.mark.parametrize("cls", [ShardedClient, ProcClient], ids=lambda cls: cls.__name__)
+    def test_typed_json_and_bin2_are_observed_identically(self, cls):
+        stream, typed_responses, typed = self.run(cls, "typed")
         # Each request exactly once, in order, with the answer it got.
         assert [request for request, _ in typed] == stream
         assert [response for _, response in typed] == typed_responses
@@ -181,8 +211,8 @@ class TestObserverParity:
             "unknown_variable",
             "unknown_block",
         }
-        for kind in ("json", "bin2"):
-            _stream, responses, entries = self.run(kind)
+        for kind in callers_of(cls)[1:]:
+            _stream, responses, entries = self.run(cls, kind)
             assert responses == typed_responses, kind
             assert entries == typed, kind
 
@@ -194,7 +224,7 @@ class TestObserverParity:
             client = make_client(ShardedClient, observer=durability.observer)
             durability.attach(client)
             send = caller(client, kind)
-            for request in mixed_stream(client):
+            for request in mixed_stream():
                 send(request)
             durability.close()
             entries = read_wal(directory).entries
@@ -286,7 +316,7 @@ def test_lane_read_liveness_frames_match_the_generic_decoder():
 
 
 class TestSpanTrees:
-    @pytest.mark.parametrize("cls", CLIENTS, ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize("cls", [CompilerClient, ShardedClient], ids=lambda cls: cls.__name__)
     @pytest.mark.parametrize("kind", CALLERS)
     def test_traced_query_keeps_its_span_tree(self, cls, kind):
         client = make_client(cls)
