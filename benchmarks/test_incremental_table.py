@@ -2,11 +2,11 @@
 
 Regenerates :mod:`repro.bench.table_incremental` and asserts the PR-10
 acceptance bar recorded in ``BENCH_incremental.json``: on the large
-profile, one guaranteed-shape single-edge patch beats one from-scratch
-:class:`~repro.core.LivenessPrecomputation` by at least the guarded
-``floor`` (bit identity of every patched state is asserted inside the
-measurement itself), and the fallback probe reports an honest rate for
-unconstrained random edits.
+profile, one guaranteed-shape single-edge patch — and one edge split —
+beats one from-scratch :class:`~repro.core.LivenessPrecomputation` by at
+least the guarded ``floor`` (bit identity of every patched state is
+asserted inside the measurement itself), and the fallback probe reports
+an honest rate for unconstrained random edits.
 """
 
 from __future__ import annotations
@@ -53,6 +53,21 @@ def test_patch_beats_rebuild_by_the_guarded_floor(incremental_rows):
         f"incremental patching must beat a full rebuild by ≥{SPEEDUP_FLOOR}x "
         f"on the large profile, got {large.speedup:.2f}x "
         f"({large.incremental_ms:.4f} ms vs {large.rebuild_ms:.4f} ms)"
+    )
+
+
+def test_edge_splits_all_apply_and_beat_rebuild_by_the_guarded_floor(
+    incremental_rows,
+):
+    # An edge split inserts one block: every R/T row gains one bit in
+    # place, against the rebuild's whole DFS + dominators + closure.
+    for row in incremental_rows:
+        assert row.splits > 0 and row.splits_applied == row.splits, row.profile
+    large = next(row for row in incremental_rows if row.profile == "large")
+    assert large.split_speedup >= SPEEDUP_FLOOR, (
+        f"a patched edge split must beat a full rebuild by ≥{SPEEDUP_FLOOR}x "
+        f"on the large profile, got {large.split_speedup:.2f}x "
+        f"({large.split_ms:.4f} ms vs {large.split_rebuild_ms:.4f} ms)"
     )
 
 

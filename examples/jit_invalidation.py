@@ -90,8 +90,11 @@ def main() -> None:
     print(f"  data-flow recomputations:         {stats.dataflow_precomputations}")
     print()
 
-    # Now a CFG edit: split an edge.  This is the one thing that *does*
-    # invalidate the checker.
+    # Now a CFG edit: split an edge.  CFG edits are the only ones that
+    # touch the checker's precomputation at all, but the session
+    # *describes* this one as a CfgDelta, and an edge split is patched in
+    # place: the new block gets one bit in every R/T row, no fresh
+    # precompute.  The data-flow sets are recomputed as after any edit.
     header = next(block.name for block in function if function.block(block.name).phis())
     pred = function.predecessors(header)[0]
     session.split_edge(pred, header)
@@ -100,14 +103,14 @@ def main() -> None:
 
     print("after additionally splitting a CFG edge:")
     print(f"  CFG-level edits:                  {session.stats.cfg_edits}")
+    print(f"  incremental patches applied:      {session.stats.checker_incremental_updates}")
     print(f"  checker precomputations:          {session.stats.checker_precomputations}")
     print(f"  data-flow recomputations:         {session.stats.dataflow_precomputations}")
     print()
 
-    # PR 10 softens even that cliff: a CFG edit the session can *describe*
-    # (here: adding a branch target that already dominates its source)
-    # travels as a CfgDelta and is patched into the live precomputation —
-    # no fresh precompute, only the reachable R/T rows are touched.
+    # Edge edits the session can describe are patched as well (here:
+    # adding a branch target that already dominates its source): only
+    # the reachable R/T rows are touched.
     edit = patchable_edit(function)
     if edit is not None:
         before = session.stats.checker_precomputations

@@ -236,7 +236,40 @@ class DepthFirstSearch:
         edge = Edge(source, target)
         self._edge_kinds[edge] = kind
         if kind is EdgeKind.BACK:
-            self._back_edges.append(edge)
+            self._back_edges.insert(self._finish_slot(source), edge)
+
+    def _finish_slot(self, source: Node) -> int:
+        """How many back edges a fresh DFS records before ``source`` finishes.
+
+        The list is in recording order, so a binary search finds the first
+        one recorded later: one from a node that finished after ``source``
+        and was either discovered after it or is an ancestor examining
+        that edge after descending toward ``source``.
+        """
+        succs = self._graph.successor_lists()
+        preorder, postorder, parent = self._preorder, self._postorder, self._parent
+        pre_s, post_s = preorder[source], postorder[source]
+
+        def later(tail: Node, head: Node) -> bool:
+            if postorder[tail] <= post_s:
+                return False
+            if preorder[tail] > pre_s:
+                return True
+            child = source
+            while parent[child] != tail:
+                child = parent[child]
+            order = succs[tail]
+            return order.index(head) > order.index(child)
+
+        back_edges = self._back_edges
+        low, high = 0, len(back_edges)
+        while low < high:
+            middle = (low + high) // 2
+            if later(*back_edges[middle]):
+                high = middle
+            else:
+                low = middle + 1
+        return low
 
     def note_edge_removed(self, source: Node, target: Node) -> None:
         """Record the removal of a non-tree edge (numberings unaffected)."""
@@ -249,6 +282,84 @@ class DepthFirstSearch:
             )
         if kind is EdgeKind.BACK:
             self._back_edges.remove(edge)
+
+    def note_edge_split(self, source: Node, target: Node, node: Node) -> None:
+        """Record :meth:`ControlFlowGraph.split_edge` of ``source -> target``.
+
+        ``node`` sits at ``target``'s old slot among ``source``'s
+        successors, so a fresh DFS replays this one until ``source``
+        reaches that slot, then discovers ``node`` through a tree edge:
+
+        * if ``source -> target`` was a tree edge, ``node`` is discovered
+          where ``target`` was, ``target``'s subtree hangs below it
+          unchanged and ``node`` finishes right after ``target``;
+        * otherwise ``node`` is a leaf, discovered and finished the moment
+          ``source`` reaches the slot, and ``node -> target`` keeps the
+          old edge's kind, except that a forward edge becomes a cross edge
+          (``target`` is closed and was discovered before ``node``).
+
+        Every other edge keeps its kind and every other node its relative
+        order, so the numberings only shift by one past ``node``'s slots.
+        """
+        preorder, postorder, parent = self._preorder, self._postorder, self._parent
+        kinds = self._edge_kinds
+        kind = kinds.pop((source, target))
+        if kind is EdgeKind.TREE:
+            pre = preorder[target]
+            post = postorder[target] + 1
+            parent[target] = node
+            new_kind = EdgeKind.TREE
+        else:
+            # ``pre`` and ``post`` count the nodes discovered and finished
+            # when ``source`` reaches the slot.  The next discovery is the
+            # first tree child after the slot, or ``source``'s first child
+            # if no tree child precedes it; the last finish is the last
+            # tree child before the slot, and if none follows it,
+            # ``source`` finishes next.  A count not read off that way
+            # differs from the other by the open tree path down to
+            # ``source``.
+            succs = self._graph.successor_lists()[source]
+            slot = succs.index(node)
+            earlier = later = None
+            for index, succ in enumerate(succs):
+                if kinds.get((source, succ)) is EdgeKind.TREE:
+                    if index < slot:
+                        earlier = succ
+                    else:
+                        later = succ
+                        break
+            pre = post = None
+            if later is not None:
+                pre = preorder[later]
+            elif earlier is None:
+                pre = preorder[source] + 1
+            if earlier is not None:
+                post = postorder[earlier] + 1
+            elif later is None:
+                post = postorder[source]
+            if pre is None or post is None:
+                open_nodes = 0
+                walk: Node | None = source
+                while walk is not None:
+                    open_nodes += 1
+                    walk = parent[walk]
+                if pre is None:
+                    pre = post + open_nodes
+                else:
+                    post = pre - open_nodes
+            new_kind = EdgeKind.BACK if kind is EdgeKind.BACK else EdgeKind.CROSS
+        for numbers, order, slot in (
+            (preorder, self._preorder_nodes, pre),
+            (postorder, self._postorder_nodes, post),
+        ):
+            order.insert(slot, node)
+            numbers.update(zip(order[slot:], range(slot, len(order))))
+        parent[node] = source
+        kinds[source, node] = EdgeKind.TREE
+        kinds[node, target] = new_kind
+        if kind is EdgeKind.BACK:
+            back_edges = self._back_edges
+            back_edges[back_edges.index(Edge(source, target))] = Edge(node, target)
 
     def edge_statistics(self) -> dict[str, int]:
         """Counts per edge kind plus totals (used by the §6.1 statistics)."""

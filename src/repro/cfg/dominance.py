@@ -124,6 +124,53 @@ class DominatorTree:
             self._depths = depths
         return self._depths[self._num[node]]
 
+    def note_edge_split(self, source: Node, target: Node, node: Node) -> int:
+        """Insert ``node``, just split onto the edge ``source -> target``.
+
+        The graph and the DFS must already be patched
+        (:meth:`DepthFirstSearch.note_edge_split`).  ``node``'s only
+        predecessor is ``source``, so it becomes a child of ``source``,
+        sorted among the other children by reverse postorder as in
+        :meth:`__init__`.  It dominates nothing but itself unless every
+        other predecessor of ``target`` is dominated by ``target``; then it
+        also takes over ``target``'s subtree.  No other immediate dominator
+        changes.  Returns ``node``'s number: every number from it on
+        shifts up by one.
+        """
+        nodes, num = self._preorder_nodes, self._num
+        maxnums, idom_nums = self._maxnums, self._idom_nums
+        dfs = self._dfs
+        owns_target = dfs.parent(target) == node and all(
+            pred == node or self.dominates(target, pred)
+            for pred in self._graph.predecessors(target)
+        )
+        # Children are sorted by RPO, i.e. by decreasing postorder number.
+        post = dfs.postorder_number
+        limit = post(node)
+        parent = num[source]
+        child = parent + 1
+        while child <= maxnums[parent] and post(nodes[child]) > limit:
+            child = maxnums[child] + 1
+        number = child
+        last = maxnums[number] + 1 if owns_target else number
+        maxnums[:] = [m + 1 if m >= number else m for m in maxnums]
+        idom_nums[:] = [i + 1 if i >= number else i for i in idom_nums]
+        # Ancestors whose subtree ended right before the slot grow into it.
+        ancestor = parent
+        while maxnums[ancestor] == number - 1:
+            maxnums[ancestor] = number
+            if not ancestor:
+                break
+            ancestor = idom_nums[ancestor]
+        maxnums.insert(number, last)
+        idom_nums.insert(number, parent)
+        if owns_target:
+            idom_nums[number + 1] = number
+        nodes.insert(number, node)
+        num.update(zip(nodes[number:], range(number, len(nodes))))
+        self._depths = None
+        return number
+
     # ------------------------------------------------------------------
     # Dominance queries
     # ------------------------------------------------------------------

@@ -127,6 +127,29 @@ class ControlFlowGraph:
         except ValueError as exc:
             raise KeyError(f"edge {source!r} -> {target!r} not in graph") from exc
 
+    def split_edge(self, source: Node, target: Node, node: Node) -> None:
+        """Route ``source -> target`` through the new ``node``, in place.
+
+        ``node`` takes ``target``'s slot in ``source``'s successor list —
+        the order an IR edge split produces by retargeting the terminator
+        — and its only successor is ``target``.  Raises if ``node``
+        already exists or the edge is absent.
+        """
+        if node in self._succs:
+            raise ValueError(f"node {node!r} already in graph")
+        self._require(target)
+        succs = self._succs.get(source, [])
+        try:
+            slot = succs.index(target)
+        except ValueError as exc:
+            raise KeyError(f"edge {source!r} -> {target!r} not in graph") from exc
+        succs[slot] = node
+        self._succs[node] = [target]
+        self._preds[node] = [source]
+        preds = self._preds[target]
+        preds.remove(source)
+        preds.append(node)
+
     def has_edge(self, source: Node, target: Node) -> bool:
         """True iff the edge ``source -> target`` exists."""
         return source in self._succs and target in self._succs[source]

@@ -8,9 +8,10 @@ thousand-block function, which is exactly the hot path of a JIT-style
 invalidation workload.  This module narrows that cost: a
 :class:`CfgDelta` describes the edit, and :func:`apply_cfg_delta` patches
 only the rows the edit can actually change, falling back to a full
-rebuild whenever the delta invalidates the dominance-preorder numbering.
+rebuild whenever the delta invalidates the dominance-preorder numbering
+in a way no closed form covers.
 
-The patch path rests on three observations:
+The edge patch path rests on three observations:
 
 1. **DFS preservation.**  The traversal visits successors in insertion
    order and new edges are appended *after* a node's existing successors
@@ -58,11 +59,16 @@ Every result is provably bit-identical to a from-scratch rebuild of the
 edited graph; ``tests/core/test_incremental.py`` checks exactly that on
 randomized edit sequences with the dataflow engine as a second oracle.
 
-Block-level edits always fall back: adding or removing a node changes
-the bitset universe itself, and re-deriving every mask dominates any
-savings.  The fallback is *honest*: :func:`apply_cfg_delta` reports why,
-and the service layer counts applied-vs-fallback so the benchmark's
-speedup claim carries its real hit rate.
+Of the block-level edits, only the edge split ``s → t ⇒ s → n → t``
+(:meth:`CfgDelta.edge_split`, the CFG edit SSA destruction and JIT passes
+make most) is patched, in place and in closed form: the DFS and the
+dominator tree keep everything but gain ``n``, so every ``R``/``T`` row
+gets one bit inserted at ``n``'s number (see :func:`_apply_split`).  The
+numbering moves, which the result reports as ``renumbered`` so callers
+drop their query plans.  Any other node-set change falls back.  The
+fallback is *honest*: :func:`apply_cfg_delta` reports why, and the
+service layer counts applied-vs-fallback so the benchmark's speedup claim
+carries its real hit rate.
 """
 
 from __future__ import annotations
@@ -125,6 +131,15 @@ class CfgDelta:
         return cls(removed_edges=((source, target),))
 
     @classmethod
+    def edge_split(cls, source: Node, target: Node, block: Node) -> "CfgDelta":
+        """The delta of routing ``source -> target`` through a new ``block``."""
+        return cls(
+            added_blocks=(block,),
+            added_edges=((source, block), (block, target)),
+            removed_edges=((source, target),),
+        )
+
+    @classmethod
     def block_added(cls, block: Node, edges: Iterable = ()) -> "CfgDelta":
         """The delta of inserting ``block`` (plus any rewired edges)."""
         return cls(added_blocks=(block,), added_edges=_edge_tuples(edges))
@@ -139,7 +154,11 @@ class CfgDelta:
     # ------------------------------------------------------------------
     @property
     def edits_blocks(self) -> bool:
-        """True when the delta changes the node set (always a fallback)."""
+        """True when the delta changes the node set.
+
+        Only an edge split (:meth:`edge_split`) is patched in place; any
+        other node-set change falls back to a rebuild.
+        """
         return bool(self.added_blocks or self.removed_blocks)
 
     def __bool__(self) -> bool:
@@ -188,13 +207,19 @@ class UpdateResult:
     #: ``"edge-into-entry"``, ``"dfs-change"``, ``"tree-edge-removed"``,
     #: ``"dominators-changed"``.
     reason: str
-    #: ``R`` rows whose value actually changed.
+    #: ``R`` rows whose value actually changed (after an edge split: the
+    #: rows that gained the new block, its own row included).
     r_rows_changed: int = 0
-    #: ``T`` rows whose value actually changed.
+    #: ``T`` rows whose value actually changed (after an edge split: the
+    #: new block's row alone).
     t_rows_changed: int = 0
     #: True when the CHK fixpoint had to rerun to verify dominators
     #: (false when the O(1) ``t dom s`` test settled every edit).
     dominators_recomputed: bool = False
+    #: True when the patch moved dominance-preorder numbers (an edge
+    #: split inserts a block), so per-variable plans and batch masks
+    #: expressed in the old numbering must go.
+    renumbered: bool = False
 
 
 @dataclass
@@ -207,15 +232,38 @@ class _EdgeEdit:
     removed: bool = field(default=False)
 
 
+def _split_of(
+    graph: ControlFlowGraph, delta: CfgDelta
+) -> tuple[Node, Node, Node] | None:
+    """``(s, t, n)`` when ``delta`` splits the edge ``s → t`` of ``graph``."""
+    if len(delta.added_blocks) != 1 or delta.removed_blocks:
+        return None
+    if len(delta.removed_edges) != 1 or len(delta.added_edges) != 2:
+        return None
+    (node,), ((source, target),) = delta.added_blocks, delta.removed_edges
+    if set(delta.added_edges) != {(source, node), (node, target)}:
+        return None
+    if node in graph or not graph.has_edge(source, target):
+        return None
+    return source, target, node
+
+
 def _mutate_graph(graph: ControlFlowGraph, delta: CfgDelta) -> None:
     """Best-effort application of ``delta`` to the graph alone.
 
     Used on the fallback path so the caller can rebuild from the edited
-    graph.  Idempotent where possible: present edges/blocks are not
-    re-added, absent ones not re-removed.  Removing the entry block (or
-    a block that still has edges the delta did not name) raises, exactly
-    as a direct :meth:`ControlFlowGraph.remove_node` would.
+    graph.  An edge split goes through
+    :meth:`ControlFlowGraph.split_edge`, so the new block keeps the old
+    target's slot exactly as in the edited IR.  Otherwise idempotent
+    where possible: present edges/blocks are not re-added, absent ones
+    not re-removed.  Removing the entry block (or a block that still has
+    edges the delta did not name) raises, exactly as a direct
+    :meth:`ControlFlowGraph.remove_node` would.
     """
+    split = _split_of(graph, delta)
+    if split is not None:
+        graph.split_edge(*split)
+        return
     for block in delta.added_blocks:
         graph.add_node(block)
     for source, target in delta.removed_edges:
@@ -228,15 +276,73 @@ def _mutate_graph(graph: ControlFlowGraph, delta: CfgDelta) -> None:
         graph.add_edge(source, target)
 
 
+def _apply_split(
+    pre: "LivenessPrecomputation", source: Node, target: Node, node: Node
+) -> UpdateResult:
+    """Patch ``pre`` in place for the edge split ``source → node → target``.
+
+    The DFS and the dominator tree gain ``node`` and keep everything else
+    (see their ``note_edge_split``), so each ``R``/``T`` row only gains
+    one bit at ``node``'s number ``p``, where every later number moves
+    up by one:
+
+    * ``R'_v = R_v`` plus ``node`` iff ``source ∈ R_v``: in the reduced
+      graph ``node`` is reached exactly through ``source``;
+    * ``R'_node = {node}``, plus ``R_target`` unless the split edge was a
+      back edge (then ``node → target`` is the back edge instead);
+    * ``T'_v = T_v``: a back edge ``node → target`` starts in ``R'_v``
+      iff ``source → target`` started in ``R_v``, and ``node`` is never
+      a back-edge target, so no ``T↑_v`` changes;
+    * ``T'_node = {node} ∪ T_target`` after a back edge, else
+      ``({node} ∪ T_target) − {target}`` (``T↑_node = T↑_target``, and by
+      Theorem 3 ``target`` is in no ``T_w`` with ``w ∈ T↑_target``).
+
+    Back-edge targets and reducibility do not change (``target``
+    dominates ``node`` iff it dominates ``source``).
+    """
+    dfs, domtree, num = pre.dfs, pre.domtree, pre.numbering
+    s_bit = 1 << num[source]
+    t_num = num[target]
+    back = dfs.edge_kind(source, target) is EdgeKind.BACK
+    pre.graph.split_edge(source, target, node)
+    dfs.note_edge_split(source, target, node)
+    p = domtree.note_edge_split(source, target, node)
+    pre.maxnums[:] = domtree.maxnums()
+    # m + (m & high) inserts a zero bit at p: the bits from p up move
+    # up by one.
+    bit, high = 1 << p, -1 << p
+    r_masks, t_masks = pre.r_masks, pre.t_masks
+    r_t, t_t = r_masks[t_num], t_masks[t_num]
+    r_masks[:] = [
+        m + (m & high) | bit if m & s_bit else m + (m & high) for m in r_masks
+    ]
+    t_masks[:] = [m + (m & high) for m in t_masks]
+    r_row = bit if back else bit | r_t + (r_t & high)
+    t_row = bit | t_t + (t_t & high)
+    if not back:
+        t_row &= ~(1 << num[target])
+    r_masks.insert(p, r_row)
+    t_masks.insert(p, t_row)
+    pre.is_back_target.insert(p, False)
+    return UpdateResult(
+        True,
+        APPLIED,
+        r_rows_changed=len(r_masks) - [m & bit for m in r_masks].count(0),
+        t_rows_changed=1,
+        renumbered=True,
+    )
+
+
 def apply_cfg_delta(pre: "LivenessPrecomputation", delta: CfgDelta) -> UpdateResult:
     """Patch ``pre`` in place for a CFG edit described by ``delta``.
 
     ``pre.graph`` must be the graph *before* the edit; this function
     applies the delta to it and then either patches every derived
     structure (``applied=True`` — the arrays are bit-identical to a
-    rebuild of the edited graph) or leaves them stale
-    (``applied=False`` — the caller must discard ``pre`` and rebuild;
-    the mutated ``pre.graph`` is a valid input for that rebuild).
+    rebuild of the edited graph; ``renumbered`` after an edge split) or
+    leaves them stale (``applied=False`` — the caller must discard
+    ``pre`` and rebuild; the mutated ``pre.graph`` is a valid input for
+    that rebuild).
     """
     if getattr(pre, "restored", False):
         # A snapshot-restored shim has no graph or DFS to patch.
@@ -245,9 +351,10 @@ def apply_cfg_delta(pre: "LivenessPrecomputation", delta: CfgDelta) -> UpdateRes
         # Nothing changed, nothing to do: trivially identical to a rebuild.
         return UpdateResult(True, "no-op")
     graph = pre.graph
-    if delta.edits_blocks:
-        # The node set — and with it the bitset universe and the whole
-        # numbering — changes; re-deriving every mask is a rebuild.
+    split = _split_of(graph, delta)
+    if delta.edits_blocks and split is None:
+        # Any node-set change but an edge split moves the numbering in
+        # ways no closed form covers; re-deriving every mask is a rebuild.
         _mutate_graph(graph, delta)
         return UpdateResult(False, "block-edit")
     if pre.targets.strategy != "exact":
@@ -255,6 +362,8 @@ def apply_cfg_delta(pre: "LivenessPrecomputation", delta: CfgDelta) -> UpdateRes
         # "propagate" precomputation would silently tighten its sets.
         _mutate_graph(graph, delta)
         return UpdateResult(False, "strategy")
+    if split is not None:
+        return _apply_split(pre, *split)
 
     dfs = pre.dfs
     domtree = pre.domtree

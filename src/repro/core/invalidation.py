@@ -13,7 +13,10 @@ bookkeeping on each side:
 * instruction/variable edits → update def–use chains incrementally, leave
   the checker's precomputation untouched, but force the data-flow engine to
   recompute its sets;
-* CFG edits → invalidate both.
+* CFG edits → invalidate the data-flow sets, and hand the checker a
+  :class:`~repro.core.incremental.CfgDelta`: edge splits and the branch
+  edits below are patched into its precomputation in place (anything the
+  patcher refuses still costs a rebuild).
 
 The invalidation ablation benchmark and the ``jit_invalidation`` example
 replay realistic edit/query mixes through a session and count how many
@@ -145,7 +148,7 @@ class TransformationSession:
         self._dataflow_valid = False
 
     # ------------------------------------------------------------------
-    # CFG-level edits (precomputation must be redone)
+    # CFG-level edits (described to the checker as a CfgDelta)
     # ------------------------------------------------------------------
     def split_edge(self, source: str, target: str) -> str:
         """Split the CFG edge ``source -> target`` with a forwarding block."""
@@ -171,14 +174,9 @@ class TransformationSession:
                     self.defuse.add_use(incoming_value, new_name)
         self._note_cfg_edit(
             f"split_edge {source} -> {target}",
-            # Honest delta: a block-level edit, which the incremental
-            # patcher deliberately refuses (the bitset universe changes) —
-            # the session still records *what* happened on the wire shape.
-            CfgDelta(
-                added_blocks=(new_name,),
-                added_edges=((source, new_name), (new_name, target)),
-                removed_edges=((source, target),),
-            ),
+            # The new block took the target's slot in the terminator, which
+            # is the order the incremental patcher's in-place split assumes.
+            CfgDelta.edge_split(source, target, new_name),
         )
         return new_name
 

@@ -153,14 +153,16 @@ class FastLivenessChecker(LivenessOracle):
 
         When the caller can describe the edit as a :class:`CfgDelta` and a
         precomputation is resident, :func:`apply_cfg_delta` patches it in
-        place instead of discarding it; the dominance numbering is then
-        provably unchanged, so the per-variable query plans survive too and
-        only the batch engine's hot masks (which fold in ``R`` rows) and
-        the bitset front-ends (whose fast-path flag may flip with
-        reducibility) are refreshed.  Any delta the patcher cannot absorb
-        degrades to the historical full invalidation — callers never need
-        to distinguish the cases, but the returned :class:`UpdateResult`
-        says which one happened.
+        place instead of discarding it.  After an edge edit the dominance
+        numbering is provably unchanged, so the per-variable query plans
+        survive too and only the batch engine's hot masks (which fold in
+        ``R`` rows) and the bitset front-ends (whose fast-path flag may
+        flip with reducibility) are refreshed.  An edge split inserts a
+        block and moves the numbering (``result.renumbered``), so the
+        plans and the batch engine go as well, exactly as after a rebuild.
+        Any delta the patcher cannot absorb degrades to the historical
+        full invalidation — callers never need to distinguish the cases,
+        but the returned :class:`UpdateResult` says which one happened.
         """
         if delta is not None and self._pre is not None:
             result = apply_cfg_delta(self._pre, delta)
@@ -169,7 +171,10 @@ class FastLivenessChecker(LivenessOracle):
                     self._pre, reducible_fast_path=self._reducible_fast_path
                 )
                 self._set_checker = SetBasedChecker(self._pre)
-                if self._batch is not None:
+                if result.renumbered:
+                    self._batch = None
+                    self._plans = None
+                elif self._batch is not None:
                     self._batch.invalidate()
                 return result
         elif delta is not None:

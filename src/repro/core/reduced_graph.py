@@ -56,7 +56,6 @@ class ReducedReachability:
         domtree: DominatorTree,
     ) -> None:
         self._domtree = domtree
-        self._universe = len(domtree)
         #: ``masks[n]`` = bit mask of ``R_v`` for the node numbered ``n``.
         self.masks: list[int] = reduced_sweep(
             graph, dfs, domtree.numbering, [1 << n for n in range(len(domtree))]
@@ -68,11 +67,11 @@ class ReducedReachability:
     @property
     def universe(self) -> int:
         """Size of the bitset universe (number of blocks)."""
-        return self._universe
+        return len(self.masks)
 
     def bitset(self, node: Node) -> BitSet:
         """``R_node`` over dominance-preorder indices (a fresh copy)."""
-        return BitSet.from_mask(self._universe, self.masks[self._domtree.num(node)])
+        return BitSet.from_mask(self.universe, self.masks[self._domtree.num(node)])
 
     def reachable_nodes(self, node: Node) -> list[Node]:
         """``R_node`` as a list of nodes (dominance-preorder order)."""
@@ -85,7 +84,7 @@ class ReducedReachability:
 
     def storage_bits(self) -> int:
         """Payload bits of all ``R_v`` rows, each rounded up to 64-bit words."""
-        return len(self.masks) * ((self._universe + 63) // 64) * 64
+        return len(self.masks) * ((self.universe + 63) // 64) * 64
 
     def __len__(self) -> int:
         return len(self.masks)

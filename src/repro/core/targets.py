@@ -82,7 +82,6 @@ class TargetSets:
         self._dfs = dfs
         self._domtree = domtree
         self._reach = reach
-        self._universe = len(domtree)
         self._strategy = strategy
         num = domtree.numbering
         groups = back_edge_groups(dfs, num.__getitem__)
@@ -97,7 +96,7 @@ class TargetSets:
     # ------------------------------------------------------------------
     def _exact(self, dfs, num, groups) -> list[int]:
         r_masks = self._reach.masks
-        masks = [0] * self._universe
+        masks = [0] * len(self._domtree)
         for node in dfs.preorder():
             number = num[node]
             masks[number] = equation1_row(number, r_masks[number], groups, masks)
@@ -109,12 +108,12 @@ class TargetSets:
     def _propagate(self, graph, dfs, num, groups) -> list[int]:
         r_masks = self._reach.masks
         # Pass 1: exact T for back-edge targets, in increasing DFS preorder.
-        partial = [0] * self._universe
+        partial = [0] * len(self._domtree)
         for target in sorted({t for _, t in dfs.back_edges()}, key=dfs.preorder_number):
             t = num[target]
             partial[t] = equation1_row(t, r_masks[t], groups, partial)
         # Pass 2: seed back-edge sources with their targets' sets.
-        seeds = [0] * self._universe
+        seeds = [0] * len(self._domtree)
         for source, target in dfs.back_edges():
             seeds[num[source]] |= partial[num[target]]
         # Pass 3: propagate through the reduced graph, then add the node
@@ -148,11 +147,11 @@ class TargetSets:
     @property
     def universe(self) -> int:
         """Size of the bitset universe (number of blocks)."""
-        return self._universe
+        return len(self.masks)
 
     def bitset(self, node: Node) -> BitSet:
         """``T_node`` over dominance-preorder indices (a fresh copy)."""
-        return BitSet.from_mask(self._universe, self.masks[self._domtree.num(node)])
+        return BitSet.from_mask(self.universe, self.masks[self._domtree.num(node)])
 
     def target_nodes(self, node: Node) -> list[Node]:
         """``T_node`` as nodes, ordered by dominance-preorder index."""
@@ -174,7 +173,7 @@ class TargetSets:
 
     def storage_bits(self) -> int:
         """Payload bits of all ``T_v`` rows, each rounded up to 64-bit words."""
-        return len(self.masks) * ((self._universe + 63) // 64) * 64
+        return len(self.masks) * ((self.universe + 63) // 64) * 64
 
     def __len__(self) -> int:
         return len(self.masks)

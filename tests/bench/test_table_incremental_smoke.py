@@ -31,8 +31,12 @@ def test_compute_and_format_tiny_profile():
     assert row.applied == row.edits
     assert row.incremental_ms > 0 and row.rebuild_ms > 0
     assert 0.0 <= row.fallback_rate <= 1.0
+    # Every chained edge split applies too (compared with the timed rebuild).
+    assert row.splits > 0 and row.splits_applied == row.splits
+    assert row.split_ms > 0 and row.split_rebuild_ms > 0
     text = format_table_incremental(rows)
     assert "tiny" in text and "patch ms" in text and "rebuild/patch" in text
+    assert "split ms" in text and "rebuild/split" in text
 
 
 def test_fallback_probe_is_exercised():
@@ -69,6 +73,9 @@ def test_json_report_schema(tmp_path):
     (row,) = payload["rows"]
     assert row["profile"] == "tiny"
     assert row["speedup_vs_rebuild"] > 0
+    split = row["split"]
+    assert split["edits"] > 0 and split["applied"] == split["edits"]
+    assert split["speedup_vs_rebuild"] > 0
     probe = row["fallback_probe"]
     assert probe["trials"] == probe["applied"] + probe["fallbacks"]
     assert 0.0 <= probe["fallback_rate"] <= 1.0

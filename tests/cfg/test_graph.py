@@ -76,6 +76,26 @@ class TestNodesAndEdges:
         assert "c" not in graph
         assert graph.successors("a") == ["b"]
 
+    def test_split_edge_keeps_the_successor_slot(self):
+        graph = diamond()
+        graph.split_edge("a", "b", "n")
+        assert graph.successors("a") == ["n", "c"]
+        assert graph.successors("n") == ["b"]
+        assert graph.predecessors("n") == ["a"]
+        assert graph.predecessors("b") == ["n"]
+        assert graph.nodes()[-1] == "n"
+        with pytest.raises(KeyError):
+            graph.split_edge("a", "d", "m")  # no such edge
+        with pytest.raises(ValueError):
+            graph.split_edge("a", "c", "b")  # the block already exists
+        assert graph.successors("a") == ["n", "c"]
+
+    def test_split_self_loop(self):
+        graph = ControlFlowGraph.from_edges([("a", "b"), ("b", "b")], entry="a")
+        graph.split_edge("b", "b", "n")
+        assert graph.successors("b") == ["n"]
+        assert graph.predecessors("b") == ["a", "n"]
+
     def test_cannot_remove_entry(self):
         graph = diamond()
         with pytest.raises(ValueError):

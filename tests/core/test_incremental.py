@@ -33,11 +33,13 @@ from repro.core.incremental import (
 from repro.core.live_checker import FastLivenessChecker
 from repro.core.invalidation import TransformationSession
 from repro.core.precompute import LivenessPrecomputation
-from repro.ir.instruction import Opcode
+from repro.ir.instruction import Instruction, Opcode
+from repro.ir.value import Constant
 from repro.ir.verify import IRVerificationError, verify_ssa
 from repro.liveness.dataflow import DataflowLiveness
 from repro.synth import random_irreducible_cfg, random_reducible_cfg
 from tests.support.genfn import fuzz_function, structured_function
+from tests.support.precomp_views import assert_matches_rebuild
 
 
 # ----------------------------------------------------------------------
@@ -46,15 +48,9 @@ from tests.support.genfn import fuzz_function, structured_function
 def assert_identical(pre: LivenessPrecomputation, context: str) -> None:
     """The patched ``pre`` must equal a from-scratch rebuild of its graph."""
     fresh = LivenessPrecomputation(pre.graph.copy())
-    assert pre.r_masks == fresh.r_masks, f"R diverged after {context}"
-    assert pre.t_masks == fresh.t_masks, f"T diverged after {context}"
-    assert pre.maxnums == fresh.maxnums, f"maxnums diverged after {context}"
-    assert pre.is_back_target == fresh.is_back_target, (
-        f"back-target flags diverged after {context}"
-    )
-    assert pre.reducible == fresh.reducible, f"reducibility diverged after {context}"
+    # Masks, numbering, flags, the graph, DFS and dominator-tree views.
+    assert_matches_rebuild(pre, fresh, context)
     for node in pre.graph.nodes():
-        assert pre.num(node) == fresh.num(node), f"numbering diverged after {context}"
         # The object-level views (introspection, the loop-forest
         # fallback) must read the patched rows too.
         assert pre.reach.bitset(node).mask == fresh.reach.bitset(node).mask, (
@@ -63,7 +59,6 @@ def assert_identical(pre: LivenessPrecomputation, context: str) -> None:
         assert pre.targets.bitset(node).mask == fresh.targets.bitset(node).mask, (
             f"target row diverged after {context}"
         )
-        assert pre.is_back_edge_target(node) == fresh.is_back_edge_target(node)
 
 
 def random_delta(rng: random.Random, graph: ControlFlowGraph) -> CfgDelta | None:
@@ -395,6 +390,131 @@ class TestUpdatePrecomputation:
 
 
 # ----------------------------------------------------------------------
+# Edge splits: one inserted block, patched in place
+# ----------------------------------------------------------------------
+def split_delta(graph: ControlFlowGraph, source, target) -> CfgDelta:
+    """The delta of splitting ``source -> target`` with a fresh node."""
+    return CfgDelta.edge_split(source, target, ("split", len(graph)))
+
+
+def apply_split(pre: LivenessPrecomputation, source, target, context: str):
+    """Split ``source -> target`` in place and compare with a rebuild."""
+    result = apply_cfg_delta(pre, split_delta(pre.graph, source, target))
+    assert result.applied and result.reason == APPLIED, result
+    assert result.renumbered and result.t_rows_changed == 1
+    assert_identical(pre, context)
+    return result
+
+
+class TestEdgeSplit:
+    @pytest.mark.parametrize("irreducible", [False, True])
+    def test_chained_splits_interleaved_with_edge_edits(self, irreducible):
+        # The acceptance bar: ≥ 1,000 chained splits over both families,
+        # each compared view by view with a rebuild, with edge edits
+        # (patched or not) between them.
+        rng = random.Random(0x5E17 + irreducible)
+        splits = 0
+        for _ in range(90):
+            graph = (
+                random_irreducible_cfg(rng, rng.randrange(4, 30))
+                if irreducible
+                else random_reducible_cfg(rng, rng.randrange(2, 30))
+            )
+            pre = LivenessPrecomputation(graph)
+            for step in range(8):
+                if rng.random() < 0.3:
+                    delta = random_delta(rng, pre.graph)
+                    if delta is not None:
+                        pre, result = update_precomputation(pre, delta)
+                        if result.applied:
+                            assert_identical(pre, f"step {step}: {delta}")
+                source, target = rng.choice(pre.graph.edges())
+                apply_split(pre, source, target, f"step {step}: split {source}->{target}")
+                splits += 1
+        assert splits >= 700
+
+    def test_every_edge_kind(self):
+        # Tree edges (the new block dominating the target or a leaf),
+        # back, forward and cross edges, all in one small graph.
+        edges = [(0, 1), (1, 2), (2, 3), (3, 1), (1, 3), (0, 4), (4, 3), (2, 2)]
+        graph = ControlFlowGraph.from_edges(edges, entry=0)
+        kinds = LivenessPrecomputation(graph).dfs.edge_kinds()
+        assert {kind.value for kind in kinds.values()} == {
+            "tree", "back", "forward", "cross",
+        }
+        for source, target in edges:
+            pre = LivenessPrecomputation(graph.copy())
+            apply_split(pre, source, target, f"split {source}->{target}")
+
+    def test_self_loop(self):
+        graph = ControlFlowGraph.from_edges([(0, 1), (1, 1), (1, 2)], entry=0)
+        pre = LivenessPrecomputation(graph)
+        apply_split(pre, 1, 1, "self-loop split")
+        node = ("split", 3)
+        assert pre.graph.successors(1) == [node, 2]
+        assert pre.dfs.back_edges() == [(node, 1)]
+        assert pre.domtree.immediate_dominator(node) == 1
+
+    def test_split_out_of_a_split_block(self):
+        graph = ControlFlowGraph.from_edges(
+            [(0, 1), (1, 2), (2, 1), (1, 3)], entry=0
+        )
+        pre = LivenessPrecomputation(graph)
+        apply_split(pre, 2, 1, "back edge split")
+        first = ("split", 4)
+        apply_split(pre, first, 1, "split of the split block's edge")
+        apply_split(pre, 1, 2, "tree edge split")
+        apply_split(pre, ("split", 6), 2, "split below a split")
+
+    def test_new_block_dominating_the_target(self):
+        graph = ControlFlowGraph.from_edges([(0, 1), (1, 2), (2, 3)], entry=0)
+        pre = LivenessPrecomputation(graph)
+        apply_split(pre, 1, 2, "sole entry into the target")
+        node = ("split", 4)
+        assert pre.domtree.immediate_dominator(2) == node
+        assert pre.domtree.dominated(node) == [node, 2, 3]
+
+    def test_irreducible_graph(self):
+        # Two entries into the 1 <-> 2 cycle.
+        graph = ControlFlowGraph.from_edges(
+            [(0, 1), (0, 2), (1, 2), (2, 1), (2, 3)], entry=0
+        )
+        pre = LivenessPrecomputation(graph)
+        assert not pre.reducible
+        for source, target in [(2, 1), (0, 2), (1, 2)]:
+            apply_split(pre, source, target, f"irreducible split {source}->{target}")
+        assert not pre.reducible
+
+    def test_propagate_strategy_falls_back_with_the_slot_kept(self):
+        graph = ControlFlowGraph.from_edges([(0, 1), (0, 2), (1, 2)], entry=0)
+        pre = LivenessPrecomputation(graph, strategy="propagate")
+        result = apply_cfg_delta(pre, CfgDelta.edge_split(0, 1, 9))
+        assert not result.applied and result.reason == "strategy"
+        # The fallback edits the graph with the same in-place split.
+        assert pre.graph.successors(0) == [9, 2]
+        LivenessPrecomputation(pre.graph)
+
+    def test_restored_shim_falls_back(self):
+        class Shim:
+            restored = True
+
+        result = apply_cfg_delta(Shim(), CfgDelta.edge_split(0, 1, 9))
+        assert not result.applied and result.reason == "restored"
+
+    def test_non_split_shapes_still_fall_back(self):
+        graph = ControlFlowGraph.from_edges([(0, 1), (1, 2)], entry=0)
+        for delta in (
+            CfgDelta.edge_split(0, 2, 9),  # no such edge
+            CfgDelta.edge_split(0, 1, 2),  # the block already exists
+            CfgDelta(added_blocks=(9,), removed_edges=((0, 1),),
+                     added_edges=((0, 9), (9, 2))),  # not a split
+        ):
+            pre = LivenessPrecomputation(graph.copy())
+            result = apply_cfg_delta(pre, delta)
+            assert not result.applied and result.reason == "block-edit", delta
+
+
+# ----------------------------------------------------------------------
 # Checker-level integration (IR functions, all query kinds)
 # ----------------------------------------------------------------------
 def assert_checker_matches_rebuild(
@@ -424,20 +544,31 @@ def assert_checker_matches_rebuild(
     assert live.live_out == live_rebuilt.live_out, context
 
 
-def session_edit_mix(sess: TransformationSession, rng: random.Random) -> int:
+def assert_session_matches_rebuild(sess: TransformationSession, context: str) -> None:
+    """The session checker's precomputation must equal a rebuild of the IR."""
+    fresh = LivenessPrecomputation(sess.function.build_cfg())
+    assert_matches_rebuild(sess.checker.precomputation, fresh, context)
+
+
+def session_edit_mix(
+    sess: TransformationSession, rng: random.Random, splits: bool = True
+) -> int:
     """Apply a random mix of *strict-SSA-preserving* CFG edits.
 
     A new branch edge can route control around a definition, so after
     each speculative edit the function is re-verified and the edit is
     undone when it broke strictness (the fast checker's precondition;
-    the dataflow oracle would legitimately diverge otherwise).  Returns
-    how many edits were kept.
+    the dataflow oracle would legitimately diverge otherwise).  With
+    ``splits``, edge splits (always strictness-preserving) interleave
+    with the branch adds and removes.  After every kept edit the
+    checker's precomputation is compared, view by view, with a rebuild.
+    Returns how many edits were kept.
     """
     function = sess.function
-    blocks = list(function.blocks)
     entry = function.entry.name
     edits = 0
     for _ in range(6):
+        blocks = list(function.blocks)
         choice = rng.random()
         jump_blocks = [
             name
@@ -452,7 +583,16 @@ def session_edit_mix(sess: TransformationSession, rng: random.Random) -> int:
             and t.opcode == Opcode.BRANCH
             and len(set(t.targets)) == 2
         ]
-        if choice < 0.5 and jump_blocks:
+        if splits and choice >= 0.7:
+            source = rng.choice(blocks)
+            targets = function.block(source).successors()
+            if not targets:
+                continue
+            target = rng.choice(targets)
+            sess.split_edge(source, target)
+            edits += 1
+            assert_session_matches_rebuild(sess, f"split {source}->{target}")
+        elif choice < 0.5 and jump_blocks:
             name = rng.choice(jump_blocks)
             current = function.block(name).terminator().targets[0]
             candidates = [
@@ -470,6 +610,7 @@ def session_edit_mix(sess: TransformationSession, rng: random.Random) -> int:
                 sess.remove_branch_target(name, target)
                 continue
             edits += 1
+            assert_session_matches_rebuild(sess, f"branch+ {name}->{target}")
         elif branch_blocks:
             name = rng.choice(branch_blocks)
             targets = function.block(name).terminator().targets
@@ -482,6 +623,7 @@ def session_edit_mix(sess: TransformationSession, rng: random.Random) -> int:
                 continue
             sess.remove_branch_target(name, victim)
             edits += 1
+            assert_session_matches_rebuild(sess, f"branch- {name}->{victim}")
     return edits
 
 
@@ -523,10 +665,94 @@ class TestSessionReplay:
             if done:
                 break
         assert done
-        # A block-level delta: recorded as a rebuild, not an increment.
-        assert sess.stats.checker_incremental_updates == 0
-        assert sess.stats.checker_precomputations == 2
+        # An edge split is patched in place: an increment, not a rebuild.
+        assert sess.stats.checker_incremental_updates == 1
+        assert sess.stats.checker_precomputations == 1
         assert_checker_matches_rebuild(sess.checker, function, "split_edge")
+
+    def test_split_into_a_phi_block(self):
+        function = structured_function(3, target_blocks=12)
+        sess = TransformationSession(function)
+        target = next(block.name for block in function if block.phis())
+        for source in function.predecessors(target):
+            new_block = sess.split_edge(source, target)
+            assert function.block(target).phis()[0].incoming.get(new_block) is not None
+            assert_session_matches_rebuild(sess, f"φ split {source}->{target}")
+        assert sess.stats.checker_precomputations == 1
+        assert_checker_matches_rebuild(sess.checker, function, "φ splits")
+
+    def test_split_of_a_branch_with_both_arms_to_the_target(self):
+        function = structured_function(1, target_blocks=8)
+        source = next(
+            block.name for block in function
+            if (term := block.terminator()) is not None
+            and term.opcode == Opcode.JUMP
+        )
+        block = function.block(source)
+        target = block.terminator().targets[0]
+        block.remove(block.terminator())
+        block.append(
+            Instruction(Opcode.BRANCH, operands=[Constant(1)], targets=[target, target])
+        )
+        sess = TransformationSession(function)  # one CFG edge s -> t
+        new_block = sess.split_edge(source, target)
+        assert function.block(source).terminator().targets == [new_block, new_block]
+        assert sess.stats.checker_incremental_updates == 1
+        assert_session_matches_rebuild(sess, "both-arms split")
+        assert_checker_matches_rebuild(sess.checker, function, "both-arms split")
+
+    def test_split_drops_plans_and_batch_masks(self):
+        function = structured_function(2, target_blocks=10)
+        sess = TransformationSession(function)
+        checker = sess.checker
+        for var in checker.live_variables():
+            checker.live_in_set(var)  # warm plans and batch masks
+        plans_before = checker.plans
+        source = function.entry.name
+        sess.split_edge(source, function.block(source).successors()[0])
+        assert sess.stats.checker_precomputations == 1
+        # The numbering moved: plans are recompiled against it.
+        assert checker.plans is not plans_before
+        assert_checker_matches_rebuild(checker, function, "entry split")
+
+    def test_restored_checker_falls_back_on_a_split(self):
+        from repro.persist.precomp import (
+            RestoredPrecomputation,
+            export_precomputation,
+        )
+
+        function = structured_function(4, target_blocks=8)
+        warm = FastLivenessChecker(function)
+        warm.prepare()
+        state = export_precomputation(function.name, warm.precomputation)
+        checker = FastLivenessChecker.from_precomputation(
+            function, RestoredPrecomputation(state)
+        )
+        sess = TransformationSession(function)
+        source = function.entry.name
+        target = function.block(source).successors()[0]
+        new_block = sess.split_edge(source, target)
+        result = checker.notify_cfg_changed(
+            CfgDelta.edge_split(source, target, new_block)
+        )
+        assert not result.applied and result.reason == "restored"
+        assert not checker.is_restored
+        assert_checker_matches_rebuild(checker, function, "restored split")
+
+    def test_propagate_checker_falls_back_on_a_split(self):
+        function = structured_function(5, target_blocks=8)
+        checker = FastLivenessChecker(function, strategy="propagate")
+        checker.prepare()
+        sess = TransformationSession(function)
+        source = function.entry.name
+        target = function.block(source).successors()[0]
+        new_block = sess.split_edge(source, target)
+        result = checker.notify_cfg_changed(
+            CfgDelta.edge_split(source, target, new_block)
+        )
+        assert not result.applied and result.reason == "strategy"
+        assert checker.precomputation.targets.strategy == "propagate"
+        assert_checker_matches_rebuild(checker, function, "propagate split")
 
     def test_incremental_updates_preserve_cached_plans(self):
         # Seed pair chosen so every edit applies incrementally (no
@@ -537,7 +763,7 @@ class TestSessionReplay:
         for var in checker.live_variables():
             checker.is_live_in(var, function.entry.name)  # warm the plans
         plans_before = checker.plans
-        assert session_edit_mix(sess, random.Random(6)) > 0
+        assert session_edit_mix(sess, random.Random(6), splits=False) > 0
         assert sess.stats.checker_incremental_updates > 0
         assert sess.stats.checker_precomputations == 1
         # Numbering preserved ⟹ the plan cache object was kept.

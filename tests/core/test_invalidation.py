@@ -120,7 +120,9 @@ class TestCfgEdits:
         new_block = session.split_edge(pred, header)
         assert new_block in function.blocks
         assert session.stats.cfg_edits == 1
-        assert session.stats.checker_precomputations == before + 1
+        # The split is patched in place: no rebuild, one incremental update.
+        assert session.stats.checker_precomputations == before
+        assert session.stats.checker_incremental_updates == 1
 
     def test_split_edge_keeps_answers_correct(self, session):
         function = session.function

@@ -11,9 +11,10 @@ after *every* edit the fast checker is cross-checked against a fresh
   the cached plan must not have gone stale under the edit).
 
 This is the executable form of the invalidation contract: instruction
-edits discard only the affected per-variable plans, CFG edits discard the
-precomputation, and in neither case may any path drift from the
-conventional engine.
+edits discard only the affected per-variable plans, CFG edits (edge
+splits interleaved with branch adds and removes) patch the precomputation
+in place — every view of it must then equal a rebuild — and in neither
+case may any path drift from the conventional engine.
 """
 
 from __future__ import annotations
@@ -23,15 +24,49 @@ import random
 import pytest
 
 from repro.core import TransformationSession
+from repro.core.precompute import LivenessPrecomputation
+from repro.ir.instruction import Opcode
 from repro.liveness import DataflowLiveness
 from tests.support.genfn import GenSpec, generate_function
+from tests.support.precomp_views import assert_matches_rebuild
 
 NUM_FUNCTIONS = 50
 EDITS_PER_FUNCTION = 6
 QUERIES_PER_EDIT = 12
 
 
-def _random_edit(session: TransformationSession, rng: random.Random, removable: list):
+def _add_branch(session: TransformationSession, rng: random.Random, added: list):
+    """Turn a jump into a branch whose new arm goes to a dominator.
+
+    An edge into a dominator keeps the dominator tree, so the program
+    stays strict SSA.  Returns the description, or None when no block
+    offers such an edge.
+    """
+    function = session.function
+    domtree = session.checker.precomputation.domtree
+    blocks = [block.name for block in function]
+    rng.shuffle(blocks)
+    for source in blocks:
+        term = function.block(source).terminator()
+        if term is None or term.opcode != Opcode.JUMP:
+            continue
+        targets = [
+            t for t in domtree.dominators_of(source)
+            if t != source and t != function.entry.name
+            and not function.block(t).phis()
+            and t not in function.block(source).successors()
+        ]
+        if targets:
+            target = rng.choice(targets)
+            session.add_branch_target(source, target)
+            added.append((source, target))
+            return f"add_branch_target {source}->{target}"
+    return None
+
+
+def _random_edit(
+    session: TransformationSession, rng: random.Random, removable: list, added: list
+):
     """Apply one random liveness-relevant edit; returns its description."""
     function = session.function
     variables = session.checker.live_variables()
@@ -41,8 +76,19 @@ def _random_edit(session: TransformationSession, rng: random.Random, removable: 
         choices.append("remove_instruction")
     # CFG edits are rarer, mirroring real transformation mixes.
     if rng.random() < 0.25:
-        choices.append("split_edge")
+        choices.extend(("split_edge", "add_branch"))
+        if added:
+            choices.append("remove_branch")
     kind = rng.choice(choices)
+    if kind == "add_branch":
+        description = _add_branch(session, rng, added)
+        if description is not None:
+            return description
+        kind = "split_edge"
+    if kind == "remove_branch":
+        source, target = added.pop(rng.randrange(len(added)))
+        session.remove_branch_target(source, target)
+        return f"remove_branch_target {source}->{target}"
     if kind == "insert_copy":
         source = rng.choice(variables)
         block = rng.choice(blocks)
@@ -72,7 +118,7 @@ def _random_edit(session: TransformationSession, rng: random.Random, removable: 
                 victim = candidate
                 break
         if victim is None:
-            return _random_edit(session, rng, removable)
+            return _random_edit(session, rng, removable, added)
         removable.remove(victim)
         session.remove_instruction(victim.definition)
         return f"remove_instruction {victim.name}"
@@ -83,7 +129,7 @@ def _random_edit(session: TransformationSession, rng: random.Random, removable: 
         for succ in block.successors()
     ]
     if not edges:
-        return _random_edit(session, rng, removable)
+        return _random_edit(session, rng, removable, added)
     source, target = rng.choice(edges)
     session.split_edge(source, target)
     return f"split_edge {source}->{target}"
@@ -138,10 +184,18 @@ def test_random_edit_query_replay_matches_dataflow(seed):
     # the explicit three-path comparison below.
     session = TransformationSession(function, track_dataflow=True)
     removable: list = []
+    added: list = []
     _cross_check(session, rng, "initial")
     for step in range(EDITS_PER_FUNCTION):
-        description = _random_edit(session, rng, removable)
+        description = _random_edit(session, rng, removable, added)
+        assert_matches_rebuild(
+            session.checker.precomputation,
+            LivenessPrecomputation(function.build_cfg()),
+            f"step {step}: {description}",
+        )
         _cross_check(session, rng, f"step {step}: {description}")
+    # Every CFG edit of the mix is patched in place: no rebuild.
+    assert session.stats.checker_precomputations == 1
     # The session's internal cross-check ran on every query it answered.
     assert session.stats.queries == 0 or True
     assert session.stats.instruction_edits + session.stats.cfg_edits == EDITS_PER_FUNCTION

@@ -11,7 +11,8 @@ straightforward versions they must agree with:
   ``add_edge`` per :meth:`BasicBlock.successors` entry;
 * :class:`ReferenceDFS` — an explicit stack of successor-list iterators
   over copied successor lists, one :class:`Edge` built and classified per
-  traversed edge, and the same incremental hooks.
+  traversed edge, and the same incremental hooks (an added back edge
+  takes the place a fresh traversal of the edited graph records it in).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ class ReferenceDFS:
     """Preorder/postorder numbering, parents and edge kinds, edge by edge."""
 
     def __init__(self, graph: ControlFlowGraph) -> None:
+        self._graph = graph
         self._preorder: dict[Node, int] = {}
         self._postorder: dict[Node, int] = {}
         self._parent: dict[Node, Node | None] = {}
@@ -115,7 +117,9 @@ class ReferenceDFS:
         edge = Edge(source, target)
         self._edge_kinds[edge] = kind
         if kind is EdgeKind.BACK:
-            self._back_edges.append(edge)
+            # The traversal is preserved, so a fresh one over the edited
+            # graph records the back edges in the order to keep.
+            self._back_edges = ReferenceDFS(self._graph).back_edges()
 
     def note_edge_removed(self, source: Node, target: Node) -> None:
         edge = Edge(source, target)
