@@ -13,6 +13,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.api.codec import (
+    encode_request_bin2,
+    encode_request_json,
+    encode_response_bin2,
+    encode_response_json,
+)
 from repro.bench.table_codec import (
     SAMPLE_MESSAGES,
     compute_table_codec,
@@ -89,12 +95,24 @@ def test_committed_bench_codec_json_schema():
     assert {row["message"] for row in rows} == {
         name for name, _kind, _message in SAMPLE_MESSAGES
     }
+    samples = {name: (kind, message) for name, kind, message in SAMPLE_MESSAGES}
     for row in rows:
         assert set(row) == ROW_KEYS, row["message"]
+        # Message sizes are deterministic: the committed figures must be
+        # exactly what the codecs emit today.
+        kind, message = samples[row["message"]]
+        if kind == "request":
+            sizes = (encode_request_json(message), encode_request_bin2(message))
+        else:
+            sizes = (encode_response_json(message), encode_response_bin2(message))
+        assert (row["json_bytes"], row["bin2_bytes"]) == tuple(map(len, sizes)), (
+            row["message"]
+        )
         assert row["bin2_bytes"] < row["json_bytes"], row["message"]
         assert 0.0 < row["size_ratio"] < 1.0
         assert row["json_encode_us"] > 0
         assert row["bin2_decode_us"] > 0
     interning = document["interning"]
+    assert interning == measure_interning()
     assert interning["steady_state_bytes"] < interning["self_contained_bytes"]
     assert interning["steady_state_bytes"] < interning["json_bytes"]

@@ -45,15 +45,6 @@ class FunctionHandle:
         """Whether this handle pins a specific revision."""
         return self.revision is not None
 
-    def to_json(self) -> dict:
-        """Plain-dict view for the wire format."""
-        return {"name": self.name, "revision": self.revision}
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "FunctionHandle":
-        """Inverse of :meth:`to_json` (lossless)."""
-        return cls(name=payload["name"], revision=payload.get("revision"))
-
     def __str__(self) -> str:
         suffix = "" if self.revision is None else f"@r{self.revision}"
         return f"{self.name}{suffix}"

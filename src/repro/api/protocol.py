@@ -11,7 +11,11 @@ Every request and response encodes to JSON and decodes back **losslessly**
 (``decode(encode(x)) == x``), so a service can be driven over a wire,
 logged, and replayed; the envelope carries :data:`PROTOCOL_VERSION` and
 decoding rejects envelopes from a different major version with an
-``INVALID_REQUEST`` error instead of misinterpreting them.
+``INVALID_REQUEST`` error instead of misinterpreting them.  Each message
+declares the wire kind of its fields once (``@message(...)``, see
+:mod:`repro.api.schema`); its JSON body and its bin2 body are both
+compiled from that table, and JSON bodies are type-checked field by
+field.
 
 Functions are addressed by :class:`~repro.api.handles.FunctionHandle`;
 variables and blocks travel by *name* (strings are what survives a wire,
@@ -28,23 +32,36 @@ from typing import Callable, Union
 from repro.api.errors import ApiError, ErrorCode, ProtocolError
 from repro.api.handles import FunctionHandle
 from repro.api.registry import FAST
+from repro.api.schema import (
+    BITS,
+    BOOL,
+    COMPILED_HANDLE,
+    EDGE,
+    ERROR,
+    HANDLE,
+    HANDLE_REF,
+    INT_MAP,
+    JSON_OBJECT,
+    STR,
+    SVARINT,
+    TRISTATE,
+    dumps_compact,  # re-exported: the wire layer imports it from here
+    enum,
+    message,
+    nullable,
+    opt,
+    record,
+    required,
+    seq,
+)
+from repro.core.incremental import CfgDelta
 
 #: Version stamped on (and required in) every envelope.
 PROTOCOL_VERSION = 1
 
-#: One shared decoder/encoder pair for the whole wire layer.  ``json.loads``
-#: and ``json.dumps`` build a fresh ``JSONDecoder``/``JSONEncoder`` whenever
-#: non-default options are involved; the hot path reuses these instances
-#: instead, and the compact separators drop the cosmetic whitespace from
-#: every wire envelope (the canonical form tests compare is unaffected —
-#: it re-serializes with its own options).
+#: One shared decoder for the whole wire layer (``json.loads`` builds a
+#: fresh ``JSONDecoder`` whenever non-default options are involved).
 _JSON_DECODER = json.JSONDecoder()
-_JSON_ENCODER = json.JSONEncoder(separators=(",", ":"))
-
-
-def dumps_compact(obj) -> str:
-    """Compact (separator-free) JSON text via the shared encoder instance."""
-    return _JSON_ENCODER.encode(obj)
 
 
 @unique
@@ -80,150 +97,6 @@ def _coerce_handle(function: "FunctionHandle | str") -> FunctionHandle:
     return FunctionHandle(name=function)
 
 
-# ----------------------------------------------------------------------
-# Requests
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class LivenessQuery:
-    """One live-in/live-out question about one variable at one block."""
-
-    function: FunctionHandle
-    kind: QueryKind
-    variable: str
-    block: str
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "function", _coerce_handle(self.function))
-        object.__setattr__(self, "kind", QueryKind.coerce(self.kind))
-
-    def to_json(self) -> dict:
-        return {
-            "function": self.function.to_json(),
-            "kind": self.kind.value,
-            "variable": self.variable,
-            "block": self.block,
-        }
-
-    @classmethod
-    def from_json(cls, body: dict) -> "LivenessQuery":
-        return cls(
-            function=FunctionHandle.from_json(body["function"]),
-            kind=QueryKind.coerce(body["kind"]),
-            variable=body["variable"],
-            block=body["block"],
-        )
-
-
-@dataclass(frozen=True)
-class BatchLiveness:
-    """An ordered stream of liveness questions spanning any number of
-    functions, answered in order in one round trip."""
-
-    queries: tuple[LivenessQuery, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "queries", tuple(self.queries))
-
-    def to_json(self) -> dict:
-        return {"queries": [query.to_json() for query in self.queries]}
-
-    @classmethod
-    def from_json(cls, body: dict) -> "BatchLiveness":
-        return cls(
-            queries=tuple(
-                LivenessQuery.from_json(item) for item in body["queries"]
-            )
-        )
-
-
-@dataclass(frozen=True)
-class LiveSetRequest:
-    """The whole live-in (or live-out) set of one block, by variable name."""
-
-    function: FunctionHandle
-    block: str
-    kind: QueryKind = QueryKind.LIVE_IN
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "function", _coerce_handle(self.function))
-        object.__setattr__(self, "kind", QueryKind.coerce(self.kind))
-
-    def to_json(self) -> dict:
-        return {
-            "function": self.function.to_json(),
-            "block": self.block,
-            "kind": self.kind.value,
-        }
-
-    @classmethod
-    def from_json(cls, body: dict) -> "LiveSetRequest":
-        return cls(
-            function=FunctionHandle.from_json(body["function"]),
-            block=body["block"],
-            kind=QueryKind.coerce(body.get("kind", QueryKind.LIVE_IN)),
-        )
-
-
-@dataclass(frozen=True)
-class DestructRequest:
-    """Translate one function out of SSA form, in place, server-side."""
-
-    function: FunctionHandle
-    engine: str = FAST
-    verify: bool = False
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "function", _coerce_handle(self.function))
-
-    def to_json(self) -> dict:
-        return {
-            "function": self.function.to_json(),
-            "engine": self.engine,
-            "verify": self.verify,
-        }
-
-    @classmethod
-    def from_json(cls, body: dict) -> "DestructRequest":
-        # Defaulted fields may be omitted on the wire (hand-written
-        # envelopes); encode() always emits them, so round-trips stay
-        # lossless either way.
-        return cls(
-            function=FunctionHandle.from_json(body["function"]),
-            engine=body.get("engine", FAST),
-            verify=body.get("verify", False),
-        )
-
-
-@dataclass(frozen=True)
-class AllocateRequest:
-    """Run the register-allocation pipeline on one function."""
-
-    function: FunctionHandle
-    num_registers: int | None = None
-    engine: str = FAST
-    destruct: bool = False
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "function", _coerce_handle(self.function))
-
-    def to_json(self) -> dict:
-        return {
-            "function": self.function.to_json(),
-            "num_registers": self.num_registers,
-            "engine": self.engine,
-            "destruct": self.destruct,
-        }
-
-    @classmethod
-    def from_json(cls, body: dict) -> "AllocateRequest":
-        return cls(
-            function=FunctionHandle.from_json(body["function"]),
-            num_registers=body.get("num_registers"),
-            engine=body.get("engine", FAST),
-            destruct=body.get("destruct", False),
-        )
-
-
 @unique
 class NotifyKind(str, Enum):
     """Which invalidation a :class:`NotifyRequest` routes (paper contract:
@@ -246,6 +119,89 @@ class NotifyKind(str, Enum):
             ) from None
 
 
+# ----------------------------------------------------------------------
+# Field kinds of the protocol's own types (see repro.api.schema)
+# ----------------------------------------------------------------------
+QUERY_KIND = enum(QueryKind, "query kind")
+NOTIFY_KIND = enum(NotifyKind, "notify kind")
+#: A CFG edit over named blocks (string nodes: wire-safe).  Block names
+#: are inlined rather than interned: edit deltas name blocks, not
+#: functions, and the same block name rarely repeats across requests.
+CFG_DELTA = record(CfgDelta, seq(EDGE), seq(EDGE), seq(STR), seq(STR))
+
+
+# ----------------------------------------------------------------------
+# Requests
+# ----------------------------------------------------------------------
+@message(HANDLE_REF, QUERY_KIND, STR, STR)
+@dataclass(frozen=True)
+class LivenessQuery:
+    """One live-in/live-out question about one variable at one block."""
+
+    function: FunctionHandle
+    kind: QueryKind
+    variable: str
+    block: str
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "function", _coerce_handle(self.function))
+        object.__setattr__(self, "kind", QueryKind.coerce(self.kind))
+
+
+@message(seq(LivenessQuery.wire))
+@dataclass(frozen=True)
+class BatchLiveness:
+    """An ordered stream of liveness questions spanning any number of
+    functions, answered in order in one round trip."""
+
+    queries: tuple[LivenessQuery, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "queries", tuple(self.queries))
+
+
+@message(HANDLE_REF, STR, QUERY_KIND)
+@dataclass(frozen=True)
+class LiveSetRequest:
+    """The whole live-in (or live-out) set of one block, by variable name."""
+
+    function: FunctionHandle
+    block: str
+    kind: QueryKind = QueryKind.LIVE_IN
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "function", _coerce_handle(self.function))
+        object.__setattr__(self, "kind", QueryKind.coerce(self.kind))
+
+
+@message(HANDLE_REF, STR, BOOL)
+@dataclass(frozen=True)
+class DestructRequest:
+    """Translate one function out of SSA form, in place, server-side."""
+
+    function: FunctionHandle
+    engine: str = FAST
+    verify: bool = False
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "function", _coerce_handle(self.function))
+
+
+@message(HANDLE_REF, opt(SVARINT), STR, BOOL)
+@dataclass(frozen=True)
+class AllocateRequest:
+    """Run the register-allocation pipeline on one function."""
+
+    function: FunctionHandle
+    num_registers: int | None = None
+    engine: str = FAST
+    destruct: bool = False
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "function", _coerce_handle(self.function))
+
+
+@message(HANDLE_REF, NOTIFY_KIND, opt(CFG_DELTA, omit_none=True))
 @dataclass(frozen=True)
 class NotifyRequest:
     """Route one edit notification (the paper's invalidation contract)
@@ -257,35 +213,21 @@ class NotifyRequest:
     the service then tries to patch the resident precomputation instead of
     discarding it.  ``delta`` is ignored for instruction notifications and
     optional everywhere — an absent delta is the historical full
-    invalidation."""
+    invalidation (and is left out of the JSON body).  A delta given as its
+    JSON object is decoded on construction."""
 
     function: FunctionHandle
     kind: NotifyKind = NotifyKind.INSTRUCTIONS
     delta: "CfgDelta | None" = None
 
     def __post_init__(self) -> None:
-        from repro.core.incremental import CfgDelta
-
         object.__setattr__(self, "function", _coerce_handle(self.function))
         object.__setattr__(self, "kind", NotifyKind.coerce(self.kind))
         if self.delta is not None and not isinstance(self.delta, CfgDelta):
-            object.__setattr__(self, "delta", CfgDelta.from_json(self.delta))
-
-    def to_json(self) -> dict:
-        payload = {"function": self.function.to_json(), "kind": self.kind.value}
-        if self.delta is not None:
-            payload["delta"] = self.delta.to_json()
-        return payload
-
-    @classmethod
-    def from_json(cls, body: dict) -> "NotifyRequest":
-        return cls(
-            function=FunctionHandle.from_json(body["function"]),
-            kind=NotifyKind.coerce(body.get("kind", NotifyKind.INSTRUCTIONS)),
-            delta=body.get("delta"),
-        )
+            object.__setattr__(self, "delta", CFG_DELTA.from_json(self.delta))
 
 
+@message(HANDLE_REF)
 @dataclass(frozen=True)
 class EvictRequest:
     """Drop one function's resident checker (cache geometry only).
@@ -300,14 +242,8 @@ class EvictRequest:
     def __post_init__(self) -> None:
         object.__setattr__(self, "function", _coerce_handle(self.function))
 
-    def to_json(self) -> dict:
-        return {"function": self.function.to_json()}
 
-    @classmethod
-    def from_json(cls, body: dict) -> "EvictRequest":
-        return cls(function=FunctionHandle.from_json(body["function"]))
-
-
+@message(STR, STR)
 @dataclass(frozen=True)
 class CompileSourceRequest:
     """Compile mini-language source text and register every function."""
@@ -315,17 +251,8 @@ class CompileSourceRequest:
     source: str
     module_name: str = "module"
 
-    def to_json(self) -> dict:
-        return {"source": self.source, "module_name": self.module_name}
 
-    @classmethod
-    def from_json(cls, body: dict) -> "CompileSourceRequest":
-        return cls(
-            source=body["source"],
-            module_name=body.get("module_name", "module"),
-        )
-
-
+@message(BOOL)
 @dataclass(frozen=True)
 class StatsRequest:
     """Fetch the serving stack's metrics snapshot over the wire.
@@ -340,17 +267,11 @@ class StatsRequest:
 
     reset: bool = False
 
-    def to_json(self) -> dict:
-        return {"reset": self.reset}
-
-    @classmethod
-    def from_json(cls, body: dict) -> "StatsRequest":
-        return cls(reset=bool(body.get("reset", False)))
-
 
 # ----------------------------------------------------------------------
 # Response payload records
 # ----------------------------------------------------------------------
+@message(STR, *[SVARINT] * 11)
 @dataclass(frozen=True)
 class DestructStats:
     """Wire-safe summary of one out-of-SSA translation."""
@@ -386,27 +307,9 @@ class DestructStats:
             phis_removed=report.phis_removed,
         )
 
-    def to_json(self) -> dict:
-        return {
-            "engine": self.engine,
-            "critical_edges_split": self.critical_edges_split,
-            "phis_isolated": self.phis_isolated,
-            "parallel_copies": self.parallel_copies,
-            "pairs_inserted": self.pairs_inserted,
-            "pairs_coalesced": self.pairs_coalesced,
-            "classes_merged": self.classes_merged,
-            "interference_tests": self.interference_tests,
-            "liveness_queries": self.liveness_queries,
-            "copies_emitted": self.copies_emitted,
-            "temps_inserted": self.temps_inserted,
-            "phis_removed": self.phis_removed,
-        }
 
-    @classmethod
-    def from_json(cls, body: dict) -> "DestructStats":
-        return cls(**body)
-
-
+# Every key is required in the JSON body, defaults notwithstanding.
+@message(*map(required, (INT_MAP, INT_MAP, SVARINT, SVARINT, SVARINT, seq(STR), BOOL)))
 @dataclass(frozen=True)
 class AllocationSummary:
     """Wire-safe summary of one register allocation, keyed by name."""
@@ -440,42 +343,11 @@ class AllocationSummary:
             reconstructed_ssa=allocation.reconstructed_ssa,
         )
 
-    def to_json(self) -> dict:
-        return {
-            "registers": dict(self.registers),
-            "spill_slots": dict(self.spill_slots),
-            "registers_used": self.registers_used,
-            "max_live": self.max_live,
-            "max_live_before_spill": self.max_live_before_spill,
-            "spilled": list(self.spilled),
-            "reconstructed_ssa": self.reconstructed_ssa,
-        }
-
-    @classmethod
-    def from_json(cls, body: dict) -> "AllocationSummary":
-        return cls(
-            registers=dict(body["registers"]),
-            spill_slots=dict(body["spill_slots"]),
-            registers_used=body["registers_used"],
-            max_live=body["max_live"],
-            max_live_before_spill=body["max_live_before_spill"],
-            spilled=tuple(body["spilled"]),
-            reconstructed_ssa=body["reconstructed_ssa"],
-        )
-
 
 # ----------------------------------------------------------------------
 # Responses — one per request type; payload XOR error
 # ----------------------------------------------------------------------
-def _error_to_json(error: ApiError | None):
-    return None if error is None else error.to_json()
-
-
-def _error_from_json(body: dict) -> ApiError | None:
-    raw = body.get("error")
-    return None if raw is None else ApiError.from_json(raw)
-
-
+@message(required(TRISTATE), ERROR)
 @dataclass(frozen=True)
 class LivenessResponse:
     """Answer to one :class:`LivenessQuery`."""
@@ -487,14 +359,8 @@ class LivenessResponse:
     def ok(self) -> bool:
         return self.error is None
 
-    def to_json(self) -> dict:
-        return {"value": self.value, "error": _error_to_json(self.error)}
 
-    @classmethod
-    def from_json(cls, body: dict) -> "LivenessResponse":
-        return cls(value=body["value"], error=_error_from_json(body))
-
-
+@message(nullable(BITS), ERROR)
 @dataclass(frozen=True)
 class BatchLivenessResponse:
     """Answers to a :class:`BatchLiveness` stream, in request order."""
@@ -510,19 +376,8 @@ class BatchLivenessResponse:
     def ok(self) -> bool:
         return self.error is None
 
-    def to_json(self) -> dict:
-        values = None if self.values is None else list(self.values)
-        return {"values": values, "error": _error_to_json(self.error)}
 
-    @classmethod
-    def from_json(cls, body: dict) -> "BatchLivenessResponse":
-        values = body["values"]
-        return cls(
-            values=None if values is None else tuple(values),
-            error=_error_from_json(body),
-        )
-
-
+@message(nullable(seq(STR)), ERROR)
 @dataclass(frozen=True)
 class LiveSetResponse:
     """The requested block's live set, as sorted variable names."""
@@ -538,19 +393,8 @@ class LiveSetResponse:
     def ok(self) -> bool:
         return self.error is None
 
-    def to_json(self) -> dict:
-        variables = None if self.variables is None else list(self.variables)
-        return {"variables": variables, "error": _error_to_json(self.error)}
 
-    @classmethod
-    def from_json(cls, body: dict) -> "LiveSetResponse":
-        variables = body["variables"]
-        return cls(
-            variables=None if variables is None else tuple(variables),
-            error=_error_from_json(body),
-        )
-
-
+@message(nullable(HANDLE), nullable(DestructStats.wire), ERROR)
 @dataclass(frozen=True)
 class DestructResponse:
     """Outcome of a :class:`DestructRequest`."""
@@ -564,24 +408,8 @@ class DestructResponse:
     def ok(self) -> bool:
         return self.error is None
 
-    def to_json(self) -> dict:
-        return {
-            "function": None if self.function is None else self.function.to_json(),
-            "stats": None if self.stats is None else self.stats.to_json(),
-            "error": _error_to_json(self.error),
-        }
 
-    @classmethod
-    def from_json(cls, body: dict) -> "DestructResponse":
-        function = body["function"]
-        stats = body["stats"]
-        return cls(
-            function=None if function is None else FunctionHandle.from_json(function),
-            stats=None if stats is None else DestructStats.from_json(stats),
-            error=_error_from_json(body),
-        )
-
-
+@message(nullable(HANDLE), nullable(AllocationSummary.wire), ERROR)
 @dataclass(frozen=True)
 class AllocateResponse:
     """Outcome of an :class:`AllocateRequest`."""
@@ -595,30 +423,8 @@ class AllocateResponse:
     def ok(self) -> bool:
         return self.error is None
 
-    def to_json(self) -> dict:
-        return {
-            "function": None if self.function is None else self.function.to_json(),
-            "allocation": (
-                None if self.allocation is None else self.allocation.to_json()
-            ),
-            "error": _error_to_json(self.error),
-        }
 
-    @classmethod
-    def from_json(cls, body: dict) -> "AllocateResponse":
-        function = body["function"]
-        allocation = body["allocation"]
-        return cls(
-            function=None if function is None else FunctionHandle.from_json(function),
-            allocation=(
-                None
-                if allocation is None
-                else AllocationSummary.from_json(allocation)
-            ),
-            error=_error_from_json(body),
-        )
-
-
+@message(nullable(HANDLE), ERROR)
 @dataclass(frozen=True)
 class NotifyResponse:
     """Outcome of a :class:`NotifyRequest`."""
@@ -631,21 +437,8 @@ class NotifyResponse:
     def ok(self) -> bool:
         return self.error is None
 
-    def to_json(self) -> dict:
-        return {
-            "function": None if self.function is None else self.function.to_json(),
-            "error": _error_to_json(self.error),
-        }
 
-    @classmethod
-    def from_json(cls, body: dict) -> "NotifyResponse":
-        function = body["function"]
-        return cls(
-            function=None if function is None else FunctionHandle.from_json(function),
-            error=_error_from_json(body),
-        )
-
-
+@message(nullable(HANDLE), ERROR)
 @dataclass(frozen=True)
 class EvictResponse:
     """Outcome of an :class:`EvictRequest`.
@@ -667,21 +460,8 @@ class EvictResponse:
     def ok(self) -> bool:
         return self.error is None
 
-    def to_json(self) -> dict:
-        return {
-            "function": None if self.function is None else self.function.to_json(),
-            "error": _error_to_json(self.error),
-        }
 
-    @classmethod
-    def from_json(cls, body: dict) -> "EvictResponse":
-        function = body["function"]
-        return cls(
-            function=None if function is None else FunctionHandle.from_json(function),
-            error=_error_from_json(body),
-        )
-
-
+@message(nullable(seq(COMPILED_HANDLE)), ERROR)
 @dataclass(frozen=True)
 class CompileSourceResponse:
     """Handles for every function a :class:`CompileSourceRequest` produced."""
@@ -697,27 +477,11 @@ class CompileSourceResponse:
     def ok(self) -> bool:
         return self.error is None
 
-    def to_json(self) -> dict:
-        functions = (
-            None
-            if self.functions is None
-            else [handle.to_json() for handle in self.functions]
-        )
-        return {"functions": functions, "error": _error_to_json(self.error)}
 
-    @classmethod
-    def from_json(cls, body: dict) -> "CompileSourceResponse":
-        functions = body["functions"]
-        return cls(
-            functions=(
-                None
-                if functions is None
-                else tuple(FunctionHandle.from_json(item) for item in functions)
-            ),
-            error=_error_from_json(body),
-        )
-
-
+# Metrics snapshots are irregular nested dicts; in bin2 they ride as
+# compact JSON blobs (still smaller than the JSON envelope, which pays the
+# same text plus the envelope around it).
+@message(nullable(JSON_OBJECT), opt(JSON_OBJECT), ERROR)
 @dataclass(frozen=True)
 class StatsResponse:
     """A canonical JSON metrics snapshot (see ``MetricsRegistry.snapshot``).
@@ -736,22 +500,8 @@ class StatsResponse:
     def ok(self) -> bool:
         return self.error is None
 
-    def to_json(self) -> dict:
-        return {
-            "snapshot": self.snapshot,
-            "stats": self.stats,
-            "error": _error_to_json(self.error),
-        }
 
-    @classmethod
-    def from_json(cls, body: dict) -> "StatsResponse":
-        return cls(
-            snapshot=body["snapshot"],
-            stats=body.get("stats"),
-            error=_error_from_json(body),
-        )
-
-
+@message(ERROR)
 @dataclass(frozen=True)
 class ErrorResponse:
     """Fallback response for requests that could not even be decoded.
@@ -766,13 +516,6 @@ class ErrorResponse:
     @property
     def ok(self) -> bool:
         return self.error is None
-
-    def to_json(self) -> dict:
-        return {"error": _error_to_json(self.error)}
-
-    @classmethod
-    def from_json(cls, body: dict) -> "ErrorResponse":
-        return cls(error=_error_from_json(body))
 
 
 #: The request union, for type hints and isinstance dispatch.
@@ -801,43 +544,41 @@ Response = Union[
     StatsResponse,
 ]
 
+#: The one message list: ``(tag, bin2 opcode, request class, response
+#: class)``.  The JSON envelope carries the tag; a bin2 frame carries the
+#: opcode, with ``0x80`` set on responses.  ``error`` is the response to
+#: a request that could not be decoded at all.
+MESSAGES: tuple[tuple[str, int, type | None, type], ...] = (
+    ("liveness_query", 0x01, LivenessQuery, LivenessResponse),
+    ("batch_liveness", 0x02, BatchLiveness, BatchLivenessResponse),
+    ("live_set", 0x03, LiveSetRequest, LiveSetResponse),
+    ("destruct", 0x04, DestructRequest, DestructResponse),
+    ("allocate", 0x05, AllocateRequest, AllocateResponse),
+    ("notify", 0x06, NotifyRequest, NotifyResponse),
+    ("evict", 0x07, EvictRequest, EvictResponse),
+    ("compile_source", 0x08, CompileSourceRequest, CompileSourceResponse),
+    ("stats", 0x09, StatsRequest, StatsResponse),
+    ("error", 0xFF, None, ErrorResponse),
+)
+
 #: Wire tag ↔ request class.
 REQUEST_TYPES: dict[str, type] = {
-    "liveness_query": LivenessQuery,
-    "batch_liveness": BatchLiveness,
-    "live_set": LiveSetRequest,
-    "destruct": DestructRequest,
-    "allocate": AllocateRequest,
-    "notify": NotifyRequest,
-    "evict": EvictRequest,
-    "compile_source": CompileSourceRequest,
-    "stats": StatsRequest,
+    tag: request for tag, _op, request, _response in MESSAGES if request
 }
 
 #: Wire tag ↔ response class.
 RESPONSE_TYPES: dict[str, type] = {
-    "liveness_query": LivenessResponse,
-    "batch_liveness": BatchLivenessResponse,
-    "live_set": LiveSetResponse,
-    "destruct": DestructResponse,
-    "allocate": AllocateResponse,
-    "notify": NotifyResponse,
-    "evict": EvictResponse,
-    "compile_source": CompileSourceResponse,
-    "stats": StatsResponse,
-    "error": ErrorResponse,
+    tag: response for tag, _op, _request, response in MESSAGES
 }
 
 #: Request class → matching response class (the dispatcher's error path).
 RESPONSE_FOR: dict[type, type] = {
-    REQUEST_TYPES[tag]: RESPONSE_TYPES[tag] for tag in REQUEST_TYPES
+    request: response for _tag, _op, request, response in MESSAGES if request
 }
 
-_TAG_OF: dict[type, str] = {}
-for _tag, _cls in REQUEST_TYPES.items():
-    _TAG_OF[_cls] = _tag
-for _tag, _cls in RESPONSE_TYPES.items():
-    _TAG_OF[_cls] = _tag
+_TAG_OF: dict[type, str] = {
+    cls: tag for types in (REQUEST_TYPES, RESPONSE_TYPES) for tag, cls in types.items()
+}
 
 #: tag → bound ``from_json`` decoder, built once at import so the wire
 #: hot path does a single dict probe per message instead of a class

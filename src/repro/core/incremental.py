@@ -103,7 +103,8 @@ class CfgDelta:
 
     Nodes are whatever the CFG uses (block names for IR functions,
     integers for synthetic graphs); only string nodes travel over the
-    wire (:class:`repro.api.protocol.NotifyRequest`).
+    wire (:class:`repro.api.protocol.NotifyRequest` declares its wire
+    form).
     """
 
     added_edges: tuple[tuple[Node, Node], ...] = ()
@@ -167,27 +168,6 @@ class CfgDelta:
             or self.removed_edges
             or self.added_blocks
             or self.removed_blocks
-        )
-
-    # ------------------------------------------------------------------
-    # Wire form (string nodes only)
-    # ------------------------------------------------------------------
-    def to_json(self) -> dict:
-        """JSON body for :class:`~repro.api.protocol.NotifyRequest`."""
-        return {
-            "added_edges": [[s, t] for s, t in self.added_edges],
-            "removed_edges": [[s, t] for s, t in self.removed_edges],
-            "added_blocks": list(self.added_blocks),
-            "removed_blocks": list(self.removed_blocks),
-        }
-
-    @classmethod
-    def from_json(cls, body: dict) -> "CfgDelta":
-        return cls(
-            added_edges=[tuple(edge) for edge in body.get("added_edges", ())],
-            removed_edges=[tuple(edge) for edge in body.get("removed_edges", ())],
-            added_blocks=body.get("added_blocks", ()),
-            removed_blocks=body.get("removed_blocks", ()),
         )
 
 

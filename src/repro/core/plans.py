@@ -12,14 +12,12 @@ A :class:`QueryPlan` freezes those facts once per variable:
 * ``def_num``  — ``num(def(a))``;
 * ``max_dom``  — ``maxnum(def(a))``, the upper end of the interval outside
   of which ``a`` can never be live;
-* ``use_nums`` — the distinct use blocks as a sorted tuple of preorder
-  numbers (kept for callers that need to enumerate);
-* ``use_mask`` — the same set as one raw integer bit mask, which is what
-  the numeric core actually consumes (``R_t ∩ uses(a)`` is one AND).
+* ``use_mask`` — the distinct use blocks as one raw integer bit mask of
+  preorder numbers, which is what the numeric core consumes
+  (``R_t ∩ uses(a)`` is one AND).
 
 Compiling a plan is one pass over the chain's use blocks: one number
-lookup per use, its bit ORed into ``use_mask``; ``use_nums`` is then read
-off the mask's set bits, already distinct and ascending.
+lookup per use, its bit ORed into ``use_mask``.
 
 :class:`PlanCache` owns one plan per variable and is shared by the
 single-query path (:class:`~repro.core.live_checker.FastLivenessChecker`),
@@ -49,25 +47,13 @@ class QueryPlan(NamedTuple):
     def_num: int
     #: ``maxnum(def(a))`` — upper end of the dominance interval.
     max_dom: int
-    #: Distinct use blocks as sorted dominance-preorder numbers.
-    use_nums: tuple[int, ...]
-    #: The same use blocks as a raw bit mask (bit ``num(u)`` per use).
+    #: Distinct use blocks as a raw bit mask (bit ``num(u)`` per use).
     use_mask: int
 
     @property
     def has_nonlocal_use(self) -> bool:
         """Algorithm 2, special case 1: a use outside the definition block."""
         return bool(self.use_mask & ~(1 << self.def_num))
-
-
-def _set_bits(mask: int) -> tuple[int, ...]:
-    """Positions of the set bits of ``mask``, ascending."""
-    bits = []
-    while mask:
-        low = mask & -mask
-        bits.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(bits)
 
 
 class PlanCache:
@@ -112,7 +98,7 @@ class PlanCache:
         use_mask = 0
         for block in defuse.use_lists.get(var, ()):
             use_mask |= 1 << numbering[block]
-        plan = QueryPlan(def_num, self._pre.maxnums[def_num], _set_bits(use_mask), use_mask)
+        plan = QueryPlan(def_num, self._pre.maxnums[def_num], use_mask)
         self.compiled[var] = plan
         self.builds += 1
         return plan

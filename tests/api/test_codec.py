@@ -67,6 +67,7 @@ from repro.api.protocol import (
     NotifyResponse,
     StatsRequest,
     StatsResponse,
+    decode_request,
     decode_response,
     encode_request,
 )
@@ -236,6 +237,40 @@ responses = st.one_of(
 )
 
 
+# Arbitrary JSON values, including the ones bin2 cannot carry: floats,
+# integers beyond 64 bits and a lone surrogate.
+json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-(2**70), 2**70),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.text(max_size=6),
+        st.just("\ud800"),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.text(max_size=6), children, max_size=3),
+    ),
+    max_leaves=6,
+)
+
+
+def mutate(data, value):
+    """``value`` with some parts, at any depth, replaced or dropped."""
+    if data.draw(st.integers(0, 7)) == 0:
+        return data.draw(json_values)
+    if isinstance(value, dict):
+        return {
+            key: mutate(data, item)
+            for key, item in value.items()
+            if data.draw(st.integers(0, 9))
+        }
+    if isinstance(value, list):
+        return [mutate(data, item) for item in value]
+    return value
+
+
 # ----------------------------------------------------------------------
 # 1. Codec fixpoints
 # ----------------------------------------------------------------------
@@ -274,6 +309,19 @@ class TestBin2Fixpoints:
         decoded = codec.decode_response(data)
         assert decoded == response
         assert codec.encode_response(decoded) == data
+
+    @settings(max_examples=300, deadline=None)
+    @given(requests, st.data())
+    def test_json_bodies_that_decode_also_bin2_roundtrip(self, request, data):
+        # The WAL logs JSON-submitted requests as bin2 frames, so every
+        # body the JSON decoder accepts must survive that trip.
+        envelope = encode_request(request)
+        envelope["body"] = mutate(data, envelope["body"])
+        try:
+            decoded = decode_request(json.loads(json.dumps(envelope)))
+        except ProtocolError:
+            return
+        assert decode_request_bin2(encode_request_bin2(decoded)) == decoded
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(requests, min_size=1, max_size=6))

@@ -26,11 +26,13 @@ from repro.api.protocol import (
     EvictRequest,
     LivenessQuery,
     NotifyRequest,
+    StatsRequest,
     decode_response,
     encode_request,
     encode_response,
 )
 from repro.concurrent import ShardedClient, serve_loop
+from repro.concurrent.procs import ProcClient
 from tests.support.concurrency import corpus_functions
 
 #: Unicode text without surrogates (json round-trips them unequally).
@@ -233,3 +235,69 @@ class TestMalformedPayloadsNeverRaise:
         payloads = ["{broken", {}, {"api": 0}, [1, 2], None, "x" * 50]
         for envelope in serve_loop(client.dispatch_json, payloads, workers=3):
             assert_invalid_request_envelope(envelope)
+
+
+# ----------------------------------------------------------------------
+# Ill-typed JSON fields are rejected before dispatch, on every placement
+# ----------------------------------------------------------------------
+SOURCE = "func f(a, b) { x = a; while (x < b) { x = x + 1; } return x; }"
+
+#: case → (tag, body).  Each field has the right name and the wrong JSON
+#: type; every one must come back ``invalid_request`` with no effect.
+ILL_TYPED = {
+    "allocate_float_registers": (
+        "allocate", {"function": {"name": "f"}, "num_registers": 2.5}
+    ),
+    "allocate_string_registers": (
+        "allocate", {"function": {"name": "f"}, "num_registers": "2"}
+    ),
+    "destruct_string_verify": (
+        "destruct", {"function": {"name": "f"}, "verify": "no"}
+    ),
+    "stats_string_reset": ("stats", {"reset": "false"}),
+    "liveness_list_block": (
+        "liveness_query",
+        {"function": {"name": "f"}, "kind": "in", "variable": "a", "block": ["bb0"]},
+    ),
+    "compile_int_source": ("compile_source", {"source": 5}),
+}
+
+
+def _placement(cls):
+    client = cls(workers=2) if cls is ProcClient else cls()
+    client.compile(SOURCE)
+    return client
+
+
+def _send_json(client, payload: dict) -> dict:
+    frame = json.dumps(payload).encode("utf-8")
+    if isinstance(client, ProcClient):
+        raw = client.serve([frame])[0]
+    else:
+        raw = client.bytes_session().dispatch_frame(frame)
+    return json.loads(raw)
+
+
+@pytest.mark.parametrize(
+    "cls", [CompilerClient, ShardedClient, ProcClient], ids=lambda cls: cls.__name__
+)
+@pytest.mark.parametrize("case", sorted(ILL_TYPED))
+def test_ill_typed_json_fields_are_invalid_requests(cls, case):
+    tag, body = ILL_TYPED[case]
+    client = _placement(cls)
+    try:
+        # Give the instruments something a reset would zero.
+        client.dispatch(LivenessQuery(function="f", kind="in", variable="a", block="bb0"))
+        # Eviction answers with the current handle and bumps nothing.
+        before = client.dispatch(EvictRequest(function="f")).function
+        envelope = _send_json(
+            client, {"api": PROTOCOL_VERSION, "type": tag, "body": body}
+        )
+        assert_invalid_request_envelope(envelope)
+        assert "malformed" in envelope["body"]["error"]["detail"]
+        assert client.dispatch(EvictRequest(function="f")).function == before
+        counters = client.dispatch(StatsRequest()).snapshot["counters"]
+        assert counters["wire.bytes_in{codec=json}"] > 0
+    finally:
+        if cls is ProcClient:
+            client.close()

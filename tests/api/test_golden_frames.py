@@ -8,26 +8,50 @@ duplicate-function, compile-error and unknown-engine failures — was
 recorded from the thread-sharded client before the three placements
 shared one router.  Each frame is asserted byte for byte through the
 serial, the thread-sharded and the multi-process client.
-``StatsRequest`` is left out: its snapshot carries clock readings.
+``StatsRequest``'s answer is left out: its snapshot carries clock
+readings.
+
+The request frames themselves are pinned too, since WAL segments store
+requests on disk as bin2 frames: every request type over both codecs,
+as the first frame of a connection and its steady-state repeat, plus
+the directly encoded bytes of a fixed stats, error and null liveness
+response.
 """
 
 import pytest
 
 from repro.api.client import CompilerClient
-from repro.api.codec import StringInterner, encode_request_bin2, encode_request_json
+from repro.api.codec import (
+    StringInterner,
+    StringTable,
+    decode_request_bin2,
+    decode_request_json,
+    decode_response_bin2,
+    decode_response_json,
+    encode_request_bin2,
+    encode_request_json,
+    encode_response_bin2,
+    encode_response_json,
+)
+from repro.api.errors import ApiError, ErrorCode
 from repro.api.handles import FunctionHandle
 from repro.api.protocol import (
     AllocateRequest,
     BatchLiveness,
     CompileSourceRequest,
     DestructRequest,
+    ErrorResponse,
     EvictRequest,
     LivenessQuery,
+    LivenessResponse,
     LiveSetRequest,
     NotifyRequest,
+    StatsRequest,
+    StatsResponse,
 )
 from repro.concurrent.client import ShardedClient
 from repro.concurrent.procs import ProcClient
+from repro.core.incremental import CfgDelta
 
 SOURCE = "func f(a, b) { x = a; while (x < b) { x = x + 1; } return x; }"
 
@@ -245,3 +269,278 @@ def test_bin2_message_frames_are_byte_identical(cls, message):
 def test_json_message_envelopes_are_byte_identical(cls, message):
     reply = answer(cls, encode_request_json(MESSAGES[message]))
     assert reply.hex() == GOLDEN[message][1]
+
+
+# ----------------------------------------------------------------------
+# Request and response frames, encoded directly
+# ----------------------------------------------------------------------
+#: One request of every type, with the field shapes the codecs treat
+#: specially: a revisioned and an unversioned handle, a batch over two
+#: functions, an edge-split delta, absent and negative register counts.
+REQUESTS = {
+    "liveness_query": LivenessQuery(
+        function=FunctionHandle("f", 3), kind="in", variable="x.2", block="bb1"
+    ),
+    "liveness_query_unversioned": LivenessQuery(
+        function="f", kind="out", variable="a", block="entry"
+    ),
+    "batch_liveness": BatchLiveness(
+        queries=(
+            LivenessQuery(
+                function=FunctionHandle("f", 3), kind="in", variable="x.2", block="bb1"
+            ),
+            LivenessQuery(function="g", kind="out", variable="b", block="bb0"),
+        )
+    ),
+    "live_set": LiveSetRequest(
+        function=FunctionHandle("f", 3), block="bb1", kind="out"
+    ),
+    "destruct": DestructRequest(
+        function=FunctionHandle("f", 3), engine="dataflow", verify=True
+    ),
+    "allocate": AllocateRequest(
+        function="f", num_registers=None, engine="fast", destruct=True
+    ),
+    "allocate_negative": AllocateRequest(
+        function=FunctionHandle("f", 0), num_registers=-3
+    ),
+    "notify_cfg_delta": NotifyRequest(
+        function=FunctionHandle("f", 2),
+        kind="cfg",
+        delta=CfgDelta.edge_split("bb0", "bb1", "split0"),
+    ),
+    "notify_instructions": NotifyRequest(function="f"),
+    "evict": EvictRequest(function=FunctionHandle("f", 7)),
+    "compile_source": CompileSourceRequest(
+        source="func g(a) { return a + 1; }", module_name="wire"
+    ),
+    "stats": StatsRequest(),
+    "stats_reset": StatsRequest(reset=True),
+}
+
+#: request name → (first bin2 frame, steady-state repeat, JSON text),
+#: all as hex.  The first bin2 frame defines the function name; the
+#: repeat over the same interner refers to it.  JSON carries no
+#: connection state, so its repeat is the same text.
+REQUEST_FRAMES = {
+    "liveness_query": (
+        "13000000b20101010001660001060003782e3203626231",
+        "10000000b20101000001060003782e3203626231",
+        (
+            "7b22617069223a312c2274797065223a226c6976656e6573735f717565727922"
+            "2c22626f6479223a7b2266756e6374696f6e223a7b226e616d65223a2266222c"
+            "227265766973696f6e223a337d2c226b696e64223a22696e222c227661726961"
+            "626c65223a22782e32222c22626c6f636b223a22626231227d7d"
+        ),
+    ),
+    "liveness_query_unversioned": (
+        "12000000b2010101000166000001016105656e747279",
+        "0f000000b2010100000001016105656e747279",
+        (
+            "7b22617069223a312c2274797065223a226c6976656e6573735f717565727922"
+            "2c22626f6479223a7b2266756e6374696f6e223a7b226e616d65223a2266222c"
+            "227265766973696f6e223a6e756c6c7d2c226b696e64223a226f7574222c2276"
+            "61726961626c65223a2261222c22626c6f636b223a22656e747279227d7d"
+        ),
+    ),
+    "batch_liveness": (
+        (
+            "20000000b2010202000166010167020001060003782e32036262310100010162"
+            "03626230"
+        ),
+        "1a000000b2010200020001060003782e3203626231010001016203626230",
+        (
+            "7b22617069223a312c2274797065223a2262617463685f6c6976656e65737322"
+            "2c22626f6479223a7b2271756572696573223a5b7b2266756e6374696f6e223a"
+            "7b226e616d65223a2266222c227265766973696f6e223a337d2c226b696e6422"
+            "3a22696e222c227661726961626c65223a22782e32222c22626c6f636b223a22"
+            "626231227d2c7b2266756e6374696f6e223a7b226e616d65223a2267222c2272"
+            "65766973696f6e223a6e756c6c7d2c226b696e64223a226f7574222c22766172"
+            "6961626c65223a2262222c22626c6f636b223a22626230227d5d7d7d"
+        ),
+    ),
+    "live_set": (
+        "0f000000b20103010001660001060362623101",
+        "0c000000b20103000001060362623101",
+        (
+            "7b22617069223a312c2274797065223a226c6976655f736574222c22626f6479"
+            "223a7b2266756e6374696f6e223a7b226e616d65223a2266222c227265766973"
+            "696f6e223a337d2c22626c6f636b223a22626231222c226b696e64223a226f75"
+            "74227d7d"
+        ),
+    ),
+    "destruct": (
+        "14000000b20104010001660001060864617461666c6f7701",
+        "11000000b20104000001060864617461666c6f7701",
+        (
+            "7b22617069223a312c2274797065223a226465737472756374222c22626f6479"
+            "223a7b2266756e6374696f6e223a7b226e616d65223a2266222c227265766973"
+            "696f6e223a337d2c22656e67696e65223a2264617461666c6f77222c22766572"
+            "696679223a747275657d7d"
+        ),
+    ),
+    "allocate": (
+        "10000000b2010501000166000000046661737401",
+        "0d000000b2010500000000046661737401",
+        (
+            "7b22617069223a312c2274797065223a22616c6c6f63617465222c22626f6479"
+            "223a7b2266756e6374696f6e223a7b226e616d65223a2266222c227265766973"
+            "696f6e223a6e756c6c7d2c226e756d5f726567697374657273223a6e756c6c2c"
+            "22656e67696e65223a2266617374222c226465737472756374223a747275657d"
+            "7d"
+        ),
+    ),
+    "allocate_negative": (
+        "12000000b20105010001660001000105046661737400",
+        "0f000000b20105000001000105046661737400",
+        (
+            "7b22617069223a312c2274797065223a22616c6c6f63617465222c22626f6479"
+            "223a7b2266756e6374696f6e223a7b226e616d65223a2266222c227265766973"
+            "696f6e223a307d2c226e756d5f726567697374657273223a2d332c22656e6769"
+            "6e65223a2266617374222c226465737472756374223a66616c73657d7d"
+        ),
+    ),
+    "notify_cfg_delta": (
+        (
+            "35000000b2010601000166000104000102036262300673706c6974300673706c"
+            "69743003626231010362623003626231010673706c69743000"
+        ),
+        (
+            "32000000b2010600000104000102036262300673706c6974300673706c697430"
+            "03626231010362623003626231010673706c69743000"
+        ),
+        (
+            "7b22617069223a312c2274797065223a226e6f74696679222c22626f6479223a"
+            "7b2266756e6374696f6e223a7b226e616d65223a2266222c227265766973696f"
+            "6e223a327d2c226b696e64223a22636667222c2264656c7461223a7b22616464"
+            "65645f6564676573223a5b5b22626230222c2273706c697430225d2c5b227370"
+            "6c697430222c22626231225d5d2c2272656d6f7665645f6564676573223a5b5b"
+            "22626230222c22626231225d5d2c2261646465645f626c6f636b73223a5b2273"
+            "706c697430225d2c2272656d6f7665645f626c6f636b73223a5b5d7d7d7d"
+        ),
+    ),
+    "notify_instructions": (
+        "0b000000b201060100016600000100",
+        "08000000b201060000000100",
+        (
+            "7b22617069223a312c2274797065223a226e6f74696679222c22626f6479223a"
+            "7b2266756e6374696f6e223a7b226e616d65223a2266222c227265766973696f"
+            "6e223a6e756c6c7d2c226b696e64223a22696e737472756374696f6e73227d7d"
+        ),
+    ),
+    "evict": (
+        "0a000000b201070100016600010e",
+        "07000000b201070000010e",
+        (
+            "7b22617069223a312c2274797065223a226576696374222c22626f6479223a7b"
+            "2266756e6374696f6e223a7b226e616d65223a2266222c227265766973696f6e"
+            "223a377d7d7d"
+        ),
+    ),
+    "compile_source": (
+        (
+            "25000000b20108001b66756e632067286129207b2072657475726e2061202b20"
+            "313b207d0477697265"
+        ),
+        (
+            "25000000b20108001b66756e632067286129207b2072657475726e2061202b20"
+            "313b207d0477697265"
+        ),
+        (
+            "7b22617069223a312c2274797065223a22636f6d70696c655f736f7572636522"
+            "2c22626f6479223a7b22736f75726365223a2266756e632067286129207b2072"
+            "657475726e2061202b20313b207d222c226d6f64756c655f6e616d65223a2277"
+            "697265227d7d"
+        ),
+    ),
+    "stats": (
+        "05000000b201090000",
+        "05000000b201090000",
+        (
+            "7b22617069223a312c2274797065223a227374617473222c22626f6479223a7b"
+            "227265736574223a66616c73657d7d"
+        ),
+    ),
+    "stats_reset": (
+        "05000000b201090001",
+        "05000000b201090001",
+        (
+            "7b22617069223a312c2274797065223a227374617473222c22626f6479223a7b"
+            "227265736574223a747275657d7d"
+        ),
+    ),
+}
+
+
+RESPONSES = {
+    "stats": StatsResponse(
+        snapshot={"counters": {"a": 1}, "gauges": {}}, stats={"hits": 2}
+    ),
+    "error": ErrorResponse(
+        error=ApiError(ErrorCode.INVALID_REQUEST, "bad frame")
+    ),
+    "liveness_null": LivenessResponse(value=None),
+}
+
+#: response name → (bin2 frame, JSON text), both as hex.
+RESPONSE_FRAMES = {
+    "stats": (
+        (
+            "33000000b201890001207b22636f756e74657273223a7b2261223a317d2c2267"
+            "6175676573223a7b7d7d010a7b2268697473223a327d00"
+        ),
+        (
+            "7b22617069223a312c2274797065223a227374617473222c22626f6479223a7b"
+            "22736e617073686f74223a7b22636f756e74657273223a7b2261223a317d2c22"
+            "676175676573223a7b7d7d2c227374617473223a7b2268697473223a327d2c22"
+            "6572726f72223a6e756c6c7d7d"
+        ),
+    ),
+    "error": (
+        (
+            "1f000000b201ff00010f696e76616c69645f7265717565737409626164206672"
+            "616d65"
+        ),
+        (
+            "7b22617069223a312c2274797065223a226572726f72222c22626f6479223a7b"
+            "226572726f72223a7b22636f6465223a22696e76616c69645f72657175657374"
+            "222c2264657461696c223a22626164206672616d65227d7d7d"
+        ),
+    ),
+    "liveness_null": (
+        "06000000b20181000200",
+        (
+            "7b22617069223a312c2274797065223a226c6976656e6573735f717565727922"
+            "2c22626f6479223a7b2276616c7565223a6e756c6c2c226572726f72223a6e75"
+            "6c6c7d7d"
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REQUESTS))
+def test_bin2_request_frames_are_byte_identical(name):
+    first, repeat, _text = REQUEST_FRAMES[name]
+    interner, table = StringInterner(), StringTable()
+    frames = [encode_request_bin2(REQUESTS[name], interner) for _ in range(2)]
+    assert [frame.hex() for frame in frames] == [first, repeat]
+    decoded = [decode_request_bin2(frame, table) for frame in frames]
+    assert decoded == [REQUESTS[name]] * 2
+
+
+@pytest.mark.parametrize("name", sorted(REQUESTS))
+def test_json_request_frames_are_byte_identical(name):
+    text = REQUEST_FRAMES[name][2]
+    frames = [encode_request_json(REQUESTS[name]) for _ in range(2)]
+    assert [frame.hex() for frame in frames] == [text, text]
+    assert decode_request_json(frames[0]) == REQUESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(RESPONSES))
+def test_response_frames_are_byte_identical(name):
+    binary, text = RESPONSE_FRAMES[name]
+    response = RESPONSES[name]
+    assert encode_response_bin2(response).hex() == binary
+    assert encode_response_json(response).hex() == text
+    assert decode_response_bin2(bytes.fromhex(binary)) == response
+    assert decode_response_json(bytes.fromhex(text)) == response

@@ -17,11 +17,13 @@ edit sequences (reducible, irreducible, and forced-fallback mixes).
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.api.protocol import NotifyRequest, decode_request, encode_request
 from repro.cfg.graph import ControlFlowGraph
 from repro.core.incremental import (
     APPLIED,
@@ -135,10 +137,11 @@ class TestCfgDelta:
             added_blocks=("x",),
             removed_blocks=("y", "z"),
         )
-        assert CfgDelta.from_json(delta.to_json()) == delta
+        request = NotifyRequest(function="f", kind="cfg", delta=delta)
+        assert decode_request(json.loads(json.dumps(encode_request(request)))) == request
 
     def test_json_of_empty_body(self):
-        assert CfgDelta.from_json({}) == CfgDelta()
+        assert NotifyRequest(function="f", kind="cfg", delta={}).delta == CfgDelta()
 
 
 # ----------------------------------------------------------------------

@@ -25,8 +25,7 @@ class TestQueryPlan:
             plan = checker.plans.plan(var)
             assert plan.def_num == pre.num(defuse.def_block(var))
             assert plan.max_dom == pre.maxnums[plan.def_num]
-            expected = sorted({pre.num(use) for use in defuse.use_blocks(var)})
-            assert list(plan.use_nums) == expected
+            expected = {pre.num(use) for use in defuse.use_blocks(var)}
             assert plan.use_mask == sum(1 << num for num in expected)
 
     def test_has_nonlocal_use(self):
@@ -38,8 +37,8 @@ class TestQueryPlan:
             assert plan.has_nonlocal_use == expected
 
     def test_plans_are_value_objects(self):
-        plan = QueryPlan(def_num=2, max_dom=5, use_nums=(3,), use_mask=1 << 3)
-        assert plan == QueryPlan(def_num=2, max_dom=5, use_nums=(3,), use_mask=1 << 3)
+        plan = QueryPlan(def_num=2, max_dom=5, use_mask=1 << 3)
+        assert plan == QueryPlan(def_num=2, max_dom=5, use_mask=1 << 3)
         assert plan.has_nonlocal_use
 
 

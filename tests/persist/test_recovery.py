@@ -17,6 +17,7 @@ import pytest
 from repro.api.errors import ErrorCode
 from repro.api.handles import FunctionHandle
 from repro.api.protocol import (
+    PROTOCOL_VERSION,
     EvictRequest,
     LivenessQuery,
     LiveSetRequest,
@@ -187,6 +188,36 @@ def test_torn_tail_differential(transport, tmp_path):
     finally:
         if transport == "procs":
             recovered.close()
+
+
+@pytest.mark.parametrize("transport", ["threads", "procs"])
+def test_ill_typed_json_request_keeps_recovered_equal_to_live(transport, tmp_path):
+    """A mistyped JSON field is refused before dispatch, so nothing is
+    applied that the WAL (bin2 frames) could then fail to log."""
+    directory = str(tmp_path)
+    primary, durability, infos = make_primary(directory, transport)
+    try:
+        drive(primary, infos, count=40, seed=9)
+        envelope = primary.dispatch_json(
+            {
+                "api": PROTOCOL_VERSION,
+                "type": "allocate",
+                "body": {"function": {"name": infos[0].name}, "num_registers": 2.5},
+            }
+        )
+        assert envelope["body"]["error"]["code"] == ErrorCode.INVALID_REQUEST.value
+        durability.close()
+        recovered, report = recover(directory, transport=transport)
+        try:
+            assert report.damage == []
+            assert live_state_digest(recovered) == live_state_digest(primary)
+            assert_answers_identical(primary, recovered, infos)
+        finally:
+            if transport == "procs":
+                recovered.close()
+    finally:
+        if transport == "procs":
+            primary.close()
 
 
 def test_recover_with_repair_leaves_a_clean_tail(tmp_path):

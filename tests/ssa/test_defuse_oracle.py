@@ -153,6 +153,7 @@ def test_plan_reads_flat_dicts_without_building_records(monkeypatch):
     )
     for var in checker.defuse.variables():
         plan = checker.plans.plan(var)
-        assert plan.use_nums == tuple(
-            sorted({checker.precomputation.num(b) for b in checker.defuse.uses(var)})
+        assert plan.use_mask == sum(
+            1 << num
+            for num in {checker.precomputation.num(b) for b in checker.defuse.uses(var)}
         )
