@@ -48,7 +48,6 @@ from repro.cfg import (
     DominatorTree,
     EdgeKind,
     LoopNestingForest,
-    PostDominatorTree,
     is_reducible,
 )
 from repro.concurrent import (
@@ -129,7 +128,6 @@ __all__ = [
     "EdgeKind",
     "DominatorTree",
     "DominanceFrontiers",
-    "PostDominatorTree",
     "LoopNestingForest",
     "is_reducible",
     # ir

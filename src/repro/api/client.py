@@ -236,10 +236,9 @@ class Placement:
     returns ``(index, release)``.
     """
 
-    def __init__(self, parts: int, per_part: int, strategy: str) -> None:
+    def __init__(self, parts: int, per_part: int) -> None:
         self.parts = parts
         self._per_part = per_part
-        self._strategy = strategy
         #: Guards registration as a whole; acquired before any part lock.
         self._registry_lock = threading.Lock()
         self._order: list[str] = []
@@ -253,18 +252,9 @@ class Placement:
         """Total resident-checker budget (per-part share times parts)."""
         return self._per_part * self.parts
 
-    @property
-    def strategy(self) -> str:
-        """``TargetSets`` strategy handed to every checker."""
-        return self._strategy
-
     def topology(self) -> dict:
-        """Serving geometry for snapshot headers: shards/capacity/strategy."""
-        return {
-            "shards": self.parts,
-            "capacity": self.capacity,
-            "strategy": self._strategy,
-        }
+        """Serving geometry for snapshot headers: shards/capacity."""
+        return {"shards": self.parts, "capacity": self.capacity}
 
     def index_of(self, name: str) -> int:
         """The part index owning function ``name``."""
@@ -374,7 +364,7 @@ class LocalPlacement(Placement):
     """
 
     def __init__(self, services) -> None:
-        super().__init__(len(services), services[0].capacity, services[0].strategy)
+        super().__init__(len(services), services[0].capacity)
         self._services = tuple(services)
         self._span = services[0].obs.tracer.span
         #: function name → (revision the map was built at, name → Variable).
@@ -717,7 +707,7 @@ class Router:
         self._placement.import_state(functions)
 
     def topology(self) -> dict:
-        """Serving geometry for snapshot headers: shards/capacity/strategy."""
+        """Serving geometry for snapshot headers: shards/capacity."""
         return self._placement.topology()
 
     def compile(
@@ -956,10 +946,9 @@ class CompilerClient(Router):
         self,
         module: Module | Iterable[Function] | None = None,
         capacity: int = DEFAULT_CAPACITY,
-        strategy: str = "exact",
         obs: Observability | None = None,
     ) -> None:
-        self._service = LivenessService(capacity=capacity, strategy=strategy, obs=obs)
+        self._service = LivenessService(capacity=capacity, obs=obs)
         # One Observability shared with the service, so a StatsRequest
         # sees the whole stack.
         super().__init__(LocalPlacement([self._service]), self._service.obs)

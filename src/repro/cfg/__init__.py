@@ -25,7 +25,6 @@ from repro.cfg.domfrontier import DominanceFrontiers
 from repro.cfg.dominance import DominatorTree
 from repro.cfg.graph import ControlFlowGraph, Edge
 from repro.cfg.loops import Loop, LoopNestingForest
-from repro.cfg.postdominance import PostDominatorTree
 from repro.cfg.reducibility import is_reducible, is_reducible_by_intervals
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "EdgeKind",
     "DominatorTree",
     "DominanceFrontiers",
-    "PostDominatorTree",
     "is_reducible",
     "is_reducible_by_intervals",
     "Loop",

@@ -51,7 +51,6 @@ class ShardedClient(Router):
         module: Module | Iterable[Function] | None = None,
         shards: int = DEFAULT_SHARDS,
         capacity: int = DEFAULT_CAPACITY,
-        strategy: str = "exact",
         observer: Observer | None = None,
         obs: Observability | None = None,
     ) -> None:
@@ -59,9 +58,7 @@ class ShardedClient(Router):
         # differential harness runs against this default, which is what
         # proves recording never changes a response.
         obs = obs if obs is not None else Observability()
-        self._sharded = ShardedService(
-            shards=shards, capacity=capacity, strategy=strategy, obs=obs
-        )
+        self._sharded = ShardedService(shards=shards, capacity=capacity, obs=obs)
         super().__init__(self._sharded, obs, observer)
         if module is not None:
             self._sharded.register_all(list(module))

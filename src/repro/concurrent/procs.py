@@ -186,7 +186,7 @@ def _timeout_detail(index: int, timeout: float) -> str:
 # ----------------------------------------------------------------------
 # Worker process main
 # ----------------------------------------------------------------------
-def _worker_main(conn, index: int, capacity: int, strategy: str) -> None:
+def _worker_main(conn, index: int, capacity: int) -> None:
     """One shard as a process: a full single-process server on a pipe.
 
     Top-level (not a closure) so the ``spawn`` start method can import
@@ -194,7 +194,7 @@ def _worker_main(conn, index: int, capacity: int, strategy: str) -> None:
     shared with the parent.
     """
     obs = Observability()
-    client = CompilerClient(capacity=capacity, strategy=strategy, obs=obs)
+    client = CompilerClient(capacity=capacity, obs=obs)
     session = client.bytes_session()
     served = 0
     while True:
@@ -403,7 +403,6 @@ class ProcClient(Placement, Router):
         module: Module | Iterable[Function] | None = None,
         workers: int = DEFAULT_WORKERS,
         capacity: int = DEFAULT_CAPACITY,
-        strategy: str = "exact",
         observer: Observer | None = None,
         obs: Observability | None = None,
         auto_restart: bool = True,
@@ -418,7 +417,7 @@ class ProcClient(Placement, Router):
                 f"compact_after must be at least 1, got {compact_after}"
             )
         per_worker = max(1, -(-capacity // workers))  # ceil division
-        Placement.__init__(self, workers, per_worker, strategy)
+        Placement.__init__(self, workers, per_worker)
         Router.__init__(self, self, obs if obs is not None else Observability(), observer)
         self._auto_restart = auto_restart
         self._timeout = timeout
@@ -452,7 +451,7 @@ class ProcClient(Placement, Router):
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, link.index, self._per_part, self._strategy),
+            args=(child_conn, link.index, self._per_part),
             daemon=True,
             name=f"repro-proc-worker-{link.index}",
         )

@@ -132,20 +132,13 @@ class _Shard:
 
     __slots__ = ("index", "lock", "service")
 
-    def __init__(
-        self,
-        index: int,
-        capacity: int,
-        strategy: str,
-        obs: Observability,
-    ) -> None:
+    def __init__(self, index: int, capacity: int, obs: Observability) -> None:
         from repro.concurrent.locks import LockMetrics, RWLock
 
         self.index = index
         self.lock = RWLock(metrics=LockMetrics(obs, shard=index))
         self.service = _ShardService(
             capacity=capacity,
-            strategy=strategy,
             obs=obs,
             obs_labels={"shard": index},
         )
@@ -208,8 +201,6 @@ class ShardedService(LocalPlacement):
     capacity:
         Total resident-checker budget, divided evenly across shards
         (each shard gets at least 1).
-    strategy:
-        ``TargetSets`` strategy handed to every checker.
     obs:
         One :class:`repro.obs.Observability` shared by every shard's
         service and lock (metrics labelled ``shard=i``); a private
@@ -221,7 +212,6 @@ class ShardedService(LocalPlacement):
         module: Module | Iterable[Function] | None = None,
         shards: int = DEFAULT_SHARDS,
         capacity: int = DEFAULT_CAPACITY,
-        strategy: str = "exact",
         obs: Observability | None = None,
     ) -> None:
         if shards < 1:
@@ -231,8 +221,7 @@ class ShardedService(LocalPlacement):
         self.obs = obs if obs is not None else Observability()
         per_shard = max(1, -(-capacity // shards))  # ceil division
         self._shards = tuple(
-            _Shard(index, per_shard, strategy, self.obs)
-            for index in range(shards)
+            _Shard(index, per_shard, self.obs) for index in range(shards)
         )
         super().__init__([shard.service for shard in self._shards])
         if module is not None:

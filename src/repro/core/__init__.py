@@ -5,8 +5,8 @@ The package is organised to mirror the paper:
 * :mod:`repro.core.reduced_graph` — the reduced graph ``G̃`` and the
   reduced-reachability sets ``R_v`` (Definition 4, Section 5.2).
 * :mod:`repro.core.targets` — the relevant back-edge-target sets ``T_v``
-  (Definition 5, Equation 1, Theorem 3, Section 5.2), with both the exact
-  per-node construction and the paper's two-pass propagation strategy.
+  (Definition 5, Equation 1, Theorem 3, Section 5.2), built exactly by
+  one Equation-1 pass in DFS preorder.
 * :mod:`repro.core.precompute` — :class:`LivenessPrecomputation`, bundling
   DFS, dominance, ``R`` and ``T`` for one CFG.  This is the part that is
   *independent of variables* and survives program transformations.

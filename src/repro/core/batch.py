@@ -24,9 +24,9 @@ two special cases (the definition block, and the "use in q itself only
 counts on a loop" rule), which need a second mask ``H'_a`` built from
 ``R_t ∩ (uses(a) ∖ {t})``.
 
-Correctness does not depend on reducibility or on the ``TargetSets``
-strategy: the masks simply evaluate the full (non-fast-path) candidate
-loop of Algorithm 1/2 all at once, so the answers coincide with
+Correctness does not depend on reducibility: the masks simply evaluate
+the full (non-fast-path) candidate loop of Algorithm 1/2 all at once, so
+the answers coincide with
 :class:`~repro.core.bitset_query.BitsetChecker` on every CFG — the
 differential tests in ``tests/core/test_batch_queries.py`` check exactly
 that on random reducible *and* irreducible graphs.

@@ -50,14 +50,8 @@ class BitsetChecker:
         self._t_masks = precomputation.t_masks
         self._is_back_target = precomputation.is_back_target
         # Theorem 2 relies on the exact Definition-5 sets being totally
-        # ordered by dominance (Lemma 3); the "propagate" strategy may add
-        # extra targets that break the total order, so the fast path is
-        # only sound with the exact strategy on a reducible CFG.
-        self._fast_path = (
-            reducible_fast_path
-            and precomputation.reducible
-            and precomputation.targets.strategy == "exact"
-        )
+        # ordered by dominance (Lemma 3), which holds on a reducible CFG.
+        self._fast_path = reducible_fast_path and precomputation.reducible
         #: Number of candidate back-edge targets inspected by the last
         #: query; the T_q-ordering ablation aggregates this counter.
         self.last_candidates_tested = 0

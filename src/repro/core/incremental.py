@@ -49,9 +49,7 @@ The edge patch path rests on three observations:
    guarantees every ``T_w`` a row depends on is final before the row is
    visited.  Rows are recomputed with the builder's exact Equation-1
    step — or, when the edit only adds back edges, grown by the ``T``
-   rows they already fold in (``T`` is transitive and only grows) — so
-   incremental patching is only offered for the ``"exact"``
-   strategy (``"propagate"`` over-approximates and falls back).  Each
+   rows they already fold in (``T`` is transitive and only grows).  Each
    row is written once: ``pre.r_masks``/``pre.t_masks`` *are* the
    ``reach``/``targets`` masks their ``BitSet`` views read.
 
@@ -183,9 +181,8 @@ class UpdateResult:
     applied: bool
     #: ``"incremental"`` (or ``"no-op"`` for an empty/idempotent delta)
     #: when applied, else the fallback cause — one of ``"restored"``,
-    #: ``"block-edit"``, ``"strategy"``, ``"unknown-node"``,
-    #: ``"edge-into-entry"``, ``"dfs-change"``, ``"tree-edge-removed"``,
-    #: ``"dominators-changed"``.
+    #: ``"block-edit"``, ``"unknown-node"``, ``"edge-into-entry"``,
+    #: ``"dfs-change"``, ``"tree-edge-removed"``, ``"dominators-changed"``.
     reason: str
     #: ``R`` rows whose value actually changed (after an edge split: the
     #: rows that gained the new block, its own row included).
@@ -337,11 +334,6 @@ def apply_cfg_delta(pre: "LivenessPrecomputation", delta: CfgDelta) -> UpdateRes
         # ways no closed form covers; re-deriving every mask is a rebuild.
         _mutate_graph(graph, delta)
         return UpdateResult(False, "block-edit")
-    if pre.targets.strategy != "exact":
-        # Rows are re-derived with the exact Equation-1 step; patching a
-        # "propagate" precomputation would silently tighten its sets.
-        _mutate_graph(graph, delta)
-        return UpdateResult(False, "strategy")
     if split is not None:
         return _apply_split(pre, *split)
 
@@ -559,7 +551,4 @@ def update_precomputation(
     result = apply_cfg_delta(pre, delta)
     if result.applied:
         return pre, result
-    return (
-        LivenessPrecomputation(pre.graph, strategy=pre.targets.strategy),
-        result,
-    )
+    return LivenessPrecomputation(pre.graph), result

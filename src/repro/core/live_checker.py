@@ -35,15 +35,11 @@ class FastLivenessChecker(LivenessOracle):
         self,
         function: Function,
         defuse: DefUseChains | None = None,
-        strategy: str = "exact",
         use_bitsets: bool = True,
-        reducible_fast_path: bool = True,
     ) -> None:
         self._function = function
         self._defuse = defuse
-        self._strategy = strategy
         self._use_bitsets = use_bitsets
-        self._reducible_fast_path = reducible_fast_path
         self._pre: LivenessPrecomputation | None = None
         self._bitset_checker: BitsetChecker | None = None
         self._set_checker: SetBasedChecker | None = None
@@ -55,9 +51,7 @@ class FastLivenessChecker(LivenessOracle):
         cls,
         function: Function,
         pre,
-        strategy: str = "exact",
         use_bitsets: bool = True,
-        reducible_fast_path: bool = True,
     ) -> "FastLivenessChecker":
         """Build a checker over an already-materialised precomputation.
 
@@ -70,16 +64,9 @@ class FastLivenessChecker(LivenessOracle):
         normal :meth:`prepare`; a later :meth:`notify_cfg_changed` drops
         ``pre`` and the next query recomputes from scratch.
         """
-        checker = cls(
-            function,
-            strategy=strategy,
-            use_bitsets=use_bitsets,
-            reducible_fast_path=reducible_fast_path,
-        )
+        checker = cls(function, use_bitsets=use_bitsets)
         checker._pre = pre
-        checker._bitset_checker = BitsetChecker(
-            pre, reducible_fast_path=reducible_fast_path
-        )
+        checker._bitset_checker = BitsetChecker(pre)
         checker._set_checker = SetBasedChecker(pre)
         return checker
 
@@ -90,10 +77,8 @@ class FastLivenessChecker(LivenessOracle):
         """Run the CFG-only precomputation and build def–use chains."""
         if self._pre is None:
             cfg = self._function.build_cfg()
-            self._pre = LivenessPrecomputation(cfg, strategy=self._strategy)
-            self._bitset_checker = BitsetChecker(
-                self._pre, reducible_fast_path=self._reducible_fast_path
-            )
+            self._pre = LivenessPrecomputation(cfg)
+            self._bitset_checker = BitsetChecker(self._pre)
             self._set_checker = SetBasedChecker(self._pre)
             self._plans = None
         if self._defuse is None:
@@ -167,9 +152,7 @@ class FastLivenessChecker(LivenessOracle):
         if delta is not None and self._pre is not None:
             result = apply_cfg_delta(self._pre, delta)
             if result.applied:
-                self._bitset_checker = BitsetChecker(
-                    self._pre, reducible_fast_path=self._reducible_fast_path
-                )
+                self._bitset_checker = BitsetChecker(self._pre)
                 self._set_checker = SetBasedChecker(self._pre)
                 if result.renumbered:
                     self._batch = None

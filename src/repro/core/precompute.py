@@ -34,7 +34,7 @@ from repro.core.targets import TargetSets
 class LivenessPrecomputation:
     """All per-CFG data needed to answer liveness queries."""
 
-    def __init__(self, graph: ControlFlowGraph, strategy: str = "exact") -> None:
+    def __init__(self, graph: ControlFlowGraph) -> None:
         self.graph = graph
         self.dfs = DepthFirstSearch(graph)
         # The nodes the DFS reached are the reachability check: no second
@@ -42,7 +42,7 @@ class LivenessPrecomputation:
         graph.validate(reachable=self.dfs.preorder())
         self.domtree = DominatorTree(graph, self.dfs)
         self.reach = ReducedReachability(graph, self.dfs, self.domtree)
-        self.targets = TargetSets(graph, self.dfs, self.domtree, self.reach, strategy)
+        self.targets = TargetSets(self.dfs, self.domtree, self.reach)
         self.reducible = is_reducible(graph, self.dfs, self.domtree)
         self._back_edge_targets = set(self.dfs.back_edge_targets())
         # ------------------------------------------------------------------
@@ -109,5 +109,5 @@ class LivenessPrecomputation:
         return (
             f"LivenessPrecomputation(blocks={self.num_blocks()}, "
             f"edges={self.num_edges()}, back_edges={self.num_back_edges()}, "
-            f"reducible={self.reducible}, strategy={self.targets.strategy!r})"
+            f"reducible={self.reducible})"
         )

@@ -23,29 +23,6 @@ from repro.cfg.graph import ControlFlowGraph, Node
 from repro.sets.bitset import BitSet
 
 
-def reduced_sweep(
-    graph: ControlFlowGraph,
-    dfs: DepthFirstSearch,
-    num: dict[Node, int],
-    seeds: list[int],
-) -> list[int]:
-    """``out[num(v)] = seeds[num(v)] | ⋃ out[num(w)]`` over reduced edges ``v → w``.
-
-    One pass in DFS postorder suffices: it is a reverse topological order
-    of ``G̃``, so every reduced successor's row is final before it is read.
-    """
-    back = set(dfs.back_edges())
-    out = list(seeds)
-    for node in dfs.postorder():
-        number = num[node]
-        mask = out[number]
-        for succ in graph.successors(node):
-            if (node, succ) not in back:
-                mask |= out[num[succ]]
-        out[number] = mask
-    return out
-
-
 class ReducedReachability:
     """Per-node reduced-reachability masks ``R_v``."""
 
@@ -56,10 +33,21 @@ class ReducedReachability:
         domtree: DominatorTree,
     ) -> None:
         self._domtree = domtree
+        num = domtree.numbering
+        back = set(dfs.back_edges())
         #: ``masks[n]`` = bit mask of ``R_v`` for the node numbered ``n``.
-        self.masks: list[int] = reduced_sweep(
-            graph, dfs, domtree.numbering, [1 << n for n in range(len(domtree))]
-        )
+        #: One pass in DFS postorder suffices: it is a reverse topological
+        #: order of ``G̃``, so every reduced successor's row is final
+        #: before it is read.
+        self.masks: list[int] = [1 << n for n in range(len(domtree))]
+        masks = self.masks
+        for node in dfs.postorder():
+            number = num[node]
+            mask = masks[number]
+            for succ in graph.successors(node):
+                if (node, succ) not in back:
+                    mask |= masks[num[succ]]
+            masks[number] = mask
 
     # ------------------------------------------------------------------
     # Queries

@@ -13,18 +13,14 @@ increasing DFS preorder using Equation 1::
 
     T_v = {v} ∪ ⋃_{w ∈ T↑_v} T_w
 
-Two strategies are provided:
-
-* ``"exact"`` (default) — the Equation-1 pass above; it materialises the
-  sets of Definition 5 exactly, so Lemma 3 / Theorem 2 (total dominance
-  order on reducible CFGs, single query iteration) hold literally.
-* ``"propagate"`` — the engineering shortcut described in Section 5.2:
-  compute ``T`` for back-edge targets first, seed back-edge *sources* with
-  the union of their targets' sets, propagate through the reduced graph in
-  postorder, then add ``v`` to each ``T_v``.  This may over-approximate the
-  exact sets (it drops the ``t' ∉ R_v`` filter on the first chain link) but
-  never changes a query's answer; the ablation benchmark and the property
-  tests quantify and check exactly that.
+This is the only construction.  It materialises the sets of Definition 5
+exactly, so Lemma 3 / Theorem 2 (total dominance order on reducible CFGs,
+single query iteration) hold literally, and the incremental patcher
+(:mod:`repro.core.incremental`) can re-derive any row with the same
+Equation-1 step.  The Section 5.2 three-pass shortcut may over-approximate
+these sets, which would void both; only the test oracle
+``tests/support/reference_precompute`` builds it, to check the paper's
+claim that the extra targets never change an answer.
 
 Like ``R_v``, the sets are raw ``int`` masks over dominance-preorder
 indices, in one list ``masks``; ``BitSet`` views are derived on demand.
@@ -36,11 +32,9 @@ from typing import Callable
 
 from repro.cfg.dfs import DepthFirstSearch
 from repro.cfg.dominance import DominatorTree
-from repro.cfg.graph import ControlFlowGraph, Node
-from repro.core.reduced_graph import ReducedReachability, reduced_sweep
+from repro.cfg.graph import Node
+from repro.core.reduced_graph import ReducedReachability
 from repro.sets.bitset import BitSet
-
-_STRATEGIES = ("exact", "propagate")
 
 
 def back_edge_groups(dfs: DepthFirstSearch, num: Callable[[Node], int]) -> list[tuple[int, int]]:
@@ -69,58 +63,22 @@ class TargetSets:
 
     def __init__(
         self,
-        graph: ControlFlowGraph,
         dfs: DepthFirstSearch,
         domtree: DominatorTree,
         reach: ReducedReachability,
-        strategy: str = "exact",
     ) -> None:
-        if strategy not in _STRATEGIES:
-            raise ValueError(
-                f"unknown strategy {strategy!r}; expected one of {_STRATEGIES}"
-            )
         self._dfs = dfs
         self._domtree = domtree
         self._reach = reach
-        self._strategy = strategy
         num = domtree.numbering
         groups = back_edge_groups(dfs, num.__getitem__)
-        if strategy == "exact":
-            #: ``masks[n]`` = bit mask of ``T_v`` for the node numbered ``n``.
-            self.masks: list[int] = self._exact(dfs, num, groups)
-        else:
-            self.masks = self._propagate(graph, dfs, num, groups)
-
-    # ------------------------------------------------------------------
-    # Exact Equation-1 construction
-    # ------------------------------------------------------------------
-    def _exact(self, dfs, num, groups) -> list[int]:
-        r_masks = self._reach.masks
-        masks = [0] * len(self._domtree)
+        r_masks = reach.masks
+        masks = [0] * len(domtree)
         for node in dfs.preorder():
             number = num[node]
             masks[number] = equation1_row(number, r_masks[number], groups, masks)
-        return masks
-
-    # ------------------------------------------------------------------
-    # Section 5.2 three-pass propagation
-    # ------------------------------------------------------------------
-    def _propagate(self, graph, dfs, num, groups) -> list[int]:
-        r_masks = self._reach.masks
-        # Pass 1: exact T for back-edge targets, in increasing DFS preorder.
-        partial = [0] * len(self._domtree)
-        for target in sorted({t for _, t in dfs.back_edges()}, key=dfs.preorder_number):
-            t = num[target]
-            partial[t] = equation1_row(t, r_masks[t], groups, partial)
-        # Pass 2: seed back-edge sources with their targets' sets.
-        seeds = [0] * len(self._domtree)
-        for source, target in dfs.back_edges():
-            seeds[num[source]] |= partial[num[target]]
-        # Pass 3: propagate through the reduced graph, then add the node
-        # itself.  A target's pass-1 set needs no re-adding: each of its
-        # T↑ links starts at a seeded source inside R_t.
-        swept = reduced_sweep(graph, dfs, num, seeds)
-        return [mask | 1 << n for n, mask in enumerate(swept)]
+        #: ``masks[n]`` = bit mask of ``T_v`` for the node numbered ``n``.
+        self.masks: list[int] = masks
 
     def t_up(self, node: Node) -> list[Node]:
         """``T↑_node`` computed directly from Definition 5.
@@ -139,11 +97,6 @@ class TargetSets:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    @property
-    def strategy(self) -> str:
-        """The construction strategy used (``"exact"`` or ``"propagate"``)."""
-        return self._strategy
-
     @property
     def universe(self) -> int:
         """Size of the bitset universe (number of blocks)."""

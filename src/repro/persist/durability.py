@@ -57,30 +57,22 @@ from repro.persist.wal import (
 KEEP_SNAPSHOTS = 2
 
 
-def capture_state(client, include_precomps: bool = True) -> SnapshotState:
+def capture_state(client, pin=None) -> SnapshotState:
     """One :class:`SnapshotState` of a live client, locks held once.
 
     ``client`` is anything with the export surface (``export_state`` /
     ``topology``) — :class:`~repro.concurrent.client.ShardedClient` or
-    :class:`~repro.concurrent.procs.ProcClient`.  The WAL position is
-    pinned at 0; callers coordinating with a live log use
-    :meth:`Durability.snapshot`, which pins the real position.
+    :class:`~repro.concurrent.procs.ProcClient`.  ``pin``, if given, is
+    called while every shard lock is held and its value becomes the
+    snapshot's ``last_seq`` (0 when absent); :meth:`Durability.snapshot`
+    passes the live WAL position.
     """
-    functions, precomps, _pinned = client.export_state()
-    topology = client.topology()
+    functions, precomps, pinned = client.export_state(pin)
     return make_snapshot_state(
-        shards=topology["shards"],
-        capacity=topology["capacity"],
-        strategy=topology["strategy"],
+        **client.topology(),
         functions=functions,
-        precomps=(
-            tuple(
-                export_precomputation(name, pre) for name, pre in precomps
-            )
-            if include_precomps
-            else ()
-        ),
-        last_seq=0,
+        precomps=tuple(export_precomputation(name, pre) for name, pre in precomps),
+        last_seq=pinned,
     )
 
 
@@ -191,28 +183,14 @@ class Durability:
             raise ValueError("not attached to a client")
         with self._snapshot_lock:
             wal = self._wal
-            functions, precomps, pinned = self._client.export_state(
-                pin=lambda: wal.last_seq
-            )
-            topology = self._client.topology()
-            state = make_snapshot_state(
-                shards=topology["shards"],
-                capacity=topology["capacity"],
-                strategy=topology["strategy"],
-                functions=functions,
-                precomps=tuple(
-                    export_precomputation(name, pre)
-                    for name, pre in precomps
-                ),
-                last_seq=pinned,
-            )
+            state = capture_state(self._client, pin=lambda: wal.last_seq)
             path = write_snapshot(self.directory, state)
             self._obs_snap_writes.add(1)
             self._obs_snap_bytes.set(os.path.getsize(path))
             self._obs_snap_functions.set(len(state.functions))
             self._obs_snap_precomps.set(len(state.precomps))
             wal.rotate()
-            prune_segments(self.directory, pinned)
+            prune_segments(self.directory, state.last_seq)
             self._prune_snapshots()
             return path
 

@@ -47,7 +47,6 @@ def inspect_directory(directory: str) -> dict:
                 last_seq=state.last_seq,
                 shards=state.shards,
                 capacity=state.capacity,
-                strategy=state.strategy,
                 functions=len(state.functions),
                 precomps=len(state.precomps),
                 digest=state.digest(),
@@ -109,7 +108,6 @@ def _print_report(report: dict) -> None:
                 f"  {entry['file']}  {entry['bytes']}B  "
                 f"seq={entry['last_seq']}  shards={entry['shards']}  "
                 f"capacity={entry['capacity']}  "
-                f"strategy={entry['strategy']}  "
                 f"functions={entry['functions']}  "
                 f"precomps={entry['precomps']}"
             )

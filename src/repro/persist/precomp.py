@@ -6,9 +6,8 @@ tree, the quadratic reduced-reachability closure and the target sets.
 The *query* engines, however, only ever touch the flat numeric view that
 precomputation exposes: ``maxnums`` / ``r_masks`` /
 ``t_masks`` / ``is_back_target`` indexed by dominance-preorder number,
-plus the name↔number mapping and two scalars (``reducible`` and the
-target-set strategy).  That view is a few arrays of integers — exactly
-what a snapshot can carry.
+plus the name↔number mapping and the ``reducible`` flag.  That view is
+a few arrays of integers — exactly what a snapshot can carry.
 
 :class:`RestoredPrecomputation` duck-types that numeric surface; a
 checker built over it (:meth:`FastLivenessChecker.from_precomputation`)
@@ -34,8 +33,6 @@ class PrecompState:
 
     #: Function name the arrays belong to.
     name: str
-    #: ``TargetSets`` strategy the arrays were built with.
-    strategy: str
     #: Whether the CFG was reducible (arms the Theorem-2 fast path).
     reducible: bool
     #: Block names by dominance-preorder number (index = number).
@@ -48,15 +45,6 @@ class PrecompState:
     t_masks: tuple[int, ...]
     #: Bit ``i`` set ⇔ node number ``i`` is a DFS back-edge target.
     back_mask: int
-
-
-class _RestoredTargets:
-    """Just enough of ``TargetSets`` for the query engines: the strategy."""
-
-    __slots__ = ("strategy",)
-
-    def __init__(self, strategy: str) -> None:
-        self.strategy = strategy
 
 
 class _RestoredGraph:
@@ -80,7 +68,7 @@ class RestoredPrecomputation:
     Attribute-compatible with :class:`LivenessPrecomputation` everywhere
     the numeric engines look (:mod:`repro.core.bitset_query`,
     :mod:`repro.core.plans`, :mod:`repro.core.batch`): the four arrays,
-    ``reducible``, ``targets.strategy``, ``graph.nodes()``, the
+    ``reducible``, ``graph.nodes()``, the
     ``numbering`` dict and the ``num``/``node_of``/``is_back_edge_target``
     mapping helpers.  The object views (``domtree``, ``reach``, ``dfs``)
     are deliberately absent — see the module docstring.
@@ -99,7 +87,6 @@ class RestoredPrecomputation:
             for index in range(len(state.order))
         ]
         self.reducible = state.reducible
-        self.targets = _RestoredTargets(state.strategy)
         self._order = list(state.order)
         self.numbering = {name: index for index, name in enumerate(self._order)}
         self.graph = _RestoredGraph(self._order)
@@ -127,8 +114,7 @@ class RestoredPrecomputation:
     def __repr__(self) -> str:
         return (
             f"RestoredPrecomputation(blocks={len(self._order)}, "
-            f"reducible={self.reducible}, "
-            f"strategy={self.targets.strategy!r})"
+            f"reducible={self.reducible})"
         )
 
 
@@ -148,7 +134,6 @@ def export_precomputation(name: str, pre) -> PrecompState:
             back_mask |= 1 << index
     return PrecompState(
         name=name,
-        strategy=pre.targets.strategy,
         reducible=bool(pre.reducible),
         order=tuple(str(pre.node_of(index)) for index in range(count)),
         maxnums=tuple(pre.maxnums),

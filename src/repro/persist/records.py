@@ -36,7 +36,7 @@ from dataclasses import dataclass
 PERSIST_MAGIC = 0xD5
 
 #: On-disk format version; bump on any incompatible layout change.
-PERSIST_VERSION = 1
+PERSIST_VERSION = 2
 
 #: Upper bound on one record's framed size — a garbage-length guard,
 #: mirroring the wire codec's MAX_FRAME.

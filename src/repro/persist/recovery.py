@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from repro.persist.records import RecordDamage
 from repro.persist.snapshot import SnapshotState, load_newest_snapshot
 from repro.persist.wal import read_wal
+from repro.persist.wal import repair as repair_wal
 
 
 @dataclass(frozen=True)
@@ -90,12 +91,70 @@ def load_state(directory: str) -> RecoveredState:
     )
 
 
+def restore_client(
+    snapshot: SnapshotState | None, transport: str = "threads", **client_kwargs
+):
+    """A serving client holding ``snapshot``'s state; returns ``(client, n)``.
+
+    The client is built with the topology the snapshot recorded (an
+    explicit ``shards``/``capacity`` in ``client_kwargs`` wins; paper
+    defaults without a snapshot), the functions are reinstated with
+    their revisions, and — thread transport only — each warm checker is
+    reinstalled from its snapshot arrays; ``n`` counts those.  Worker
+    processes rebuild on demand instead: the arrays would have to cross
+    a pipe into workers that rebuild anyway.  Shared by :func:`recover`
+    and :class:`~repro.persist.replica.Replica`.
+    """
+    # Imported here, not at module level: repro.concurrent imports this
+    # package's policy module, so a module-level import would be a cycle.
+    from repro.core.live_checker import FastLivenessChecker
+    from repro.persist.precomp import RestoredPrecomputation
+
+    if snapshot is not None:
+        client_kwargs.setdefault("shards", snapshot.shards)
+        client_kwargs.setdefault("capacity", snapshot.capacity)
+    if transport == "threads":
+        from repro.concurrent.client import ShardedClient
+
+        client = ShardedClient(**client_kwargs)
+    elif transport == "procs":
+        from repro.concurrent.procs import ProcClient
+
+        if "shards" in client_kwargs:
+            client_kwargs.setdefault("workers", client_kwargs.pop("shards"))
+        client = ProcClient(**client_kwargs)
+    else:
+        raise ValueError(
+            f"transport must be 'threads' or 'procs', got {transport!r}"
+        )
+    restored = 0
+    if snapshot is None:
+        return client, restored
+    if snapshot.functions:
+        client.import_state(
+            [(f.name, f.revision, f.source) for f in snapshot.functions]
+        )
+    if transport == "threads":
+        for pre_state in snapshot.precomps:
+            try:
+                function = client.service.function(pre_state.name)
+            except KeyError:
+                continue  # snapshot names a function its own IR lacks
+            client.install_checker(
+                pre_state.name,
+                FastLivenessChecker.from_precomputation(
+                    function, RestoredPrecomputation(pre_state)
+                ),
+            )
+            restored += 1
+    return client, restored
+
+
 def recover(
     directory: str,
     transport: str = "threads",
     shards: int | None = None,
     capacity: int | None = None,
-    strategy: str | None = None,
     repair: bool = False,
     **client_kwargs,
 ):
@@ -107,7 +166,7 @@ def recover(
         ``"threads"`` builds a
         :class:`~repro.concurrent.client.ShardedClient`, ``"procs"`` a
         :class:`~repro.concurrent.procs.ProcClient`.
-    shards / capacity / strategy:
+    shards / capacity:
         Override the topology recorded in the snapshot header (defaults
         to exactly what the snapshot recorded; paper defaults when there
         is no snapshot).
@@ -125,12 +184,6 @@ def recover(
     propagate real environment failures (unspawnable workers, unwritable
     repair).
     """
-    # Imported here, not at module level: repro.concurrent imports this
-    # package's policy module, so a module-level import would be a cycle.
-    from repro.core.live_checker import FastLivenessChecker
-    from repro.persist.precomp import RestoredPrecomputation
-    from repro.persist.wal import repair as repair_wal
-
     recovered = load_state(directory)
     report = RecoveryReport(
         directory=directory,
@@ -145,65 +198,15 @@ def recover(
         repair_wal(directory)
 
     snapshot = recovered.snapshot
-    topo_shards = shards if shards is not None else (
-        snapshot.shards if snapshot is not None else None
+    if shards is not None:
+        client_kwargs["shards"] = shards
+    if capacity is not None:
+        client_kwargs["capacity"] = capacity
+    client, report.checkers_restored = restore_client(
+        snapshot, transport, **client_kwargs
     )
-    topo_capacity = capacity if capacity is not None else (
-        snapshot.capacity if snapshot is not None else None
-    )
-    topo_strategy = strategy if strategy is not None else (
-        snapshot.strategy if snapshot is not None else "exact"
-    )
-
-    if transport == "threads":
-        from repro.concurrent.client import ShardedClient
-
-        kwargs = dict(client_kwargs)
-        if topo_shards is not None:
-            kwargs.setdefault("shards", topo_shards)
-        if topo_capacity is not None:
-            kwargs.setdefault("capacity", topo_capacity)
-        kwargs.setdefault("strategy", topo_strategy)
-        client = ShardedClient(**kwargs)
-    elif transport == "procs":
-        from repro.concurrent.procs import ProcClient
-
-        kwargs = dict(client_kwargs)
-        if topo_shards is not None:
-            kwargs.setdefault("workers", topo_shards)
-        if topo_capacity is not None:
-            kwargs.setdefault("capacity", topo_capacity)
-        kwargs.setdefault("strategy", topo_strategy)
-        client = ProcClient(**kwargs)
-    else:
-        raise ValueError(
-            f"transport must be 'threads' or 'procs', got {transport!r}"
-        )
-
-    if snapshot is not None and snapshot.functions:
-        client.import_state(
-            [(f.name, f.revision, f.source) for f in snapshot.functions]
-        )
+    if snapshot is not None:
         report.functions = len(snapshot.functions)
-
-    if transport == "threads" and snapshot is not None:
-        # Reinstall warm checkers from the snapshot's arrays — the
-        # restore-speed half of the story.  Skipped for processes: the
-        # arrays would have to cross a pipe into workers that rebuild
-        # on demand anyway.
-        sharded = client.service
-        for pre_state in snapshot.precomps:
-            try:
-                function = sharded.function(pre_state.name)
-            except KeyError:
-                continue  # snapshot names a function its own IR lacks
-            checker = FastLivenessChecker.from_precomputation(
-                function,
-                RestoredPrecomputation(pre_state),
-                strategy=pre_state.strategy,
-            )
-            client.install_checker(pre_state.name, checker)
-            report.checkers_restored += 1
 
     for _seq, request in recovered.entries:
         response = client.dispatch(request)

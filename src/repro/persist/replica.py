@@ -39,6 +39,7 @@ from repro.api.protocol import (
 )
 from repro.obs import Observability
 from repro.persist.durability import live_state_digest
+from repro.persist.recovery import restore_client
 from repro.persist.snapshot import load_newest_snapshot
 from repro.persist.wal import read_wal
 
@@ -71,42 +72,9 @@ class Replica:
     # ------------------------------------------------------------------
     def _bootstrap(self) -> None:
         """(Re)build the inner server from the newest valid snapshot."""
-        # Imported lazily: repro.concurrent imports this package, so a
-        # module-level import would be a cycle.
-        from repro.concurrent.client import ShardedClient
-        from repro.core.live_checker import FastLivenessChecker
-        from repro.persist.precomp import RestoredPrecomputation
-
         state, _path, _damage = load_newest_snapshot(self.directory)
-        if state is not None:
-            client = ShardedClient(
-                shards=state.shards,
-                capacity=state.capacity,
-                strategy=state.strategy,
-                obs=self.obs,
-            )
-            if state.functions:
-                client.import_state(
-                    [(f.name, f.revision, f.source) for f in state.functions]
-                )
-            for pre_state in state.precomps:
-                try:
-                    function = client.service.function(pre_state.name)
-                except KeyError:
-                    continue
-                client.install_checker(
-                    pre_state.name,
-                    FastLivenessChecker.from_precomputation(
-                        function,
-                        RestoredPrecomputation(pre_state),
-                        strategy=pre_state.strategy,
-                    ),
-                )
-            self._applied = state.last_seq
-        else:
-            client = ShardedClient(obs=self.obs)
-            self._applied = 0
-        self._client = client
+        self._client, _restored = restore_client(state, obs=self.obs)
+        self._applied = state.last_seq if state is not None else 0
         self._obs_bootstraps.add(1)
         self._obs_position.set(self._applied)
 

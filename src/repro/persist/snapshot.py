@@ -2,13 +2,17 @@
 
 A snapshot is a flat file of :mod:`repro.persist.records` records::
 
-    HEADER    | topology (shards, capacity, strategy), counts, last_seq
+    HEADER    | topology (shards, capacity), counts, last_seq
     FUNCTION* | one per registered function, in registration order:
               |   name, revision, printed IR
     PRECOMP*  | one per resident checker with a built precomputation,
               |   in shard order then LRU order (least-recent first):
-              |   the flat numeric arrays (see repro.persist.precomp)
+              |   name, reducible flag, block order, then the flat
+              |   numeric arrays (see repro.persist.precomp)
     END       | state digest + record count (the completeness witness)
+
+The target sets have one construction (exact Equation 1), so no record
+names one.
 
 Two properties the tests pin down:
 
@@ -73,8 +77,6 @@ class SnapshotState:
     shards: int
     #: Total resident-checker budget (sum of per-shard capacities).
     capacity: int
-    #: ``TargetSets`` strategy.
-    strategy: str
     #: Highest WAL sequence number included in this state.
     last_seq: int
     #: Registered functions, in registration order.
@@ -130,7 +132,6 @@ def encode_snapshot(state: SnapshotState) -> bytes:
     header = bytearray()
     write_uvarint(header, state.shards)
     write_uvarint(header, state.capacity)
-    write_str(header, state.strategy)
     write_uvarint(header, len(state.functions))
     write_uvarint(header, len(state.precomps))
     write_uvarint(header, state.last_seq)
@@ -144,7 +145,6 @@ def encode_snapshot(state: SnapshotState) -> bytes:
     for pre in state.precomps:
         body = bytearray()
         write_str(body, pre.name)
-        write_str(body, pre.strategy)
         body.append(1 if pre.reducible else 0)
         write_uvarint(body, len(pre.order))
         for block in pre.order:
@@ -190,7 +190,6 @@ def decode_snapshot(data: bytes) -> tuple[SnapshotState | None, RecordDamage | N
         r = Reader(body)
         shards = r.uvarint()
         capacity = r.uvarint()
-        strategy = r.str_()
         n_functions = r.uvarint()
         n_precomps = r.uvarint()
         last_seq = r.uvarint()
@@ -213,7 +212,6 @@ def decode_snapshot(data: bytes) -> tuple[SnapshotState | None, RecordDamage | N
                 functions.append(FunctionState(name, revision, source))
             elif rectype == REC_PRECOMP:
                 name = r.str_()
-                pre_strategy = r.str_()
                 reducible = bool(r.u8())
                 count = r.uvarint()
                 order = tuple(r.str_() for _ in range(count))
@@ -225,7 +223,6 @@ def decode_snapshot(data: bytes) -> tuple[SnapshotState | None, RecordDamage | N
                 precomps.append(
                     PrecompState(
                         name=name,
-                        strategy=pre_strategy,
                         reducible=reducible,
                         order=order,
                         maxnums=maxnums,
@@ -261,7 +258,6 @@ def decode_snapshot(data: bytes) -> tuple[SnapshotState | None, RecordDamage | N
         state = SnapshotState(
             shards=shards,
             capacity=capacity,
-            strategy=strategy,
             last_seq=last_seq,
             functions=tuple(functions),
             precomps=tuple(precomps),
@@ -359,7 +355,6 @@ def load_newest_snapshot(
 def make_snapshot_state(
     shards: int,
     capacity: int,
-    strategy: str,
     functions,
     precomps=(),
     last_seq: int = 0,
@@ -368,7 +363,6 @@ def make_snapshot_state(
     return SnapshotState(
         shards=shards,
         capacity=capacity,
-        strategy=strategy,
         last_seq=last_seq,
         functions=tuple(
             entry

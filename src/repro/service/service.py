@@ -193,8 +193,6 @@ class LivenessService:
     capacity:
         Maximum number of resident checkers (≥ 1).  Least-recently-used
         entries are evicted beyond that.
-    strategy:
-        ``TargetSets`` construction strategy handed to every checker.
     obs:
         :class:`repro.obs.Observability` to record into; a private
         instance is created when omitted, so independent services never
@@ -209,7 +207,6 @@ class LivenessService:
         self,
         module: Module | Iterable[Function] | None = None,
         capacity: int = DEFAULT_CAPACITY,
-        strategy: str = "exact",
         obs: Observability | None = None,
         obs_labels: dict | None = None,
     ) -> None:
@@ -219,7 +216,6 @@ class LivenessService:
         self._checkers: OrderedDict[str, FastLivenessChecker] = OrderedDict()
         self._revisions: dict[str, int] = {}
         self._capacity = capacity
-        self._strategy = strategy
         self.stats = ServiceStats()
         self.obs = obs if obs is not None else Observability()
         labels = dict(obs_labels or {})
@@ -338,7 +334,7 @@ class LivenessService:
             raise KeyError(f"unknown function {name!r}") from None
         self.stats.misses += 1
         with self.obs.span("checker_build", function=name):
-            checker = FastLivenessChecker(function, strategy=self._strategy)
+            checker = FastLivenessChecker(function)
             checker.prepare()
         self._obs_precomputations.add(1)
         self._checkers[name] = checker
@@ -362,11 +358,6 @@ class LivenessService:
     # ------------------------------------------------------------------
     # Snapshot export / import (the persist layer's surface)
     # ------------------------------------------------------------------
-    @property
-    def strategy(self) -> str:
-        """``TargetSets`` strategy handed to every checker."""
-        return self._strategy
-
     def export_functions(self) -> list[tuple[str, int, str]]:
         """``(name, revision, printed source)``, in registration order.
 

@@ -33,7 +33,7 @@ class TestBasics:
         assert bitset.is_live_out(pre.num(0), [pre.num(2)], pre.num(0))
         assert not bitset.is_live_out(pre.num(0), [pre.num(0)], pre.num(0))
 
-    def test_fast_path_only_on_reducible_exact(self):
+    def test_fast_path_only_on_reducible(self):
         reducible = ControlFlowGraph.from_edges([(0, 1), (1, 2), (2, 1), (2, 3)], entry=0)
         pre = LivenessPrecomputation(reducible)
         assert BitsetChecker(pre).uses_fast_path
@@ -42,9 +42,6 @@ class TestBasics:
         irreducible = build_figure3_cfg()
         pre_irr = LivenessPrecomputation(irreducible)
         assert not BitsetChecker(pre_irr).uses_fast_path
-
-        propagate = LivenessPrecomputation(reducible, strategy="propagate")
-        assert not BitsetChecker(propagate).uses_fast_path
 
 
 class TestEquivalenceWithSetForm:

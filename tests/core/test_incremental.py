@@ -297,12 +297,6 @@ class TestFallbacks:
         assert 9 in pre.graph and pre.graph.has_edge(3, 9)
         LivenessPrecomputation(pre.graph)  # the rebuild input is valid
 
-    def test_propagate_strategy_falls_back(self):
-        pre = LivenessPrecomputation(self.diamond(), strategy="propagate")
-        result = apply_cfg_delta(pre, CfgDelta.edge_added(1, 2))
-        assert not result.applied and result.reason == "strategy"
-        assert pre.graph.has_edge(1, 2)
-
     def test_unknown_node_falls_back(self):
         pre = LivenessPrecomputation(self.diamond())
         result = apply_cfg_delta(pre, CfgDelta.edge_removed(0, 77))
@@ -383,13 +377,6 @@ class TestUpdatePrecomputation:
         assert updated is not pre
         assert updated.graph.has_edge(1, 2)
         assert_identical(updated, "rebuild wrapper")
-
-    def test_fallback_preserves_strategy(self):
-        graph = ControlFlowGraph.from_edges([(0, 1), (1, 2)], entry=0)
-        pre = LivenessPrecomputation(graph, strategy="propagate")
-        updated, result = update_precomputation(pre, CfgDelta.edge_added(0, 2))
-        assert not result.applied
-        assert updated.targets.strategy == "propagate"
 
 
 # ----------------------------------------------------------------------
@@ -487,15 +474,6 @@ class TestEdgeSplit:
         for source, target in [(2, 1), (0, 2), (1, 2)]:
             apply_split(pre, source, target, f"irreducible split {source}->{target}")
         assert not pre.reducible
-
-    def test_propagate_strategy_falls_back_with_the_slot_kept(self):
-        graph = ControlFlowGraph.from_edges([(0, 1), (0, 2), (1, 2)], entry=0)
-        pre = LivenessPrecomputation(graph, strategy="propagate")
-        result = apply_cfg_delta(pre, CfgDelta.edge_split(0, 1, 9))
-        assert not result.applied and result.reason == "strategy"
-        # The fallback edits the graph with the same in-place split.
-        assert pre.graph.successors(0) == [9, 2]
-        LivenessPrecomputation(pre.graph)
 
     def test_restored_shim_falls_back(self):
         class Shim:
@@ -741,21 +719,6 @@ class TestSessionReplay:
         assert not result.applied and result.reason == "restored"
         assert not checker.is_restored
         assert_checker_matches_rebuild(checker, function, "restored split")
-
-    def test_propagate_checker_falls_back_on_a_split(self):
-        function = structured_function(5, target_blocks=8)
-        checker = FastLivenessChecker(function, strategy="propagate")
-        checker.prepare()
-        sess = TransformationSession(function)
-        source = function.entry.name
-        target = function.block(source).successors()[0]
-        new_block = sess.split_edge(source, target)
-        result = checker.notify_cfg_changed(
-            CfgDelta.edge_split(source, target, new_block)
-        )
-        assert not result.applied and result.reason == "strategy"
-        assert checker.precomputation.targets.strategy == "propagate"
-        assert_checker_matches_rebuild(checker, function, "propagate split")
 
     def test_incremental_updates_preserve_cached_plans(self):
         # Seed pair chosen so every edit applies incrementally (no

@@ -105,14 +105,6 @@ class TestRandomFunctions:
                     assert with_bitsets.is_live_in(var, block) == without_bitsets.is_live_in(var, block)
                     assert with_bitsets.is_live_out(var, block) == without_bitsets.is_live_out(var, block)
 
-    def test_propagate_strategy_agrees(self, rng):
-        for _ in range(8):
-            function = random_ssa_function(rng, num_blocks=12)
-            exact = FastLivenessChecker(function, strategy="exact")
-            propagate = FastLivenessChecker(function, strategy="propagate")
-            for var in exact.live_variables():
-                for block in function.blocks:
-                    assert exact.is_live_in(var, block) == propagate.is_live_in(var, block)
 
 
 class TestLiveSetsEnumeration:

@@ -120,28 +120,3 @@ class TestAgainstBruteForce:
 
     def test_figure3_matches_path_search(self, rng):
         self._exhaustive_check(build_figure3_cfg(), rng)
-
-    def test_propagate_strategy_gives_identical_answers(self, rng):
-        """The Section 5.2 propagation shortcut never changes a query result."""
-        for _ in range(25):
-            graph = random_cfg(rng, rng.randrange(2, 18))
-            exact = SetBasedChecker(LivenessPrecomputation(graph, strategy="exact"))
-            approx = SetBasedChecker(
-                LivenessPrecomputation(graph, strategy="propagate")
-            )
-            domtree = exact.precomputation.domtree
-            nodes = graph.nodes()
-            for _ in range(10):
-                def_node = rng.choice(nodes)
-                uses = {
-                    u
-                    for u in (rng.choice(nodes) for _ in range(3))
-                    if domtree.dominates(def_node, u)
-                }
-                for query in nodes:
-                    assert exact.is_live_in(def_node, uses, query) == approx.is_live_in(
-                        def_node, uses, query
-                    )
-                    assert exact.is_live_out(
-                        def_node, uses, query
-                    ) == approx.is_live_out(def_node, uses, query)

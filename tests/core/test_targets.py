@@ -1,18 +1,16 @@
 """Tests for the T_v sets (Definition 5, Equation 1, Theorem 3, Lemma 3)."""
 
-import pytest
-
 from repro.cfg import ControlFlowGraph, DepthFirstSearch, DominatorTree
 from repro.core import LivenessPrecomputation, ReducedReachability, TargetSets
 from repro.synth import random_cfg, random_reducible_cfg
 from tests.conftest import build_figure3_cfg
 
 
-def build(graph: ControlFlowGraph, strategy: str = "exact") -> TargetSets:
+def build(graph: ControlFlowGraph) -> TargetSets:
     dfs = DepthFirstSearch(graph)
     domtree = DominatorTree(graph, dfs)
     reach = ReducedReachability(graph, dfs, domtree)
-    return TargetSets(graph, dfs, domtree, reach, strategy=strategy)
+    return TargetSets(dfs, domtree, reach)
 
 
 def reference_t_set(graph: ControlFlowGraph, query) -> set:
@@ -64,14 +62,6 @@ class TestExactConstruction:
         targets = build(build_figure3_cfg())
         assert set(targets.target_nodes(4)) == {4, 2}
 
-    def test_unknown_strategy_rejected(self):
-        graph = ControlFlowGraph.from_edges([(0, 1)], entry=0)
-        dfs = DepthFirstSearch(graph)
-        domtree = DominatorTree(graph, dfs)
-        reach = ReducedReachability(graph, dfs, domtree)
-        with pytest.raises(ValueError):
-            TargetSets(graph, dfs, domtree, reach, strategy="bogus")
-
     def test_matches_definition5_fixpoint(self, rng):
         for _ in range(30):
             graph = random_cfg(rng, rng.randrange(2, 22))
@@ -88,7 +78,7 @@ class TestTheorem3:
             dfs = DepthFirstSearch(graph)
             domtree = DominatorTree(graph, dfs)
             reach = ReducedReachability(graph, dfs, domtree)
-            targets = TargetSets(graph, dfs, domtree, reach)
+            targets = TargetSets(dfs, domtree, reach)
             for node in graph.nodes():
                 for upstream in targets.t_up(node):
                     assert (
@@ -141,22 +131,7 @@ class TestRelevantTargets:
                     assert actual == expected
 
 
-class TestPropagateStrategy:
-    def test_propagate_is_superset_of_exact(self, rng):
-        for _ in range(25):
-            graph = random_cfg(rng, rng.randrange(2, 25))
-            exact = build(graph, "exact")
-            propagate = build(graph, "propagate")
-            for node in graph.nodes():
-                assert set(exact.target_nodes(node)) <= set(
-                    propagate.target_nodes(node)
-                )
-
-    def test_strategy_recorded(self):
-        graph = ControlFlowGraph.from_edges([(0, 1)], entry=0)
-        assert build(graph, "propagate").strategy == "propagate"
-        assert build(graph).strategy == "exact"
-
+class TestStorage:
     def test_storage_accounting(self):
         graph = build_figure3_cfg()
         targets = build(graph)

@@ -1,0 +1,76 @@
+"""The target sets have one construction, and no layer offers another.
+
+The exact Equation-1 ``T_v`` sets are what the query, the Theorem-2
+single-candidate fast path and the in-place CFG patcher all rely on, so
+no constructor, factory or persisted record between the kernel and the
+snapshot takes a target-set ``strategy`` — and the served checker takes
+no ``reducible_fast_path`` (that ablation knob lives on
+:class:`~repro.core.bitset_query.BitsetChecker` only).  Each entry below
+must refuse the keyword at call binding, before any work (or worker
+process) starts.  The §5.2 propagated sets stay reproducible through
+``tests.support.reference_precompute``.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.api.client import CompilerClient
+from repro.concurrent.client import ShardedClient
+from repro.concurrent.procs import ProcClient
+from repro.concurrent.sharded import ShardedService
+from repro.core.live_checker import FastLivenessChecker
+from repro.core.precompute import LivenessPrecomputation
+from repro.core.targets import TargetSets
+from repro.persist.precomp import PrecompState
+from repro.persist.recovery import recover, restore_client
+from repro.persist.snapshot import SnapshotState, make_snapshot_state
+from repro.service.service import LivenessService
+
+TAKES_NO_STRATEGY = {
+    "TargetSets": TargetSets,
+    "LivenessPrecomputation": LivenessPrecomputation,
+    "FastLivenessChecker": FastLivenessChecker,
+    "FastLivenessChecker.from_precomputation": FastLivenessChecker.from_precomputation,
+    "LivenessService": LivenessService,
+    "ShardedService": ShardedService,
+    "ShardedClient": ShardedClient,
+    "CompilerClient": CompilerClient,
+    "ProcClient": ProcClient,
+    "make_snapshot_state": make_snapshot_state,
+    "SnapshotState": SnapshotState,
+    "PrecompState": PrecompState,
+}
+
+TAKES_NO_FAST_PATH_SWITCH = {
+    "FastLivenessChecker": FastLivenessChecker,
+    "FastLivenessChecker.from_precomputation": FastLivenessChecker.from_precomputation,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAKES_NO_STRATEGY))
+def test_no_strategy_keyword(name):
+    with pytest.raises(TypeError, match="strategy"):
+        TAKES_NO_STRATEGY[name](strategy="exact")
+
+
+# ``recover`` and ``restore_client`` forward extra keywords to the client
+# they build, which refuses this one before anything is served.
+def test_recover_takes_no_strategy(tmp_path):
+    with pytest.raises(TypeError, match="strategy"):
+        recover(str(tmp_path), strategy="exact")
+
+
+def test_restore_client_takes_no_strategy():
+    with pytest.raises(TypeError, match="strategy"):
+        restore_client(None, strategy="exact")
+
+
+@pytest.mark.parametrize("name", sorted(TAKES_NO_FAST_PATH_SWITCH))
+def test_served_checker_has_no_fast_path_switch(name):
+    with pytest.raises(TypeError, match="reducible_fast_path"):
+        TAKES_NO_FAST_PATH_SWITCH[name](reducible_fast_path=False)
+
+
+def test_topology_names_no_strategy():
+    assert ShardedClient().topology() == {"shards": 4, "capacity": 64}

@@ -15,12 +15,13 @@ from __future__ import annotations
 import os
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api.protocol import LivenessQuery
 from repro.concurrent.client import ShardedClient
 from repro.persist.durability import capture_state
-from repro.persist.recovery import recover
+from repro.persist.recovery import recover, restore_client
 from repro.persist.snapshot import (
     FunctionState,
     SnapshotState,
@@ -45,8 +46,7 @@ def plain_state(count: int = 3, last_seq: int = 0) -> SnapshotState:
         for index, fn in enumerate(corpus_functions(count))
     ]
     return make_snapshot_state(
-        shards=4, capacity=8, strategy="exact",
-        functions=functions, last_seq=last_seq,
+        shards=4, capacity=8, functions=functions, last_seq=last_seq,
     )
 
 
@@ -105,7 +105,6 @@ def test_digest_ignores_precomps_and_last_seq():
     bare = make_snapshot_state(
         shards=state.shards,
         capacity=state.capacity,
-        strategy=state.strategy,
         functions=state.functions,
     )
     assert state.digest() == bare.digest()
@@ -113,6 +112,95 @@ def test_digest_ignores_precomps_and_last_seq():
     assert state.digest() == state_digest(
         [(f.name, f.revision, f.source) for f in state.functions]
     )
+
+
+# ----------------------------------------------------------------------
+# The one capture path and the one restore path
+# ----------------------------------------------------------------------
+def test_capture_without_pin_records_seq_zero():
+    assert capture_state(warm_client()).last_seq == 0
+
+
+def test_capture_records_the_pinned_value_once():
+    calls = []
+
+    def pin():
+        calls.append(None)
+        return 42
+
+    assert capture_state(warm_client(), pin=pin).last_seq == 42
+    assert len(calls) == 1
+
+
+def test_restore_without_snapshot_is_an_empty_default_client():
+    client, restored = restore_client(None)
+    assert restored == 0
+    assert client.topology() == ShardedClient().topology()
+    assert capture_state(client).functions == ()
+
+
+def test_restore_reinstates_functions_revisions_and_checkers():
+    state = capture_state(warm_client())
+    client, restored = restore_client(state)
+    assert restored == len(state.precomps) > 0
+    assert sorted(client.service.resident()) == sorted(p.name for p in state.precomps)
+    assert client.topology() == {"shards": state.shards, "capacity": state.capacity}
+
+    edited = plain_state(3)
+    client, restored = restore_client(edited)
+    assert restored == 0
+    for fn in edited.functions:
+        assert client.service.revision(fn.name) == fn.revision
+    assert capture_state(client) == edited
+
+
+def test_explicit_topology_wins_over_the_snapshot():
+    state = plain_state(2)
+    client, _restored = restore_client(state, shards=2, capacity=4)
+    assert client.topology() == {"shards": 2, "capacity": 4}
+    assert capture_state(client).functions == state.functions
+
+
+def test_unknown_transport_is_rejected():
+    with pytest.raises(ValueError, match="transport"):
+        restore_client(plain_state(1), transport="carrier-pigeon")
+
+
+def test_precomp_of_an_unregistered_function_is_skipped():
+    state = capture_state(warm_client())
+    orphan = state.precomps[0].name
+    pruned = make_snapshot_state(
+        shards=state.shards,
+        capacity=state.capacity,
+        functions=[f for f in state.functions if f.name != orphan],
+        precomps=state.precomps,
+    )
+    client, restored = restore_client(pruned)
+    assert restored == len(state.precomps) - 1
+    assert orphan not in client.service.resident()
+
+
+def test_procs_restore_rebuilds_checkers_on_demand():
+    original = warm_client()
+    state = capture_state(original)
+    client, restored = restore_client(state, transport="procs")
+    try:
+        assert restored == 0
+        assert client.topology() == {"shards": state.shards, "capacity": state.capacity}
+        assert capture_state(client).functions == state.functions
+        for info in map(fn_info, corpus_functions(4)):
+            if info.variables and info.blocks:
+                # Revisions were restored verbatim, so the original's
+                # handle is current on the restored client too.
+                query = LivenessQuery(
+                    function=original.handle(info.name),
+                    kind="out",
+                    variable=info.variables[0],
+                    block=info.blocks[0],
+                )
+                assert client.dispatch(query) == original.dispatch(query)
+    finally:
+        client.close()
 
 
 # ----------------------------------------------------------------------
@@ -171,6 +259,29 @@ def test_tampered_digest_is_rejected():
     )
     state, damage = decode_snapshot(tampered)
     assert state is None and damage.kind == "digest"
+
+
+def test_previous_layout_is_version_damage():
+    """Layout 1 still carried a target-set strategy string in HEADER and
+    PRECOMP; its records must be refused whole, not misparsed."""
+    import struct
+    import zlib
+
+    from repro.api.codec import write_str, write_uvarint
+    from repro.persist.records import PERSIST_MAGIC, PERSIST_VERSION
+    from repro.persist.snapshot import REC_HEADER
+
+    assert PERSIST_VERSION > 1
+    header = bytearray()
+    for value in (4, 8):
+        write_uvarint(header, value)
+    write_str(header, "exact")
+    for value in (0, 0, 0):
+        write_uvarint(header, value)
+    payload = bytes((PERSIST_MAGIC, 1, REC_HEADER)) + bytes(header)
+    data = struct.pack("<II", len(payload) + 4, zlib.crc32(payload)) + payload
+    state, damage = decode_snapshot(data)
+    assert state is None and damage.kind == "version"
 
 
 # ----------------------------------------------------------------------

@@ -7,11 +7,13 @@ slow, obvious way over :class:`~repro.sets.bitset.BitSet` objects:
 
 * ``R_v``: the Definition-4 sweep in DFS postorder, skipping every
   successor ``w`` with :meth:`DepthFirstSearch.is_back_edge`;
-* ``T_v`` (``"exact"``): Equation 1 in DFS preorder, with ``T↑_v``
-  computed straight from Definition 5 by scanning every back edge;
-* ``T_v`` (``"propagate"``): the §5.2 three-pass shortcut — exact sets
-  for back-edge targets, seeds at back-edge sources, a reduced-graph
-  sweep, then the node itself.
+* ``T_v``: Equation 1 in DFS preorder, with ``T↑_v`` computed straight
+  from Definition 5 by scanning every back edge;
+* ``T_v`` propagated: the §5.2 three-pass shortcut — exact sets for
+  back-edge targets, seeds at back-edge sources, a reduced-graph sweep,
+  then the node itself.  The library builds only the exact sets; this
+  over-approximation is kept here so the paper's claim about it (a
+  superset that never changes an answer) stays under test.
 
 :func:`reference_arrays` lowers the result to the same flat arrays a
 :class:`~repro.core.precompute.LivenessPrecomputation` exposes.
@@ -124,16 +126,19 @@ class ReferenceArrays:
     storage_bits: int
 
 
-def reference_arrays(graph: ControlFlowGraph, strategy: str = "exact") -> ReferenceArrays:
-    """Build ``R``/``T`` the object way and lower them by dominance preorder."""
+def reference_arrays(graph: ControlFlowGraph, propagated: bool = False) -> ReferenceArrays:
+    """Build ``R``/``T`` the object way and lower them by dominance preorder.
+
+    ``propagated`` swaps the exact ``T`` for the §5.2 three-pass sets.
+    """
     graph.validate()
     dfs = DepthFirstSearch(graph)
     domtree = DominatorTree(graph, dfs)
     reach = reference_reach(graph, dfs, domtree)
-    if strategy == "exact":
-        targets = reference_targets_exact(dfs, domtree, reach)
-    else:
+    if propagated:
         targets = reference_targets_propagate(graph, dfs, domtree, reach)
+    else:
+        targets = reference_targets_exact(dfs, domtree, reach)
     order = domtree.preorder()
     back_targets = set(dfs.back_edge_targets())
     return ReferenceArrays(
