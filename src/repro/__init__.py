@@ -26,85 +26,13 @@ Typical use::
 
 See ``DESIGN.md`` for the module map and ``EXPERIMENTS.md`` for the
 reproduction of the paper's evaluation.
+
+The names below are re-exported lazily (PEP 562): ``import repro`` or
+``import repro.core`` loads no other subpackage, and each name imports
+its home module on first access.
 """
 
-from repro.api import (
-    ApiError,
-    CompilerClient,
-    EngineSpec,
-    ErrorCode,
-    FunctionHandle,
-    QueryKind,
-    StatsRequest,
-    StatsResponse,
-    available_engines,
-    get_engine,
-    register_engine,
-)
-from repro.cfg import (
-    ControlFlowGraph,
-    DepthFirstSearch,
-    DominanceFrontiers,
-    DominatorTree,
-    EdgeKind,
-    LoopNestingForest,
-    is_reducible,
-)
-from repro.concurrent import (
-    ProcClient,
-    ShardedClient,
-    ShardedService,
-    WireServer,
-    serve_loop,
-)
-from repro.core import (
-    BitsetChecker,
-    FastLivenessChecker,
-    LivenessPrecomputation,
-    LoopForestChecker,
-    ReducedReachability,
-    SetBasedChecker,
-    TargetSets,
-    TransformationSession,
-)
-from repro.frontend import compile_function, compile_source
-from repro.ir import (
-    BasicBlock,
-    Function,
-    FunctionBuilder,
-    Instruction,
-    Module,
-    ParallelCopy,
-    Phi,
-    Variable,
-    parse_function,
-    print_function,
-    verify_ssa,
-)
-from repro.liveness import (
-    CountingOracle,
-    DataflowLiveness,
-    LivenessOracle,
-    PathExplorationLiveness,
-)
-from repro.obs import MetricsRegistry, Observability, Tracer, to_prometheus
-from repro.regalloc import (
-    Allocation,
-    allocate,
-    color_function,
-    compute_pressure,
-    max_live,
-    verify_allocation,
-)
-from repro.service import LivenessRequest, LivenessService, ServiceStats
-from repro.ssa import DefUseChains, construct_ssa
-from repro.ssadestruct import (
-    DestructReport,
-    InterferenceChecker,
-    destruct,
-    verify_conventional_ssa,
-    verify_destructed,
-)
+import importlib
 
 __version__ = "1.0.0"
 
@@ -191,3 +119,59 @@ __all__ = [
     "compile_source",
     "compile_function",
 ]
+
+#: Home module of every re-exported name.
+_SOURCES = {
+    "repro.api": (
+        "ApiError", "CompilerClient", "EngineSpec", "ErrorCode", "FunctionHandle",
+        "QueryKind", "StatsRequest", "StatsResponse", "available_engines",
+        "get_engine", "register_engine",
+    ),
+    "repro.cfg": (
+        "ControlFlowGraph", "DepthFirstSearch", "DominanceFrontiers",
+        "DominatorTree", "EdgeKind", "LoopNestingForest", "is_reducible",
+    ),
+    "repro.concurrent": (
+        "ProcClient", "ShardedClient", "ShardedService", "WireServer", "serve_loop",
+    ),
+    "repro.core": (
+        "BitsetChecker", "FastLivenessChecker", "LivenessPrecomputation",
+        "LoopForestChecker", "ReducedReachability", "SetBasedChecker",
+        "TargetSets", "TransformationSession",
+    ),
+    "repro.frontend": ("compile_function", "compile_source"),
+    "repro.ir": (
+        "BasicBlock", "Function", "FunctionBuilder", "Instruction", "Module",
+        "ParallelCopy", "Phi", "Variable", "parse_function", "print_function",
+        "verify_ssa",
+    ),
+    "repro.liveness": (
+        "CountingOracle", "DataflowLiveness", "LivenessOracle",
+        "PathExplorationLiveness",
+    ),
+    "repro.obs": ("MetricsRegistry", "Observability", "Tracer", "to_prometheus"),
+    "repro.regalloc": (
+        "Allocation", "allocate", "color_function", "compute_pressure", "max_live",
+        "verify_allocation",
+    ),
+    "repro.service": ("LivenessRequest", "LivenessService", "ServiceStats"),
+    "repro.ssa": ("DefUseChains", "construct_ssa"),
+    "repro.ssadestruct": (
+        "DestructReport", "InterferenceChecker", "destruct",
+        "verify_conventional_ssa", "verify_destructed",
+    ),
+}
+_HOME = {name: module for module, names in _SOURCES.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

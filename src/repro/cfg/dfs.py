@@ -13,6 +13,15 @@ reverse-postorder used as a topological order of ``G̃`` during the
 precomputation (Section 5.2) and the preorder used in the proof of
 Theorem 3.
 
+The traversal runs on *block indices*: the graph's successor lists are
+mapped to lists of integer ids once (``ids``: a node's position in the
+graph's node order), and every number the search produces lives in a
+flat list over those ids.  Edge kinds are not stored at all — a kind is
+an O(1) function of the parent and pre/post numbers — so the name-keyed
+API (:meth:`preorder_number`, :meth:`parent`, :meth:`edge_kinds`,
+:meth:`back_edges`, …) is a translation of these arrays, never a second
+traversal of the graph.
+
 The implementation is iterative (explicit stack) so that functions with
 thousands of blocks do not hit Python's recursion limit.
 """
@@ -20,7 +29,6 @@ thousands of blocks do not hit Python's recursion limit.
 from __future__ import annotations
 
 import enum
-from typing import Iterator
 
 from repro.cfg.graph import ControlFlowGraph, Edge, Node
 
@@ -34,74 +42,109 @@ class EdgeKind(enum.Enum):
     CROSS = "cross"
 
 
+_TREE, _BACK, _FORWARD, _CROSS = EdgeKind
+
+
 class DepthFirstSearch:
     """A DFS of a :class:`ControlFlowGraph` from its entry node.
 
     The traversal visits successors in their insertion order, so results are
     deterministic for a given graph construction order.  All nodes are
     assumed reachable from the entry (callers should run
-    :meth:`ControlFlowGraph.validate` first); unreachable nodes are simply
-    absent from the numberings and ``classify_edge`` raises for them.
+    :meth:`ControlFlowGraph.validate` first); unreachable nodes keep the
+    number ``-1``, are absent from the name-keyed numberings and
+    ``classify_edge`` raises for them.
+
+    The integer arrays are public and shared (callers must not mutate
+    them); every list below is indexed by node id, ``nodes[id]`` being the
+    node itself.
     """
 
     def __init__(self, graph: ControlFlowGraph) -> None:
         self._graph = graph
-        self._preorder: dict[Node, int] = {}
-        self._postorder: dict[Node, int] = {}
-        self._parent: dict[Node, Node | None] = {}
-        self._preorder_nodes: list[Node] = []
-        self._postorder_nodes: list[Node] = []
-        self._edge_kinds: dict[Edge, EdgeKind] = {}
-        self._back_edges: list[Edge] = []
-        self._run()
+        succs = graph.successor_lists()
+        #: ``nodes[i]`` is the node with id ``i`` (the graph's node order;
+        #: a block split in later is appended).
+        self.nodes: list[Node] = list(succs)
+        #: ``ids[node]`` is the id of ``node``.
+        ids = dict(zip(self.nodes, range(len(self.nodes))))
+        self.ids: dict[Node, int] = ids
+        #: ``succ_ids[i]`` lists the ids of node ``i``'s successors, in the
+        #: graph's order.
+        self.succ_ids: list[list[int]] = [
+            [ids[succ] for succ in targets] for targets in succs.values()
+        ]
+        count = len(self.nodes)
+        #: Preorder (discovery) and postorder (finish) number per id.
+        self.pre: list[int] = [-1] * count
+        self.post: list[int] = [-1] * count
+        #: DFS-tree parent id per id (``-1`` for the entry).
+        self.parents: list[int] = [-1] * count
+        #: Ids in preorder and in postorder.
+        self.pre_order: list[int] = []
+        self.post_order: list[int] = []
+        #: Back edges ``(source id, target id)`` in traversal order.
+        self.back: list[tuple[int, int]] = []
+        self._run(ids[graph.entry])
 
     # ------------------------------------------------------------------
     # Traversal
     # ------------------------------------------------------------------
-    def _run(self) -> None:
-        graph = self._graph
-        succs = graph.successor_lists()
-        preorder, postorder = self._preorder, self._postorder
-        pre_nodes, post_nodes = self._preorder_nodes, self._postorder_nodes
-        parent, kinds, back_edges = self._parent, self._edge_kinds, self._back_edges
-        tree, back, forward, cross = (
-            EdgeKind.TREE, EdgeKind.BACK, EdgeKind.FORWARD, EdgeKind.CROSS
-        )
-        entry = graph.entry
-        parent[entry] = None
-        preorder[entry] = 0
-        pre_nodes.append(entry)
-        # Stack holds (node, iterator over its successor list).  A node is
+    def _run(self, entry: int) -> None:
+        succ_ids, pre, post, parents = self.succ_ids, self.pre, self.post, self.parents
+        pre_order, post_order, back = self.pre_order, self.post_order, self.back
+        pre[entry] = 0
+        pre_order.append(entry)
+        # Stack holds (node, iterator over its successor ids).  A node is
         # numbered in preorder when pushed and in postorder when its
         # iterator is exhausted, so a discovered node without a postorder
-        # number is still open: an ancestor of the current node.  Edge
-        # kinds are keyed by plain ``(source, target)`` tuples, which hash
-        # and compare equal to :class:`Edge`.
-        stack: list[tuple[Node, Iterator[Node]]] = [(entry, iter(succs[entry]))]
+        # number is still open: an ancestor of the current node.
+        stack = [(entry, iter(succ_ids[entry]))]
         while stack:
             node, succ_iter = stack[-1]
             for succ in succ_iter:
-                if succ not in preorder:
-                    # First visit: tree edge.
-                    kinds[node, succ] = tree
-                    parent[succ] = node
-                    preorder[succ] = len(pre_nodes)
-                    pre_nodes.append(succ)
-                    stack.append((succ, iter(succs[succ])))
+                if pre[succ] < 0:
+                    parents[succ] = node
+                    pre[succ] = len(pre_order)
+                    pre_order.append(succ)
+                    stack.append((succ, iter(succ_ids[succ])))
                     break
-                if succ not in postorder:
-                    # Target still open: ancestor of the source.
-                    kinds[node, succ] = back
-                    back_edges.append(Edge(node, succ))
-                elif preorder[node] < preorder[succ]:
-                    # Already closed but started later: descendant.
-                    kinds[node, succ] = forward
-                else:
-                    kinds[node, succ] = cross
+                if post[succ] < 0:
+                    back.append((node, succ))
             else:
                 stack.pop()
-                postorder[node] = len(post_nodes)
-                post_nodes.append(node)
+                post[node] = len(post_order)
+                post_order.append(node)
+
+    def _kind(self, source: int, target: int) -> EdgeKind:
+        """The kind of the traversed edge ``source -> target`` (ids).
+
+        The tree edge is the one the target was discovered through; any
+        other edge into an ancestor (or the source itself) is a back edge,
+        into a later-discovered node a forward edge, and else a cross edge.
+        """
+        if self.parents[target] == source:
+            return _TREE
+        pre = self.pre
+        if pre[target] > pre[source]:
+            return _FORWARD
+        post = self.post
+        return _BACK if post[target] >= post[source] else _CROSS
+
+    def _id(self, node: Node) -> int:
+        """The id of a visited ``node``; ``KeyError`` otherwise."""
+        index = self.ids[node]
+        if self.pre[index] < 0:
+            raise KeyError(node)
+        return index
+
+    def _edge_ids(self, source: Node, target: Node) -> tuple[int, int] | None:
+        """Ids of a traversed edge ``source -> target``, else ``None``."""
+        ids = self.ids
+        s, t = ids.get(source), ids.get(target)
+        if s is None or t is None or self.pre[s] < 0 or t not in self.succ_ids[s]:
+            return None
+        return s, t
 
     # ------------------------------------------------------------------
     # Numbering
@@ -113,19 +156,21 @@ class DepthFirstSearch:
 
     def preorder_number(self, node: Node) -> int:
         """DFS preorder (discovery) number of ``node``."""
-        return self._preorder[node]
+        return self.pre[self._id(node)]
 
     def postorder_number(self, node: Node) -> int:
         """DFS postorder (finish) number of ``node``."""
-        return self._postorder[node]
+        return self.post[self._id(node)]
 
     def preorder(self) -> list[Node]:
         """Nodes in DFS preorder."""
-        return list(self._preorder_nodes)
+        nodes = self.nodes
+        return [nodes[index] for index in self.pre_order]
 
     def postorder(self) -> list[Node]:
         """Nodes in DFS postorder."""
-        return list(self._postorder_nodes)
+        nodes = self.nodes
+        return [nodes[index] for index in self.post_order]
 
     def reverse_postorder(self) -> list[Node]:
         """Nodes in reverse postorder.
@@ -134,15 +179,18 @@ class DepthFirstSearch:
         (Section 5.2), which is why both the ``R_v`` propagation and the
         baseline data-flow solver's worklist initialisation use it.
         """
-        return list(reversed(self._postorder_nodes))
+        nodes = self.nodes
+        return [nodes[index] for index in reversed(self.post_order)]
 
     def visited(self, node: Node) -> bool:
         """True iff ``node`` was reached by the traversal."""
-        return node in self._preorder
+        index = self.ids.get(node)
+        return index is not None and self.pre[index] >= 0
 
     def parent(self, node: Node) -> Node | None:
         """DFS-tree parent of ``node`` (``None`` for the entry)."""
-        return self._parent[node]
+        parent = self.parents[self._id(node)]
+        return self.nodes[parent] if parent >= 0 else None
 
     def is_ancestor(self, ancestor: Node, descendant: Node) -> bool:
         """True iff ``ancestor`` is an ancestor of ``descendant`` in the DFS tree.
@@ -150,41 +198,53 @@ class DepthFirstSearch:
         A node is considered an ancestor of itself, matching the convention
         used for back edges (a self-loop is a back edge).
         """
-        node: Node | None = descendant
-        while node is not None:
-            if node == ancestor:
-                return True
-            node = self._parent[node]
-        return False
+        a, d = self._id(ancestor), self._id(descendant)
+        return self.pre[a] <= self.pre[d] and self.post[a] >= self.post[d]
 
     # ------------------------------------------------------------------
     # Edge classification
     # ------------------------------------------------------------------
     def classify_edge(self, source: Node, target: Node) -> EdgeKind:
         """Return the :class:`EdgeKind` of an existing edge."""
-        edge = Edge(source, target)
-        if edge not in self._edge_kinds:
+        kind = self.edge_kind(source, target)
+        if kind is None:
             raise KeyError(f"edge {source!r} -> {target!r} was not traversed")
-        return self._edge_kinds[edge]
+        return kind
 
     def edge_kinds(self) -> dict[Edge, EdgeKind]:
-        """Mapping of every traversed edge to its classification."""
-        return {Edge(*edge): kind for edge, kind in self._edge_kinds.items()}
+        """Mapping of every traversed edge to its classification.
+
+        Ordered as the traversal examines the edges: a walk down the
+        spanning tree, reading each node's successor list in order.
+        """
+        nodes, succ_ids, parents = self.nodes, self.succ_ids, self.parents
+        kinds: dict[Edge, EdgeKind] = {}
+        entry = self.pre_order[0]
+        stack = [(entry, iter(succ_ids[entry]))]
+        while stack:
+            node, succ_iter = stack[-1]
+            for succ in succ_iter:
+                kinds[Edge(nodes[node], nodes[succ])] = self._kind(node, succ)
+                if parents[succ] == node:
+                    stack.append((succ, iter(succ_ids[succ])))
+                    break
+            else:
+                stack.pop()
+        return kinds
 
     def back_edges(self) -> list[Edge]:
         """The set E↑ of back edges, in traversal order."""
-        return list(self._back_edges)
+        nodes = self.nodes
+        return [Edge(nodes[source], nodes[target]) for source, target in self.back]
 
     def back_edge_targets(self) -> list[Node]:
         """Distinct targets of back edges, in traversal order."""
-        seen: dict[Node, None] = {}
-        for edge in self._back_edges:
-            seen.setdefault(edge.target, None)
-        return list(seen)
+        nodes = self.nodes
+        return [nodes[target] for target in dict.fromkeys(t for _s, t in self.back)]
 
     def is_back_edge(self, source: Node, target: Node) -> bool:
         """True iff ``source -> target`` is a back edge of this DFS."""
-        return self._edge_kinds.get(Edge(source, target)) is EdgeKind.BACK
+        return self.edge_kind(source, target) is _BACK
 
     def is_back_edge_target(self, node: Node) -> bool:
         """True iff some back edge points at ``node``.
@@ -192,14 +252,24 @@ class DepthFirstSearch:
         Algorithm 2's live-out check needs this to decide whether a trivial
         path from ``q`` to itself can be completed into a non-trivial cycle.
         """
-        return any(edge.target == node for edge in self._back_edges)
+        index = self.ids.get(node)
+        return any(target == index for _source, target in self.back)
+
+    def edge_statistics(self) -> dict[str, int]:
+        """Counts per edge kind plus totals (used by the §6.1 statistics)."""
+        counts = {kind.value: 0 for kind in EdgeKind}
+        for kind in self.edge_kinds().values():
+            counts[kind.value] += 1
+        counts["total"] = sum(counts.values())
+        return counts
 
     # ------------------------------------------------------------------
     # Incremental bookkeeping (repro.core.incremental)
     # ------------------------------------------------------------------
     def edge_kind(self, source: Node, target: Node) -> EdgeKind | None:
         """The kind of an existing edge, or ``None`` if it was not traversed."""
-        return self._edge_kinds.get(Edge(source, target))
+        edge = self._edge_ids(source, target)
+        return None if edge is None else self._kind(*edge)
 
     def classify_inserted_edge(self, source: Node, target: Node) -> EdgeKind | None:
         """Kind the edge ``source -> target`` would get if appended now.
@@ -218,13 +288,13 @@ class DepthFirstSearch:
           new edge would be taken as a **tree** edge, changing the
           traversal — returned as ``None`` so callers fall back.
         """
-        pre_s, pre_t = self._preorder[source], self._preorder[target]
-        post_s, post_t = self._postorder[source], self._postorder[target]
-        if pre_t <= pre_s and post_t >= post_s:
-            return EdgeKind.BACK
-        if pre_t > pre_s:
-            return EdgeKind.FORWARD if post_t < post_s else None
-        return EdgeKind.CROSS
+        s, t = self._id(source), self._id(target)
+        pre, post = self.pre, self.post
+        if pre[t] <= pre[s] and post[t] >= post[s]:
+            return _BACK
+        if pre[t] > pre[s]:
+            return _FORWARD if post[t] < post[s] else None
+        return _CROSS
 
     def note_edge_added(self, source: Node, target: Node, kind: EdgeKind) -> None:
         """Record an edge the graph gained without changing the traversal.
@@ -233,12 +303,12 @@ class DepthFirstSearch:
         ``None``); the numberings stay untouched because, by construction,
         the preserved traversal never followed the new edge.
         """
-        edge = Edge(source, target)
-        self._edge_kinds[edge] = kind
-        if kind is EdgeKind.BACK:
-            self._back_edges.insert(self._finish_slot(source), edge)
+        s, t = self._id(source), self._id(target)
+        if kind is _BACK:
+            self.back.insert(self._finish_slot(s), (s, t))
+        self.succ_ids[s].append(t)
 
-    def _finish_slot(self, source: Node) -> int:
+    def _finish_slot(self, source: int) -> int:
         """How many back edges a fresh DFS records before ``source`` finishes.
 
         The list is in recording order, so a binary search finds the first
@@ -246,26 +316,25 @@ class DepthFirstSearch:
         and was either discovered after it or is an ancestor examining
         that edge after descending toward ``source``.
         """
-        succs = self._graph.successor_lists()
-        preorder, postorder, parent = self._preorder, self._postorder, self._parent
-        pre_s, post_s = preorder[source], postorder[source]
+        succ_ids, pre, post, parents = self.succ_ids, self.pre, self.post, self.parents
+        pre_s, post_s = pre[source], post[source]
 
-        def later(tail: Node, head: Node) -> bool:
-            if postorder[tail] <= post_s:
+        def later(tail: int, head: int) -> bool:
+            if post[tail] <= post_s:
                 return False
-            if preorder[tail] > pre_s:
+            if pre[tail] > pre_s:
                 return True
             child = source
-            while parent[child] != tail:
-                child = parent[child]
-            order = succs[tail]
+            while parents[child] != tail:
+                child = parents[child]
+            order = succ_ids[tail]
             return order.index(head) > order.index(child)
 
-        back_edges = self._back_edges
-        low, high = 0, len(back_edges)
+        back = self.back
+        low, high = 0, len(back)
         while low < high:
             middle = (low + high) // 2
-            if later(*back_edges[middle]):
+            if later(*back[middle]):
                 high = middle
             else:
                 low = middle + 1
@@ -273,15 +342,18 @@ class DepthFirstSearch:
 
     def note_edge_removed(self, source: Node, target: Node) -> None:
         """Record the removal of a non-tree edge (numberings unaffected)."""
-        edge = Edge(source, target)
-        kind = self._edge_kinds.pop(edge)
-        if kind is EdgeKind.TREE:
+        edge = self._edge_ids(source, target)
+        if edge is None:
+            raise KeyError(f"edge {source!r} -> {target!r} was not traversed")
+        kind = self._kind(*edge)
+        if kind is _TREE:
             raise ValueError(
                 f"tree edge {source!r} -> {target!r} cannot be removed "
                 "incrementally; rebuild the DFS"
             )
-        if kind is EdgeKind.BACK:
-            self._back_edges.remove(edge)
+        if kind is _BACK:
+            self.back.remove(edge)
+        self.succ_ids[edge[0]].remove(edge[1])
 
     def note_edge_split(self, source: Node, target: Node, node: Node) -> None:
         """Record :meth:`ControlFlowGraph.split_edge` of ``source -> target``.
@@ -300,74 +372,71 @@ class DepthFirstSearch:
 
         Every other edge keeps its kind and every other node its relative
         order, so the numberings only shift by one past ``node``'s slots.
+        ``node`` gets the next free id.
         """
-        preorder, postorder, parent = self._preorder, self._postorder, self._parent
-        kinds = self._edge_kinds
-        kind = kinds.pop((source, target))
-        if kind is EdgeKind.TREE:
-            pre = preorder[target]
-            post = postorder[target] + 1
-            parent[target] = node
-            new_kind = EdgeKind.TREE
+        s, t = self.ids[source], self.ids[target]
+        pre, post, parents = self.pre, self.post, self.parents
+        kind = self._kind(s, t)
+        succs = self.succ_ids[s]
+        slot = succs.index(t)
+        if kind is _TREE:
+            first = pre[t]
+            last = post[t] + 1
         else:
-            # ``pre`` and ``post`` count the nodes discovered and finished
-            # when ``source`` reaches the slot.  The next discovery is the
-            # first tree child after the slot, or ``source``'s first child
-            # if no tree child precedes it; the last finish is the last
-            # tree child before the slot, and if none follows it,
-            # ``source`` finishes next.  A count not read off that way
-            # differs from the other by the open tree path down to
-            # ``source``.
-            succs = self._graph.successor_lists()[source]
-            slot = succs.index(node)
-            earlier = later = None
-            for index, succ in enumerate(succs):
-                if kinds.get((source, succ)) is EdgeKind.TREE:
-                    if index < slot:
+            # ``first`` and ``last`` count the nodes discovered and
+            # finished when ``source`` reaches the slot.  The next
+            # discovery is the first tree child after the slot, or
+            # ``source``'s first child if no tree child precedes it; the
+            # last finish is the last tree child before the slot, and if
+            # none follows it, ``source`` finishes next.  A count not read
+            # off that way differs from the other by the open tree path
+            # down to ``source``.
+            earlier = later = -1
+            for position, succ in enumerate(succs):
+                if parents[succ] == s:
+                    if position < slot:
                         earlier = succ
                     else:
                         later = succ
                         break
-            pre = post = None
-            if later is not None:
-                pre = preorder[later]
-            elif earlier is None:
-                pre = preorder[source] + 1
-            if earlier is not None:
-                post = postorder[earlier] + 1
-            elif later is None:
-                post = postorder[source]
-            if pre is None or post is None:
+            first = last = None
+            if later >= 0:
+                first = pre[later]
+            elif earlier < 0:
+                first = pre[s] + 1
+            if earlier >= 0:
+                last = post[earlier] + 1
+            elif later < 0:
+                last = post[s]
+            if first is None or last is None:
                 open_nodes = 0
-                walk: Node | None = source
-                while walk is not None:
+                walk = s
+                while walk >= 0:
                     open_nodes += 1
-                    walk = parent[walk]
-                if pre is None:
-                    pre = post + open_nodes
+                    walk = parents[walk]
+                if first is None:
+                    first = last + open_nodes
                 else:
-                    post = pre - open_nodes
-            new_kind = EdgeKind.BACK if kind is EdgeKind.BACK else EdgeKind.CROSS
-        for numbers, order, slot in (
-            (preorder, self._preorder_nodes, pre),
-            (postorder, self._postorder_nodes, post),
+                    last = first - open_nodes
+        new = len(self.nodes)
+        self.nodes.append(node)
+        self.ids[node] = new
+        succs[slot] = new
+        self.succ_ids.append([t])
+        parents.append(s)
+        if kind is _TREE:
+            parents[t] = new
+        for numbers, order, position in (
+            (pre, self.pre_order, first),
+            (post, self.post_order, last),
         ):
-            order.insert(slot, node)
-            numbers.update(zip(order[slot:], range(slot, len(order))))
-        parent[node] = source
-        kinds[source, node] = EdgeKind.TREE
-        kinds[node, target] = new_kind
-        if kind is EdgeKind.BACK:
-            back_edges = self._back_edges
-            back_edges[back_edges.index(Edge(source, target))] = Edge(node, target)
-
-    def edge_statistics(self) -> dict[str, int]:
-        """Counts per edge kind plus totals (used by the §6.1 statistics)."""
-        counts = {kind.value: 0 for kind in EdgeKind}
-        for kind in self._edge_kinds.values():
-            counts[kind.value] += 1
-        counts["total"] = len(self._edge_kinds)
-        return counts
+            numbers.append(-1)
+            order.insert(position, new)
+            for number in range(position, len(order)):
+                numbers[order[number]] = number
+        if kind is _BACK:
+            back = self.back
+            back[back.index((s, t))] = (new, t)
 
 
 def reduced_successors(graph: ControlFlowGraph, dfs: DepthFirstSearch) -> dict[Node, list[Node]]:

@@ -35,18 +35,20 @@ from repro.cfg.graph import ControlFlowGraph, Node
 class DominatorTree:
     """Immediate dominators, dominance queries and preorder numbering.
 
-    Everything is held by dominance-preorder number: ``_preorder_nodes``
-    maps numbers to nodes, ``_num`` maps back, and ``_maxnums`` /
-    ``_idom_nums`` are flat lists over the numbers.  Children are not
-    stored: those of ``k`` are ``k + 1``, then ``maxnum(child) + 1``
-    after each child, up to ``maxnum(k)``.
+    Built on the DFS's block ids, everything is held in flat int lists:
+    ``numbers[id]`` is a node's dominance-preorder number, and
+    ``maxnum_of`` / ``idom_of`` are indexed by that number.  Children are
+    not stored: those of ``k`` are ``k + 1``, then ``maxnum(child) + 1``
+    after each child, up to ``maxnum(k)``.  The name-keyed views — the
+    ``numbering`` dict and the nodes in preorder — are derived from
+    ``numbers`` on first use.
     """
 
     def __init__(self, graph: ControlFlowGraph, dfs: DepthFirstSearch | None = None) -> None:
         self._graph = graph
-        self._dfs = dfs if dfs is not None else DepthFirstSearch(graph)
-        rpo = self._dfs.reverse_postorder()
-        idom = _rpo_idoms(graph, rpo)
+        self._dfs = dfs = dfs if dfs is not None else DepthFirstSearch(graph)
+        idom = _rpo_idoms(dfs)
+        rpo = dfs.post_order[::-1]
         count = len(rpo)
         # Subtree sizes: an immediate dominator precedes its node in RPO,
         # so one backward sweep folds every subtree into its root.
@@ -65,19 +67,44 @@ class DominatorTree:
             number[index] = first
             slot[parent] = first + size[index]
             slot[index] = first + 1
-        nodes: list[Node] = [None] * count
+        numbers = [0] * count
         maxnums = [0] * count
         idom_nums = [0] * count
         for index, node in enumerate(rpo):
             first = number[index]
-            nodes[first] = node
+            numbers[node] = first
             maxnums[first] = first + size[index] - 1
             idom_nums[first] = number[idom[index]]
-        self._preorder_nodes = nodes
-        self._num: dict[Node, int] = dict(zip(nodes, range(count)))
-        self._maxnums = maxnums
-        self._idom_nums = idom_nums
+        #: ``numbers[id]`` = dominance-preorder number of the node with DFS
+        #: id ``id`` (shared; do not mutate).
+        self.numbers: list[int] = numbers
+        #: ``maxnum_of[k]`` = largest number in the subtree of node ``k``.
+        self.maxnum_of: list[int] = maxnums
+        #: ``idom_of[k]`` = number of node ``k``'s immediate dominator
+        #: (``0`` for the root).
+        self.idom_of: list[int] = idom_nums
+        self._numbering: dict[Node, int] | None = None
+        self._order: list[Node] | None = None
         self._depths: list[int] | None = None
+
+    # ------------------------------------------------------------------
+    # Name-keyed views (derived from ``numbers`` on first use)
+    # ------------------------------------------------------------------
+    @property
+    def numbering(self) -> dict[Node, int]:
+        """``node -> num(node)`` as one dict (shared; do not mutate)."""
+        if self._numbering is None:
+            self._numbering = dict(zip(self._dfs.nodes, self.numbers))
+        return self._numbering
+
+    def _nodes(self) -> list[Node]:
+        """The nodes by dominance-preorder number (shared)."""
+        if self._order is None:
+            order: list[Node] = [None] * len(self.numbers)
+            for node, number in zip(self._dfs.nodes, self.numbers):
+                order[number] = node
+            self._order = order
+        return self._order
 
     # ------------------------------------------------------------------
     # Tree structure
@@ -99,13 +126,13 @@ class DominatorTree:
 
     def immediate_dominator(self, node: Node) -> Node | None:
         """The immediate dominator of ``node`` (``None`` for the entry)."""
-        number = self._num[node]
-        return self._preorder_nodes[self._idom_nums[number]] if number else None
+        number = self.numbering[node]
+        return self._nodes()[self.idom_of[number]] if number else None
 
     def children(self, node: Node) -> list[Node]:
         """The nodes whose immediate dominator is ``node`` (RPO order)."""
-        nodes, maxnums = self._preorder_nodes, self._maxnums
-        number = self._num[node]
+        nodes, maxnums = self._nodes(), self.maxnum_of
+        number = self.numbering[node]
         child, last = number + 1, maxnums[number]
         result = []
         while child <= last:
@@ -117,12 +144,12 @@ class DominatorTree:
         """Distance of ``node`` from the root of the dominance tree."""
         if self._depths is None:
             # An immediate dominator has the smaller preorder number.
-            depths = [0] * len(self._idom_nums)
-            for number, parent in enumerate(self._idom_nums):
+            depths = [0] * len(self.idom_of)
+            for number, parent in enumerate(self.idom_of):
                 if number:
                     depths[number] = depths[parent] + 1
             self._depths = depths
-        return self._depths[self._num[node]]
+        return self._depths[self.numbering[node]]
 
     def note_edge_split(self, source: Node, target: Node, node: Node) -> int:
         """Insert ``node``, just split onto the edge ``source -> target``.
@@ -137,24 +164,30 @@ class DominatorTree:
         changes.  Returns ``node``'s number: every number from it on
         shifts up by one.
         """
-        nodes, num = self._preorder_nodes, self._num
-        maxnums, idom_nums = self._maxnums, self._idom_nums
+        numbers, maxnums, idom_nums = self.numbers, self.maxnum_of, self.idom_of
         dfs = self._dfs
-        owns_target = dfs.parent(target) == node and all(
-            pred == node or self.dominates(target, pred)
+        ids = dfs.ids
+        s, t, new = ids[source], ids[target], ids[node]
+        t_num = numbers[t]
+        owns_target = dfs.parents[t] == new and all(
+            pred == node or t_num <= numbers[ids[pred]] <= maxnums[t_num]
             for pred in self._graph.predecessors(target)
         )
         # Children are sorted by RPO, i.e. by decreasing postorder number.
-        post = dfs.postorder_number
-        limit = post(node)
-        parent = num[source]
+        by_number = [0] * len(numbers)
+        for index, number in enumerate(numbers):
+            by_number[number] = index
+        post = dfs.post
+        limit = post[new]
+        parent = numbers[s]
         child = parent + 1
-        while child <= maxnums[parent] and post(nodes[child]) > limit:
+        while child <= maxnums[parent] and post[by_number[child]] > limit:
             child = maxnums[child] + 1
         number = child
         last = maxnums[number] + 1 if owns_target else number
         maxnums[:] = [m + 1 if m >= number else m for m in maxnums]
         idom_nums[:] = [i + 1 if i >= number else i for i in idom_nums]
+        numbers[:] = [n + 1 if n >= number else n for n in numbers]
         # Ancestors whose subtree ended right before the slot grow into it.
         ancestor = parent
         while maxnums[ancestor] == number - 1:
@@ -166,9 +199,8 @@ class DominatorTree:
         idom_nums.insert(number, parent)
         if owns_target:
             idom_nums[number + 1] = number
-        nodes.insert(number, node)
-        num.update(zip(nodes[number:], range(number, len(nodes))))
-        self._depths = None
+        numbers.append(number)
+        self._numbering = self._order = self._depths = None
         return number
 
     # ------------------------------------------------------------------
@@ -180,8 +212,9 @@ class DominatorTree:
         Implemented as an O(1) interval test on the preorder numbering: a
         node dominates exactly the nodes of its dominance subtree.
         """
-        lo = self._num[x]
-        return lo <= self._num[y] <= self._maxnums[lo]
+        num = self.numbering
+        lo = num[x]
+        return lo <= num[y] <= self.maxnum_of[lo]
 
     def strictly_dominates(self, x: Node, y: Node) -> bool:
         """``x sdom y``: ``x dom y`` and ``x != y``."""
@@ -189,18 +222,18 @@ class DominatorTree:
 
     def dominated(self, node: Node) -> list[Node]:
         """``dom(node)``: every node dominated by ``node`` (preorder)."""
-        lo = self._num[node]
-        return self._preorder_nodes[lo : self._maxnums[lo] + 1]
+        lo = self.numbering[node]
+        return self._nodes()[lo : self.maxnum_of[lo] + 1]
 
     def strictly_dominated(self, node: Node) -> list[Node]:
         """``sdom(node) = dom(node) \\ {node}`` (preorder)."""
-        lo = self._num[node]
-        return self._preorder_nodes[lo + 1 : self._maxnums[lo] + 1]
+        lo = self.numbering[node]
+        return self._nodes()[lo + 1 : self.maxnum_of[lo] + 1]
 
     def dominators_of(self, node: Node) -> list[Node]:
         """All dominators of ``node``, from the node itself up to the entry."""
-        nodes, idom_nums = self._preorder_nodes, self._idom_nums
-        number = self._num[node]
+        nodes, idom_nums = self._nodes(), self.idom_of
+        number = self.numbering[node]
         chain = [node]
         while number:
             number = idom_nums[number]
@@ -209,8 +242,9 @@ class DominatorTree:
 
     def nearest_common_dominator(self, x: Node, y: Node) -> Node:
         """The closest node dominating both ``x`` and ``y``."""
-        idom_nums = self._idom_nums
-        a, b = self._num[x], self._num[y]
+        idom_nums = self.idom_of
+        num = self.numbering
+        a, b = num[x], num[y]
         # The larger number cannot be an ancestor of the smaller one, so
         # it is safe to step it up to its immediate dominator.
         while a != b:
@@ -218,68 +252,66 @@ class DominatorTree:
                 a = idom_nums[a]
             else:
                 b = idom_nums[b]
-        return self._preorder_nodes[a]
+        return self._nodes()[a]
 
     # ------------------------------------------------------------------
     # Preorder numbering (Section 5.1)
     # ------------------------------------------------------------------
     def num(self, node: Node) -> int:
         """Dominance-tree preorder number of ``node``."""
-        return self._num[node]
+        return self.numbering[node]
 
     def maxnum(self, node: Node) -> int:
         """Largest preorder number inside ``node``'s dominance subtree."""
-        return self._maxnums[self._num[node]]
+        return self.maxnum_of[self.numbering[node]]
 
     def node_of(self, number: int) -> Node:
         """Inverse of :meth:`num`."""
-        return self._preorder_nodes[number]
-
-    @property
-    def numbering(self) -> dict[Node, int]:
-        """``node -> num(node)`` as one dict (shared; do not mutate)."""
-        return self._num
+        return self._nodes()[number]
 
     def maxnums(self) -> list[int]:
         """``maxnum`` of every node, indexed by preorder number (a copy)."""
-        return list(self._maxnums)
+        return list(self.maxnum_of)
 
     def preorder(self) -> list[Node]:
         """Nodes ordered by their dominance-preorder number."""
-        return list(self._preorder_nodes)
+        return list(self._nodes())
 
     def __len__(self) -> int:
-        return len(self._preorder_nodes)
+        return len(self.maxnum_of)
 
     def __iter__(self) -> Iterator[Node]:
-        return iter(self._preorder_nodes)
+        return iter(self._nodes())
 
     def as_idom_map(self) -> dict[Node, Node | None]:
         """Immediate-dominator mapping (entry maps to ``None``)."""
-        return {node: self.immediate_dominator(node) for node in self._preorder_nodes}
+        return {node: self.immediate_dominator(node) for node in self._nodes()}
 
 
 # ----------------------------------------------------------------------
 # Cooper–Harvey–Kennedy iterative construction
 # ----------------------------------------------------------------------
-def _rpo_idoms(graph: ControlFlowGraph, rpo: list[Node]) -> list[int]:
+def _rpo_idoms(dfs: DepthFirstSearch) -> list[int]:
     """CHK on reverse-postorder indices: ``idom[i]`` is an RPO index.
 
-    ``rpo`` must be the reverse postorder of a DFS of ``graph`` from its
-    entry; ``idom[0] == 0`` marks the entry.  An immediate dominator
+    ``dfs`` must be a DFS of the graph from its entry that reached every
+    node; ``idom[0] == 0`` marks the entry.  An immediate dominator
     always has the smaller index, so ``intersect`` walks the larger of
     two indices up until they meet.
     """
-    count = len(rpo)
-    index = dict(zip(rpo, range(count)))
-    if count != len(graph):
-        missing = [node for node in graph.nodes() if node not in index]
+    post_order, post = dfs.post_order, dfs.post
+    count = len(post_order)
+    if count != len(dfs.nodes):
+        missing = [node for node, number in zip(dfs.nodes, post) if number < 0]
         raise ValueError(f"nodes unreachable from entry: {missing!r}")
-    predecessors = graph.predecessors
-    preds = [
-        [index[pred] for pred in predecessors(node) if pred in index]
-        for node in rpo
-    ]
+    # Node ``v`` has RPO index ``last - post[v]``; walking in RPO leaves
+    # every predecessor list sorted.
+    last = count - 1
+    succ_ids = dfs.succ_ids
+    preds: list[list[int]] = [[] for _ in range(count)]
+    for index in range(count):
+        for succ in succ_ids[post_order[last - index]]:
+            preds[last - post[succ]].append(index)
     idom = [-1] * count
     idom[0] = 0
     changed = True
@@ -315,7 +347,7 @@ def _immediate_dominators_iterative(
     as long as it is still a genuine DFS of ``graph``.
     """
     rpo = dfs.reverse_postorder()
-    idom = _rpo_idoms(graph, rpo)
+    idom = _rpo_idoms(dfs)
     return {node: rpo[parent] for node, parent in zip(rpo, idom)}
 
 

@@ -17,7 +17,7 @@ makes the differential tests and benchmarks reproducible.
 
 from __future__ import annotations
 
-from typing import Collection, Hashable, Iterable, Iterator, NamedTuple
+from typing import Hashable, Iterable, Iterator, NamedTuple
 
 Node = Hashable
 
@@ -255,24 +255,25 @@ class ControlFlowGraph:
         """Nodes with no successors, in insertion order."""
         return [node for node, succs in self._succs.items() if not succs]
 
-    def validate(self, reachable: Collection[Node] | None = None) -> None:
+    def validate(self, reached: int | None = None) -> None:
         """Check the CFG invariants from the paper's Section 2.1.
 
         The entry node must exist, must have no incoming edge, and every
         node must be reachable from the entry (unreachable nodes would make
         dominance ill-defined: they are dominated by everything).
-        ``reachable`` holds the nodes a traversal from the entry has
-        already reached (a DFS preorder, say); without it the check runs
-        its own traversal.  Raises :class:`ValueError` describing the
-        first violation found.
+        ``reached`` counts the nodes a traversal from the entry has
+        already reached (a DFS, say); when it covers every node the check
+        runs no traversal of its own.  Raises :class:`ValueError`
+        describing the first violation found.
         """
         entry = self.entry
         if self._preds[entry]:
             raise ValueError(
                 f"entry node {entry!r} has incoming edges {self._preds[entry]!r}"
             )
-        if reachable is None:
-            reachable = self.reachable_from(entry)
+        if reached is not None and reached >= len(self._succs):
+            return
+        reachable = self.reachable_from(entry)
         if len(reachable) < len(self._succs):
             unreachable = [node for node in self._succs if node not in reachable]
             raise ValueError(f"unreachable nodes: {unreachable!r}")

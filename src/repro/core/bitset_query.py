@@ -22,11 +22,17 @@ The checker works purely on the *numeric* view of the precomputation: the
 flat ``r_masks``/``t_masks``/``maxnums``/``is_back_target`` arrays indexed
 by dominance-preorder number, with uses passed as one raw integer mask.
 A query is a handful of word-level integer operations — no ``node_of``
-translation, no :class:`~repro.sets.bitset.BitSet` dispatch.  The wrappers
-in :mod:`repro.core.live_checker` translate variables and block names
-through cached :class:`~repro.core.plans.QueryPlan` objects; the
-``Sequence[int]`` entry points below are kept for callers (and tests) that
-hold use numbers rather than a mask.
+translation, no :class:`~repro.sets.bitset.BitSet` dispatch.
+
+This is the *reference* kernel: it counts the candidates each query
+inspects (``last_candidates_tested``, read by the T_q-ordering ablation)
+and can switch the Theorem-2 fast path off.  The serving door,
+:meth:`FastLivenessChecker.is_live_in
+<repro.core.live_checker.FastLivenessChecker.is_live_in>` and its
+live-out twin, run the same scan in one frame without the counter, and
+the tests hold the two to identical answers.  The ``Sequence[int]``
+entry points below are kept for callers (and tests) that hold use
+numbers rather than a mask.
 """
 
 from __future__ import annotations

@@ -75,9 +75,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 from repro.cfg.dfs import EdgeKind
-from repro.cfg.dominance import _immediate_dominators_iterative
+from repro.cfg.dominance import _rpo_idoms
 from repro.cfg.graph import ControlFlowGraph, Edge, Node
 from repro.cfg.reducibility import is_reducible
+from repro.core.reduced_graph import reach_sweep
 from repro.core.targets import back_edge_groups, equation1_row
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -277,14 +278,14 @@ def _apply_split(
     Back-edge targets and reducibility do not change (``target``
     dominates ``node`` iff it dominates ``source``).
     """
-    dfs, domtree, num = pre.dfs, pre.domtree, pre.numbering
-    s_bit = 1 << num[source]
-    t_num = num[target]
+    dfs, domtree = pre.dfs, pre.domtree
+    numbers = domtree.numbers
+    s_bit = 1 << numbers[dfs.ids[source]]
+    t_num = numbers[dfs.ids[target]]
     back = dfs.edge_kind(source, target) is EdgeKind.BACK
     pre.graph.split_edge(source, target, node)
     dfs.note_edge_split(source, target, node)
     p = domtree.note_edge_split(source, target, node)
-    pre.maxnums[:] = domtree.maxnums()
     # m + (m & high) inserts a zero bit at p: the bits from p up move
     # up by one.
     bit, high = 1 << p, -1 << p
@@ -297,7 +298,7 @@ def _apply_split(
     r_row = bit if back else bit | r_t + (r_t & high)
     t_row = bit | t_t + (t_t & high)
     if not back:
-        t_row &= ~(1 << num[target])
+        t_row &= ~(1 << numbers[dfs.ids[target]])
     r_masks.insert(p, r_row)
     t_masks.insert(p, t_row)
     pre.is_back_target.insert(p, False)
@@ -397,80 +398,56 @@ def apply_cfg_delta(pre: "LivenessPrecomputation", delta: CfgDelta) -> UpdateRes
         return UpdateResult(True, "no-op")
 
     # ------------------------------------------------------------------
-    # Phase 2: apply the edit to the graph, then verify dominators.
+    # Phase 2: apply the edit to the graph and note it in the DFS, then
+    # verify dominators.
     # ------------------------------------------------------------------
     for edit in edits:
         if edit.removed:
             graph.remove_edge(edit.source, edit.target)
+            dfs.note_edge_removed(edit.source, edit.target)
         else:
             graph.add_edge(edit.source, edit.target)
+            dfs.note_edge_added(edit.source, edit.target, edit.kind)
 
+    ids, numbers = dfs.ids, domtree.numbers
     dominators_recomputed = False
     if not all(domtree.dominates(e.target, e.source) for e in edits):
         # The O(1) sufficient condition failed for some edit; rerun the
         # CHK fixpoint on the edited graph.  The preserved DFS is a
         # genuine DFS of that graph, so its reverse postorder is valid.
         dominators_recomputed = True
-        new_idom = _immediate_dominators_iterative(graph, dfs)
-        for node in graph.nodes():
-            old = domtree.immediate_dominator(node)
-            if old is None:
-                old = node  # the iterative map uses entry -> entry
-            if new_idom[node] != old:
+        idom = _rpo_idoms(dfs)
+        rpo = dfs.post_order[::-1]
+        idom_of = domtree.idom_of
+        for index, node in enumerate(rpo):
+            if numbers[rpo[idom[index]]] != idom_of[numbers[node]]:
                 return UpdateResult(
                     False, "dominators-changed",
                     dominators_recomputed=True,
                 )
 
     # ------------------------------------------------------------------
-    # Phase 3: commit — patch DFS bookkeeping, then the R/T rows.
-    # From here on nothing can fail; the numbering is proven unchanged.
+    # Phase 3: commit — patch the R/T rows.  From here on nothing can
+    # fail; the numbering is proven unchanged.
     # ------------------------------------------------------------------
-    for edit in edits:
-        if edit.removed:
-            dfs.note_edge_removed(edit.source, edit.target)
-        else:
-            dfs.note_edge_added(edit.source, edit.target, edit.kind)
-
-    num = domtree.numbering.__getitem__
     r_masks = pre.r_masks
     t_masks = pre.t_masks
 
     # --- R: one postorder pass over the reduced graph -----------------
-    touched_sources = {e.source for e in edits if e.kind is not EdgeKind.BACK}
-    changed_r: dict[int, int] = {}  # number -> old mask
-    if touched_sources:
-        back = set(dfs.back_edges())  # the builder's back-edge test
-        changed_nodes: set[Node] = set()
-        for node in dfs.postorder():
-            succs = graph.successors(node)
-            if node not in touched_sources and changed_nodes.isdisjoint(succs):
-                continue
-            number = num(node)
-            mask = 1 << number
-            for succ in succs:
-                if (node, succ) not in back:
-                    mask |= r_masks[num(succ)]
-            if mask != r_masks[number]:
-                changed_r[number] = r_masks[number]
-                r_masks[number] = mask
-                changed_nodes.add(node)
+    touched_sources = {ids[e.source] for e in edits if e.kind is not EdgeKind.BACK}
+    changed_r = reach_sweep(dfs, numbers, r_masks, touched_sources) if touched_sources else {}
 
     # --- back-edge target flags ---------------------------------------
     back_bits: list[tuple[int, int, int]] = []  # (source bit, target bit, num(t))
-    back_targets_touched: set[Node] = set()
+    back_targets_touched: set[int] = set()
     for edit in edits:
         if edit.kind is EdgeKind.BACK:
-            t_num = num(edit.target)
-            back_bits.append((1 << num(edit.source), 1 << t_num, t_num))
-            back_targets_touched.add(edit.target)
-    for target in back_targets_touched:
-        flag = any(edge.target == target for edge in dfs.back_edges())
-        pre.is_back_target[num(target)] = flag
-        if flag:
-            pre._back_edge_targets.add(target)
-        else:
-            pre._back_edge_targets.discard(target)
+            t_id = ids[edit.target]
+            t_num = numbers[t_id]
+            back_bits.append((1 << numbers[ids[edit.source]], 1 << t_num, t_num))
+            back_targets_touched.add(t_id)
+    for t_id in back_targets_touched:
+        pre.is_back_target[numbers[t_id]] = any(t == t_id for _s, t in dfs.back)
 
     # --- T: one preorder pass (Theorem-3 order) -----------------------
     t_rows_changed = 0
@@ -481,10 +458,10 @@ def apply_cfg_delta(pre: "LivenessPrecomputation", delta: CfgDelta) -> UpdateRes
         # already holds, plus T_t for each new back edge s -> t whose
         # Equation-1 term it now meets — no Equation-1 re-sweep.
         growing = not changed_r and not any(edit.removed for edit in edits)
-        groups = None if growing else back_edge_groups(dfs, num)
+        groups = None if growing else back_edge_groups(dfs, numbers)
         changed_t_mask = 0
-        for node in dfs.preorder():
-            number = num(node)
+        for node in dfs.pre_order:
+            number = numbers[node]
             r = r_masks[number]
             old = t_masks[number]
             if growing:

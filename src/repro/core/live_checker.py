@@ -6,6 +6,13 @@ in :class:`~repro.core.precompute.LivenessPrecomputation`) and the per
 variable def–use chains (:class:`~repro.ssa.defuse.DefUseChains`) — and
 answers ``is_live_in`` / ``is_live_out`` queries through Algorithm 3.
 
+Queries go through a one-frame *door*: Algorithm 3 inlined over a tuple
+of the precomputation's numeric arrays and the plan cache, bound on the
+first query and cleared by every event that replaces one of them (see
+``DESIGN.md``, "Integer cold path and query door").
+:class:`~repro.core.bitset_query.BitsetChecker` is the instrumented
+reference kernel the door must agree with.
+
 It implements :class:`~repro.liveness.oracle.LivenessOracle`, so it is a
 drop-in replacement for the data-flow baseline inside the SSA destruction
 pass and the benchmark harness.  The engine can also *enumerate* live sets
@@ -17,7 +24,6 @@ by the conventional analyses.
 from __future__ import annotations
 
 from repro.core.batch import BatchQueryEngine
-from repro.core.bitset_query import BitsetChecker
 from repro.core.incremental import CfgDelta, UpdateResult, apply_cfg_delta
 from repro.core.plans import PlanCache
 from repro.core.precompute import LivenessPrecomputation
@@ -41,10 +47,13 @@ class FastLivenessChecker(LivenessOracle):
         self._defuse = defuse
         self._use_bitsets = use_bitsets
         self._pre: LivenessPrecomputation | None = None
-        self._bitset_checker: BitsetChecker | None = None
         self._set_checker: SetBasedChecker | None = None
         self._batch: BatchQueryEngine | None = None
         self._plans: PlanCache | None = None
+        # The query door: the plan cache's dict and the numeric arrays
+        # the queries read, bound once per precomputation and plan cache
+        # (see _open_door).
+        self._door: tuple | None = None
 
     @classmethod
     def from_precomputation(
@@ -66,8 +75,6 @@ class FastLivenessChecker(LivenessOracle):
         """
         checker = cls(function, use_bitsets=use_bitsets)
         checker._pre = pre
-        checker._bitset_checker = BitsetChecker(pre)
-        checker._set_checker = SetBasedChecker(pre)
         return checker
 
     # ------------------------------------------------------------------
@@ -78,8 +85,6 @@ class FastLivenessChecker(LivenessOracle):
         if self._pre is None:
             cfg = self._function.build_cfg()
             self._pre = LivenessPrecomputation(cfg)
-            self._bitset_checker = BitsetChecker(self._pre)
-            self._set_checker = SetBasedChecker(self._pre)
             self._plans = None
         if self._defuse is None:
             self._defuse = DefUseChains(self._function)
@@ -141,8 +146,8 @@ class FastLivenessChecker(LivenessOracle):
         place instead of discarding it.  After an edge edit the dominance
         numbering is provably unchanged, so the per-variable query plans
         survive too and only the batch engine's hot masks (which fold in
-        ``R`` rows) and the bitset front-ends (whose fast-path flag may
-        flip with reducibility) are refreshed.  An edge split inserts a
+        ``R`` rows) and the query door (whose fast-path flag may flip with
+        reducibility) are refreshed.  An edge split inserts a
         block and moves the numbering (``result.renumbered``), so the
         plans and the batch engine go as well, exactly as after a rebuild.
         Any delta the patcher cannot absorb degrades to the historical
@@ -152,8 +157,9 @@ class FastLivenessChecker(LivenessOracle):
         if delta is not None and self._pre is not None:
             result = apply_cfg_delta(self._pre, delta)
             if result.applied:
-                self._bitset_checker = BitsetChecker(self._pre)
-                self._set_checker = SetBasedChecker(self._pre)
+                # The door binds the reducibility flag, which an edge edit
+                # may flip; the set-based checker reads the views afresh.
+                self._door = None
                 if result.renumbered:
                     self._batch = None
                     self._plans = None
@@ -167,10 +173,10 @@ class FastLivenessChecker(LivenessOracle):
         else:
             result = UpdateResult(False, "full-invalidation")
         self._pre = None
-        self._bitset_checker = None
         self._set_checker = None
         self._batch = None
         self._plans = None
+        self._door = None
         return result
 
     def notify_instructions_changed(self) -> None:
@@ -183,6 +189,7 @@ class FastLivenessChecker(LivenessOracle):
         """
         self._defuse = None
         self._plans = None
+        self._door = None
         if self._batch is not None:
             self._batch.invalidate()
 
@@ -202,38 +209,104 @@ class FastLivenessChecker(LivenessOracle):
     # ------------------------------------------------------------------
     # Oracle interface
     # ------------------------------------------------------------------
-    def is_live_in(self, var: Variable, block: str) -> bool:
-        # Hot path: a resident plan cache implies the rest is resident
-        # (plans are built last), so the query reads the plan and the
-        # block number straight out of their dicts.
-        plans = self._plans
-        if plans is None:
-            self.prepare()
-            plans = self._plans
-        if self._use_bitsets:
-            plan = plans.compiled.get(var) or plans.plan(var)
-            return self._bitset_checker.is_live_in_mask(
-                plan.def_num, plan.use_mask, self._pre.numbering[block]
-            )
-        defuse = self._defuse
-        return self._set_checker.is_live_in(
-            defuse.def_block(var), defuse.use_blocks(var), block
+    def _open_door(self) -> tuple:
+        """Bind the query door: plans plus the numeric arrays, in one tuple.
+
+        Valid until the precomputation, the plan cache or the
+        reducibility flag changes; every such event clears ``_door``.
+        The arrays are the precomputation's own lists (patched in place),
+        and ``compiled`` is the plan cache's own dict.
+        """
+        self.prepare()
+        pre, plans = self._pre, self._plans
+        self._door = door = (
+            plans.compiled,
+            plans,
+            pre.numbering,
+            pre.maxnums,
+            pre.r_masks,
+            pre.t_masks,
+            pre.is_back_target,
+            pre.reducible,
         )
+        return door
+
+    def _sets(self) -> SetBasedChecker:
+        """Algorithms 1 and 2 over the resident precomputation (``sets``)."""
+        self.prepare()
+        if self._set_checker is None:
+            self._set_checker = SetBasedChecker(self._pre)
+        return self._set_checker
+
+    def is_live_in(self, var: Variable, block: str) -> bool:
+        """Algorithm 3, served in one frame over the bound door.
+
+        Mirrors :meth:`BitsetChecker.is_live_in_mask`, the instrumented
+        reference kernel: the candidates are ``T_q`` inside the interval
+        ``(num(def), maxnum(def)]``, lowest bit first, each skipping its
+        dominance subtree; on a reducible CFG the first decides (Theorem 2).
+        """
+        door = self._door
+        if door is None:
+            if not self._use_bitsets:
+                defuse = self.defuse
+                return self._sets().is_live_in(
+                    defuse.def_block(var), defuse.use_blocks(var), block
+                )
+            door = self._open_door()
+        compiled, plans, numbering, maxnums, r_masks, t_masks, _, reducible = door
+        def_num, max_dom, use_mask = compiled.get(var) or plans.plan(var)
+        query = numbering[block]
+        if query <= def_num or max_dom < query:
+            return False
+        start = def_num + 1
+        candidates = t_masks[query] >> start << start
+        while candidates:
+            t = (candidates & -candidates).bit_length() - 1
+            if t > max_dom:
+                return False
+            if r_masks[t] & use_mask:
+                return True
+            if reducible:
+                return False
+            skip = maxnums[t] + 1
+            candidates = candidates >> skip << skip
+        return False
 
     def is_live_out(self, var: Variable, block: str) -> bool:
-        plans = self._plans
-        if plans is None:
-            self.prepare()
-            plans = self._plans
-        if self._use_bitsets:
-            plan = plans.compiled.get(var) or plans.plan(var)
-            return self._bitset_checker.is_live_out_mask(
-                plan.def_num, plan.use_mask, self._pre.numbering[block]
-            )
-        defuse = self._defuse
-        return self._set_checker.is_live_out(
-            defuse.def_block(var), defuse.use_blocks(var), block
-        )
+        """Algorithm 2 on the numeric arrays, in one frame (see is_live_in).
+
+        At the definition block a variable is live-out iff it has a use
+        elsewhere; below it, a use in the query block itself only counts
+        when that block is a back-edge target.
+        """
+        door = self._door
+        if door is None:
+            if not self._use_bitsets:
+                defuse = self.defuse
+                return self._sets().is_live_out(
+                    defuse.def_block(var), defuse.use_blocks(var), block
+                )
+            door = self._open_door()
+        compiled, plans, numbering, maxnums, r_masks, t_masks, is_back_target, _ = door
+        def_num, max_dom, use_mask = compiled.get(var) or plans.plan(var)
+        query = numbering[block]
+        if query == def_num:
+            return bool(use_mask & ~(1 << def_num))
+        if query <= def_num or max_dom < query:
+            return False
+        start = def_num + 1
+        candidates = t_masks[query] >> start << start
+        while candidates:
+            t = (candidates & -candidates).bit_length() - 1
+            if t > max_dom:
+                return False
+            hit = r_masks[t] & use_mask
+            if hit and (t != query or hit & ~(1 << t) or is_back_target[t]):
+                return True
+            skip = maxnums[t] + 1
+            candidates = candidates >> skip << skip
+        return False
 
     def live_variables(self) -> list[Variable]:
         self.prepare()

@@ -98,7 +98,8 @@ class PlanCache:
         use_mask = 0
         for block in defuse.use_lists.get(var, ()):
             use_mask |= 1 << numbering[block]
-        plan = QueryPlan(def_num, self._pre.maxnums[def_num], use_mask)
+        # tuple.__new__ skips the named tuple's Python-level constructor.
+        plan = tuple.__new__(QueryPlan, (def_num, self._pre.maxnums[def_num], use_mask))
         self.compiled[var] = plan
         self.builds += 1
         return plan

@@ -13,10 +13,13 @@ variables, rewriting uses.  Only CFG edits (adding/removing blocks or
 edges) require building a new instance, which is exactly the invalidation
 contract the paper claims as its main practical advantage.
 
-``R`` and ``T`` are built directly as flat lists of raw ``int`` bit masks
-indexed by dominance-preorder number; the constructor only aliases them
-(``r_masks`` *is* ``reach.masks``, ``t_masks`` *is* ``targets.masks``)
-next to ``maxnums`` and ``is_back_target``.  The numeric core
+The whole cold build runs on block indices: the DFS maps the graph's
+successor lists to int lists once, and the dominator tree, ``R`` and ``T``
+are computed on flat lists from there.  The constructor only aliases the
+results (``maxnums`` *is* ``domtree.maxnum_of``, ``r_masks`` *is*
+``reach.masks``, ``t_masks`` *is* ``targets.masks``) next to
+``is_back_target``; the name-keyed ``numbering`` is derived on first
+use.  The numeric core
 (:mod:`repro.core.bitset_query`, :mod:`repro.core.batch`) runs Algorithm 3
 on these raw ints with zero ``node_of``/``BitSet`` round-trips per query.
 """
@@ -36,38 +39,41 @@ class LivenessPrecomputation:
 
     def __init__(self, graph: ControlFlowGraph) -> None:
         self.graph = graph
-        self.dfs = DepthFirstSearch(graph)
+        self.dfs = dfs = DepthFirstSearch(graph)
         # The nodes the DFS reached are the reachability check: no second
         # traversal.
-        graph.validate(reachable=self.dfs.preorder())
-        self.domtree = DominatorTree(graph, self.dfs)
-        self.reach = ReducedReachability(graph, self.dfs, self.domtree)
-        self.targets = TargetSets(self.dfs, self.domtree, self.reach)
-        self.reducible = is_reducible(graph, self.dfs, self.domtree)
-        self._back_edge_targets = set(self.dfs.back_edge_targets())
+        graph.validate(reached=len(dfs.pre_order))
+        self.domtree = domtree = DominatorTree(graph, dfs)
+        self.reach = ReducedReachability(graph, dfs, domtree)
+        self.targets = TargetSets(dfs, domtree, self.reach)
         # ------------------------------------------------------------------
-        # The numeric view: flat arrays indexed by dominance-preorder number.
+        # The numeric view: flat arrays indexed by dominance-preorder number,
+        # shared with the objects above (an edit patches them in place).
         # ------------------------------------------------------------------
-        order = self.domtree.preorder()
-        #: ``numbering[node]`` = dominance-preorder number of ``node``.
-        self.numbering: dict[Node, int] = self.domtree.numbering
         #: ``maxnums[n]`` = largest preorder number in the subtree of node n.
-        self.maxnums: list[int] = self.domtree.maxnums()
+        self.maxnums: list[int] = domtree.maxnum_of
         #: ``r_masks[n]`` = raw bit mask of ``R_v`` for the node numbered n.
         self.r_masks: list[int] = self.reach.masks
         #: ``t_masks[n]`` = raw bit mask of ``T_v`` for the node numbered n.
         self.t_masks: list[int] = self.targets.masks
         #: ``is_back_target[n]`` = a DFS back edge points at node number n.
-        self.is_back_target: list[bool] = [
-            node in self._back_edge_targets for node in order
-        ]
+        self.is_back_target: list[bool] = [False] * len(self.maxnums)
+        numbers = domtree.numbers
+        for _source, target in dfs.back:
+            self.is_back_target[numbers[target]] = True
+        self.reducible = is_reducible(graph, dfs, domtree)
+
+    @property
+    def numbering(self) -> dict[Node, int]:
+        """``numbering[node]`` = dominance-preorder number of ``node``."""
+        return self.domtree.numbering
 
     # ------------------------------------------------------------------
     # Node numbering helpers (Section 5.1)
     # ------------------------------------------------------------------
     def num(self, node: Node) -> int:
         """Dominance-preorder number of ``node``."""
-        return self.numbering[node]
+        return self.domtree.numbering[node]
 
     def maxnum(self, node: Node) -> int:
         """Largest dominance-preorder number inside ``node``'s subtree."""
@@ -79,7 +85,7 @@ class LivenessPrecomputation:
 
     def is_back_edge_target(self, node: Node) -> bool:
         """True iff a DFS back edge points at ``node`` (Algorithm 2, line 8)."""
-        return node in self._back_edge_targets
+        return self.is_back_target[self.domtree.numbering[node]]
 
     # ------------------------------------------------------------------
     # Statistics and accounting
@@ -94,7 +100,7 @@ class LivenessPrecomputation:
 
     def num_back_edges(self) -> int:
         """Number of DFS back edges."""
-        return len(self.dfs.back_edges())
+        return len(self.dfs.back)
 
     def storage_bits(self) -> int:
         """Payload bits of the ``R`` and ``T`` bitsets together.

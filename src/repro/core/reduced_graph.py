@@ -23,6 +23,44 @@ from repro.cfg.graph import ControlFlowGraph, Node
 from repro.sets.bitset import BitSet
 
 
+def reach_sweep(
+    dfs: DepthFirstSearch,
+    numbers: list[int],
+    masks: list[int],
+    dirty: set[int] | None = None,
+) -> dict[int, int]:
+    """Definition 4 in one DFS-postorder pass over ``masks``, in place.
+
+    Postorder is a reverse topological order of ``G̃``, so every reduced
+    successor's row is final before it is read; an edge ``v → w`` is a
+    back edge exactly when ``w`` finishes no earlier than ``v``.  With
+    ``dirty`` ``None`` every row is written.  Otherwise only the rows of
+    the ids in ``dirty`` (sources of edited edges) and of nodes with a
+    reduced successor whose row changed are recomputed, and the result
+    maps the number of every row that changed to its old mask.
+    """
+    succ_ids, post = dfs.succ_ids, dfs.post
+    changed: dict[int, int] = {}
+    moved: set[int] = set()
+    for node in dfs.post_order:
+        succs = succ_ids[node]
+        if dirty is not None and node not in dirty and moved.isdisjoint(succs):
+            continue
+        finish = post[node]
+        number = numbers[node]
+        mask = 1 << number
+        for succ in succs:
+            if post[succ] < finish:
+                mask |= masks[numbers[succ]]
+        if dirty is None:
+            masks[number] = mask
+        elif mask != masks[number]:
+            changed[number] = masks[number]
+            masks[number] = mask
+            moved.add(node)
+    return changed
+
+
 class ReducedReachability:
     """Per-node reduced-reachability masks ``R_v``."""
 
@@ -33,21 +71,9 @@ class ReducedReachability:
         domtree: DominatorTree,
     ) -> None:
         self._domtree = domtree
-        num = domtree.numbering
-        back = set(dfs.back_edges())
         #: ``masks[n]`` = bit mask of ``R_v`` for the node numbered ``n``.
-        #: One pass in DFS postorder suffices: it is a reverse topological
-        #: order of ``G̃``, so every reduced successor's row is final
-        #: before it is read.
-        self.masks: list[int] = [1 << n for n in range(len(domtree))]
-        masks = self.masks
-        for node in dfs.postorder():
-            number = num[node]
-            mask = masks[number]
-            for succ in graph.successors(node):
-                if (node, succ) not in back:
-                    mask |= masks[num[succ]]
-            masks[number] = mask
+        self.masks: list[int] = [0] * len(domtree)
+        reach_sweep(dfs, domtree.numbers, self.masks)
 
     # ------------------------------------------------------------------
     # Queries

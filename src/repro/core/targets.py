@@ -23,12 +23,12 @@ these sets, which would void both; only the test oracle
 claim that the extra targets never change an answer.
 
 Like ``R_v``, the sets are raw ``int`` masks over dominance-preorder
-indices, in one list ``masks``; ``BitSet`` views are derived on demand.
+indices, in one list ``masks``, built from the DFS's back edges and the
+dominator tree's numbers by block id; ``BitSet`` views are derived on
+demand.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from repro.cfg.dfs import DepthFirstSearch
 from repro.cfg.dominance import DominatorTree
@@ -37,22 +37,27 @@ from repro.core.reduced_graph import ReducedReachability
 from repro.sets.bitset import BitSet
 
 
-def back_edge_groups(dfs: DepthFirstSearch, num: Callable[[Node], int]) -> list[tuple[int, int]]:
-    """``(num(t), mask of every back-edge source into t)`` per back-edge target."""
+def back_edge_groups(dfs: DepthFirstSearch, numbers: list[int]) -> dict[int, int]:
+    """``num(t) -> mask of every back-edge source into t``, per target.
+
+    ``numbers`` maps DFS ids to dominance-preorder numbers; the keys are
+    exactly the numbers of the back-edge targets.
+    """
     groups: dict[int, int] = {}
-    for source, target in dfs.back_edges():
-        groups[num(target)] = groups.get(num(target), 0) | 1 << num(source)
-    return list(groups.items())
+    for source, target in dfs.back:
+        t = numbers[target]
+        groups[t] = groups.get(t, 0) | 1 << numbers[source]
+    return groups
 
 
-def equation1_row(number: int, r: int, groups: list[tuple[int, int]], masks: list[int]) -> int:
+def equation1_row(number: int, r: int, groups: dict[int, int], masks: list[int]) -> int:
     """Equation 1 for the node numbered ``number`` with ``R_v = r``.
 
     A target ``t`` is in ``T↑_v`` iff a back edge into it starts in ``R_v``
     and ``t ∉ R_v``; Theorem 3 makes its ``masks[t]`` final in DFS preorder.
     """
     mask = 1 << number
-    for t, sources in groups:
+    for t, sources in groups.items():
         if r & sources and not r >> t & 1:
             mask |= masks[t]
     return mask
@@ -70,13 +75,19 @@ class TargetSets:
         self._dfs = dfs
         self._domtree = domtree
         self._reach = reach
-        num = domtree.numbering
-        groups = back_edge_groups(dfs, num.__getitem__)
+        numbers = domtree.numbers
+        groups = back_edge_groups(dfs, numbers)
+        sources = 0
+        for mask in groups.values():
+            sources |= mask
         r_masks = reach.masks
-        masks = [0] * len(domtree)
-        for node in dfs.preorder():
-            number = num[node]
-            masks[number] = equation1_row(number, r_masks[number], groups, masks)
+        masks = [1 << number for number in range(len(r_masks))]
+        for node in dfs.pre_order:
+            number = numbers[node]
+            r = r_masks[number]
+            if r & sources:
+                # Only a back edge leaving R_v contributes to T↑_v.
+                masks[number] = equation1_row(number, r, groups, masks)
         #: ``masks[n]`` = bit mask of ``T_v`` for the node numbered ``n``.
         self.masks: list[int] = masks
 

@@ -255,7 +255,9 @@ def generate_benchmark_functions(
     over an irreducible CFG so the population, like SPEC, is not purely
     reducible.
     """
-    rng = random.Random((hash(profile.name) & 0xFFFF) * 7919 + seed)
+    # A string seed is hashed with SHA-512, so the population is the same
+    # in every process; ``hash(str)`` varies with PYTHONHASHSEED.
+    rng = random.Random(f"{profile.name}:{seed}")
     functions: list[Function] = []
     for index in range(scale):
         target_blocks = sample_block_count(rng, profile)

@@ -39,9 +39,7 @@ def assert_same_graph(graph: ControlFlowGraph, oracle: ControlFlowGraph) -> None
         assert graph.predecessors(node) == oracle.predecessors(node)
 
 
-def assert_same_dfs(
-    dfs: DepthFirstSearch, oracle: ReferenceDFS, graph, kind_order: bool = True
-) -> None:
+def assert_same_dfs(dfs: DepthFirstSearch, oracle: ReferenceDFS, graph) -> None:
     assert dfs.preorder() == oracle.preorder()
     assert dfs.postorder() == oracle.postorder()
     for node in oracle.preorder():
@@ -50,8 +48,7 @@ def assert_same_dfs(
         assert dfs.postorder_number(node) == oracle.postorder_number(node)
     kinds = dfs.edge_kinds()
     assert kinds == oracle.edge_kinds()
-    if kind_order:
-        assert list(kinds) == list(oracle.edge_kinds())
+    assert list(kinds) == list(oracle.edge_kinds())
     assert all(type(edge) is Edge for edge in kinds)
     back = dfs.back_edges()
     assert back == oracle.back_edges()
@@ -165,9 +162,7 @@ def test_dfs_split_notes_match_a_fresh_reference(seed):
             node = ("split", step)
             graph.split_edge(source, target, node)
             dfs.note_edge_split(source, target, node)
-            # The patch appends the two new edges to the kinds mapping
-            # instead of re-inserting them in traversal order.
-            assert_same_dfs(dfs, ReferenceDFS(graph), graph, kind_order=False)
+            assert_same_dfs(dfs, ReferenceDFS(graph), graph)
 
 
 def test_precomputation_validates_through_the_dfs_with_the_same_errors():

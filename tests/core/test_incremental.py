@@ -25,6 +25,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api.protocol import NotifyRequest, decode_request, encode_request
 from repro.cfg.graph import ControlFlowGraph
+from repro.core.bitset_query import BitsetChecker
 from repro.core.incremental import (
     APPLIED,
     CfgDelta,
@@ -36,7 +37,7 @@ from repro.core.live_checker import FastLivenessChecker
 from repro.core.invalidation import TransformationSession
 from repro.core.precompute import LivenessPrecomputation
 from repro.ir.instruction import Instruction, Opcode
-from repro.ir.value import Constant
+from repro.ir.value import Constant, Variable
 from repro.ir.verify import IRVerificationError, verify_ssa
 from repro.liveness.dataflow import DataflowLiveness
 from repro.synth import random_irreducible_cfg, random_reducible_cfg
@@ -749,3 +750,160 @@ class TestCheckerNotify:
         checker = FastLivenessChecker(function)
         result = checker.notify_cfg_changed(CfgDelta.edge_added("a", "b"))
         assert result.applied and result.reason == "no-op"
+
+
+# ----------------------------------------------------------------------
+# The query door's invalidation matrix
+# ----------------------------------------------------------------------
+def _split_silently(function, source: str, target: str) -> str:
+    """Split ``source -> target`` in the IR without telling any checker."""
+    name = f"quiet.{source}.{target}"
+    function.add_block(name).append(Instruction(Opcode.JUMP, targets=[target]))
+    terminator = function.block(source).terminator()
+    terminator.targets = [name if t == target else t for t in terminator.targets]
+    return name
+
+
+def _phi_free_edge(function) -> tuple[str, str]:
+    for block in function:
+        for succ in block.successors():
+            if not function.block(succ).phis():
+                return block.name, succ
+    pytest.skip("every edge enters a φ block")
+
+
+def _kept_branch_add(sess: TransformationSession) -> tuple[str, str]:
+    """The first strictness-preserving branch add the checker patches."""
+    function = sess.function
+    entry = function.entry.name
+    for name in list(function.blocks):
+        terminator = function.block(name).terminator()
+        if terminator is None or terminator.opcode != Opcode.JUMP:
+            continue
+        for target in list(function.blocks):
+            if target in (entry, terminator.targets[0]) or function.block(target).phis():
+                continue
+            patched = sess.stats.checker_incremental_updates
+            sess.add_branch_target(name, target)
+            try:
+                verify_ssa(function)
+            except IRVerificationError:
+                sess.remove_branch_target(name, target)
+                continue
+            if sess.stats.checker_incremental_updates > patched:
+                return name, target
+            sess.remove_branch_target(name, target)
+    pytest.skip("no branch add is patched in place on this function")
+
+
+def _answers(checker, function, variables) -> dict:
+    return {
+        (kind, var.name, block): (
+            checker.is_live_in(var, block) if kind == "in" else checker.is_live_out(var, block)
+        )
+        for var in variables
+        for block in function.blocks
+        for kind in ("in", "out")
+    }
+
+
+def _reference_answers(function) -> tuple[dict, dict, bool]:
+    """A fresh checker's answers, the reference kernel's, and reducibility."""
+    fresh = FastLivenessChecker(function)
+    variables = fresh.live_variables()
+    kernel = BitsetChecker(fresh.precomputation)
+    numbering = fresh.precomputation.numbering
+    kernel_answers = {}
+    for var in variables:
+        plan = fresh.plans.plan(var)
+        for block in function.blocks:
+            query = numbering[block]
+            kernel_answers["in", var.name, block] = kernel.is_live_in_mask(
+                plan.def_num, plan.use_mask, query
+            )
+            kernel_answers["out", var.name, block] = kernel.is_live_out_mask(
+                plan.def_num, plan.use_mask, query
+            )
+    return _answers(fresh, function, variables), kernel_answers, fresh.precomputation.reducible
+
+
+class TestQueryDoorInvalidation:
+    """After every invalidating event, the door answers like a fresh checker.
+
+    The door binds the numeric arrays and the reducibility flag once per
+    precomputation and plan cache; each event below must leave it either
+    rebound or provably current.  The checker is warmed (door open, every
+    plan compiled) before each event.
+    """
+
+    EVENTS = (
+        "cfg-changed",
+        "edge-split",
+        "branch-add-remove",
+        "fallback-delta",
+        "instructions-changed",
+        "variable-changed",
+        "restored",
+    )
+
+    @pytest.mark.parametrize("event", EVENTS)
+    @pytest.mark.parametrize("irreducible", [False, True], ids=["reducible", "irreducible"])
+    def test_answers_match_a_fresh_checker(self, event, irreducible):
+        indices = (1, 4, 7) if irreducible else (0, 2, 3)
+        for index in indices:
+            function = fuzz_function(index)
+            sess = TransformationSession(function, track_dataflow=False)
+            checker = sess.checker
+            assert checker.precomputation.reducible is not irreducible
+            _answers(checker, function, checker.live_variables())
+            if event == "cfg-changed":
+                _split_silently(function, *_phi_free_edge(function))
+                result = checker.notify_cfg_changed(None)
+                assert not result.applied
+            elif event == "edge-split":
+                sess.split_edge(*_phi_free_edge(function))
+                assert sess.stats.checker_incremental_updates == 1
+            elif event == "branch-add-remove":
+                name, target = _kept_branch_add(sess)
+                self.assert_fresh(checker, function, f"{event} add {index}")
+                patched = sess.stats.checker_incremental_updates
+                sess.remove_branch_target(name, target)
+                assert sess.stats.checker_incremental_updates == patched + 1
+            elif event == "fallback-delta":
+                source, target = _phi_free_edge(function)
+                block = _split_silently(function, source, target)
+                result = checker.notify_cfg_changed(
+                    CfgDelta.block_added(block, [(source, block), (block, target)])
+                )
+                assert not result.applied and result.reason == "block-edit"
+            elif event == "instructions-changed":
+                var = checker.live_variables()[0]
+                block = function.block(checker.defuse.def_block(var))
+                block.insert_before_terminator(
+                    Instruction(Opcode.COPY, result=Variable("door.copy"), operands=[var])
+                )
+                checker.notify_instructions_changed()
+            elif event == "variable-changed":
+                var = checker.live_variables()[0]
+                sess.add_use(var, list(function.blocks)[-1])
+            else:
+                from repro.persist.precomp import (
+                    RestoredPrecomputation,
+                    export_precomputation,
+                )
+
+                state = export_precomputation(function.name, checker.precomputation)
+                checker = FastLivenessChecker.from_precomputation(
+                    function, RestoredPrecomputation(state)
+                )
+            self.assert_fresh(checker, function, f"{event} {index}")
+
+    @staticmethod
+    def assert_fresh(checker, function, context: str) -> None:
+        expected, kernel, reducible = _reference_answers(function)
+        assert expected == kernel, context
+        variables = FastLivenessChecker(function).live_variables()
+        assert _answers(checker, function, variables) == expected, context
+        assert checker.precomputation.reducible is reducible, context
+        door = checker._door
+        assert door is not None and door[-1] is reducible, context

@@ -4,8 +4,9 @@ An incremental patch (:mod:`repro.core.incremental`) must leave a
 precomputation indistinguishable from a fresh build over the edited
 graph — not only in the ``R``/``T`` masks the queries read, but in every
 structure later patches and clients read: the graph's successor order,
-the DFS numberings, parents, edge kinds and back-edge order, and the
-dominator tree's preorder, immediate dominators and subtree bounds.
+the DFS's block-id arrays and the numberings, parents, edge kinds and
+back-edge order derived from them, and the dominator tree's number
+arrays with its preorder, immediate dominators and subtree bounds.
 """
 
 from __future__ import annotations
@@ -29,11 +30,16 @@ def precomputation_views(pre: LivenessPrecomputation) -> dict:
         "dfs.parents": {node: dfs.parent(node) for node in nodes},
         "dfs.edge_kinds": dfs.edge_kinds(),
         "dfs.back_edges": dfs.back_edges(),
+        "dfs.arrays": (
+            dfs.nodes, dfs.ids, dfs.succ_ids, dfs.pre, dfs.post, dfs.parents,
+            dfs.pre_order, dfs.post_order, dfs.back,
+        ),
         "domtree.preorder": domtree.preorder(),
         "domtree.idoms": domtree.as_idom_map(),
         "domtree.numbering": dict(domtree.numbering),
         "domtree.maxnums": domtree.maxnums(),
         "domtree.depths": {node: domtree.depth(node) for node in nodes},
+        "domtree.arrays": (domtree.numbers, domtree.maxnum_of, domtree.idom_of),
         "numbering": dict(pre.numbering),
         "maxnums": list(pre.maxnums),
         "r_masks": list(pre.r_masks),

@@ -11,8 +11,8 @@ straightforward versions they must agree with:
   ``add_edge`` per :meth:`BasicBlock.successors` entry;
 * :class:`ReferenceDFS` — an explicit stack of successor-list iterators
   over copied successor lists, one :class:`Edge` built and classified per
-  traversed edge, and the same incremental hooks (an added back edge
-  takes the place a fresh traversal of the edited graph records it in).
+  traversed edge, and the same incremental hooks (an added edge takes the
+  place a fresh traversal of the edited graph examines it in).
 """
 
 from __future__ import annotations
@@ -114,12 +114,14 @@ class ReferenceDFS:
         return EdgeKind.CROSS
 
     def note_edge_added(self, source: Node, target: Node, kind: EdgeKind) -> None:
-        edge = Edge(source, target)
-        self._edge_kinds[edge] = kind
+        self._edge_kinds[Edge(source, target)] = kind
+        # The traversal is preserved, so a fresh one over the edited graph
+        # examines the edges, and records the back edges, in the order to
+        # keep; every kind stays the one recorded.
+        fresh = ReferenceDFS(self._graph)
+        self._edge_kinds = {edge: self._edge_kinds[edge] for edge in fresh.edge_kinds()}
         if kind is EdgeKind.BACK:
-            # The traversal is preserved, so a fresh one over the edited
-            # graph records the back edges in the order to keep.
-            self._back_edges = ReferenceDFS(self._graph).back_edges()
+            self._back_edges = fresh.back_edges()
 
     def note_edge_removed(self, source: Node, target: Node) -> None:
         edge = Edge(source, target)

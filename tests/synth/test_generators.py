@@ -1,10 +1,15 @@
 """Tests for the synthetic workload generators."""
 
+import os
 import random
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cfg import is_reducible
 from repro.frontend import compile_source
 from repro.ir import verify_ssa
@@ -144,6 +149,30 @@ class TestSpecProfiles:
         first = generate_benchmark_functions(SPEC_PROFILES[0], scale=2, seed=1)
         second = generate_benchmark_functions(SPEC_PROFILES[0], scale=2, seed=1)
         assert [len(f.blocks) for f in first] == [len(f.blocks) for f in second]
+
+    def test_generation_does_not_depend_on_the_hash_seed(self):
+        # Two processes with different string-hash randomisation must
+        # generate the same functions.
+        code = (
+            "import hashlib\n"
+            "from repro.ir import print_function\n"
+            "from repro.synth import generate_benchmark_functions\n"
+            "from repro.synth.spec_profiles import profile_by_name\n"
+            "functions = generate_benchmark_functions("
+            "profile_by_name('181.mcf'), scale=3, seed=2008)\n"
+            "text = '\\n'.join(print_function(f) for f in functions)\n"
+            "print(hashlib.sha256(text.encode()).hexdigest())\n"
+        )
+        src = str(Path(repro.__file__).parents[1])
+        digests = set()
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+            result = subprocess.run(
+                [sys.executable, "-c", code],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            )
+            digests.add(result.stdout.strip())
+        assert len(digests) == 1, digests
 
 
 class TestIrreducibleWorkloadCoverage:
