@@ -3,15 +3,21 @@
 The paper suggests the technique "could take advantage of a precomputed
 loop nesting forest".  This benchmark compares the T_q-based bitset query
 (Algorithm 3) with the loop-forest query on the same recorded streams,
-restricted to reducible procedures (the forest variant's domain).
+restricted to reducible procedures (the forest variant's domain).  A third
+row replays the streams through the node-set Algorithms 1/2
+(:class:`~repro.core.query.SetBasedChecker`), which measures what the §5.1
+bitset engineering buys per query.  Both variants must agree with
+Algorithm 3 on every query; the untimed assertions run on every Python in
+CI.
 """
 
 import time
 
 from repro.bench.reporting import format_table
 from repro.core.bitset_query import BitsetChecker
-from repro.core.loopforest import LoopForestChecker
 from repro.core.precompute import LivenessPrecomputation
+from repro.core.query import SetBasedChecker
+from tests.support.loopforest import LoopForestChecker
 
 
 def _reducible_procedures(workloads):
@@ -25,13 +31,16 @@ def _reducible_procedures(workloads):
 def measure_variants(workloads, limit=20):
     bitset_ns = 0.0
     forest_ns = 0.0
+    sets_ns = 0.0
     queries = 0
     mismatches = 0
+    set_mismatches = 0
     for index, (proc, pre) in enumerate(_reducible_procedures(workloads)):
         if index >= limit:
             break
         bitset = BitsetChecker(pre)
         forest = LoopForestChecker(pre)
+        sets = SetBasedChecker(pre)
         for kind, var, block in proc.queries:
             def_block = proc.defuse.def_block(var)
             uses = proc.defuse.use_blocks(var)
@@ -52,13 +61,24 @@ def measure_variants(workloads, limit=20):
                 from_forest = forest.is_live_out(def_block, uses, block)
             forest_ns += time.perf_counter_ns() - start
 
+            start = time.perf_counter_ns()
+            if kind == "in":
+                from_sets = sets.is_live_in(def_block, uses, block)
+            else:
+                from_sets = sets.is_live_out(def_block, uses, block)
+            sets_ns += time.perf_counter_ns() - start
+
             if from_bitset != from_forest:
                 mismatches += 1
+            if from_bitset != from_sets:
+                set_mismatches += 1
     return {
         "queries": queries,
         "bitset_ns": bitset_ns / max(queries, 1),
         "forest_ns": forest_ns / max(queries, 1),
+        "sets_ns": sets_ns / max(queries, 1),
         "mismatches": mismatches,
+        "set_mismatches": set_mismatches,
     }
 
 
@@ -70,14 +90,19 @@ def test_loop_forest_variant(benchmark, workloads, record_table):
         [
             ["T_q bitset query (Algorithm 3)", f"{stats['bitset_ns']:.0f}"],
             ["loop-nesting-forest query (Section 8)", f"{stats['forest_ns']:.0f}"],
+            ["node-set query (Algorithms 1/2)", f"{stats['sets_ns']:.0f}"],
         ],
         title=(
-            "Ablation — loop-forest variant "
-            f"({stats['queries']} queries, {stats['mismatches']} disagreements)"
+            "Ablation — loop-forest and set variants "
+            f"({stats['queries']} queries, {stats['mismatches']} forest and "
+            f"{stats['set_mismatches']} set disagreements)"
         ),
     )
     record_table("ablation_loopforest", table)
 
     assert stats["queries"] > 0
-    # The two formulations are interchangeable on reducible CFGs.
+    # The three formulations are interchangeable on reducible CFGs.
     assert stats["mismatches"] == 0
+    assert stats["set_mismatches"] == 0
+    # The bitset engineering pays off per query.
+    assert stats["bitset_ns"] < stats["sets_ns"]

@@ -4,7 +4,7 @@ A full reproduction of Boissinot, Hack, Grund, Dupont de Dinechin and
 Rastello, *Fast Liveness Checking for SSA-Form Programs* (CGO 2008),
 including every substrate the paper relies on: a small SSA IR with
 construction and destruction passes, the CFG analyses (DFS, dominance,
-reducibility, loop forests), conventional liveness baselines, and the
+reducibility), the conventional data-flow liveness baseline, and the
 paper's liveness checker itself with its bitset engineering, plus the
 benchmark harness reproducing the paper's tables.
 
@@ -56,7 +56,6 @@ __all__ = [
     "EdgeKind",
     "DominatorTree",
     "DominanceFrontiers",
-    "LoopNestingForest",
     "is_reducible",
     # ir
     "Variable",
@@ -83,7 +82,6 @@ __all__ = [
     "LivenessOracle",
     "CountingOracle",
     "DataflowLiveness",
-    "PathExplorationLiveness",
     # core (the paper)
     "LivenessPrecomputation",
     "ReducedReachability",
@@ -91,7 +89,6 @@ __all__ = [
     "SetBasedChecker",
     "BitsetChecker",
     "FastLivenessChecker",
-    "LoopForestChecker",
     "TransformationSession",
     # regalloc (the query-driven client)
     "Allocation",
@@ -129,15 +126,15 @@ _SOURCES = {
     ),
     "repro.cfg": (
         "ControlFlowGraph", "DepthFirstSearch", "DominanceFrontiers",
-        "DominatorTree", "EdgeKind", "LoopNestingForest", "is_reducible",
+        "DominatorTree", "EdgeKind", "is_reducible",
     ),
     "repro.concurrent": (
         "ProcClient", "ShardedClient", "ShardedService", "WireServer", "serve_loop",
     ),
     "repro.core": (
         "BitsetChecker", "FastLivenessChecker", "LivenessPrecomputation",
-        "LoopForestChecker", "ReducedReachability", "SetBasedChecker",
-        "TargetSets", "TransformationSession",
+        "ReducedReachability", "SetBasedChecker", "TargetSets",
+        "TransformationSession",
     ),
     "repro.frontend": ("compile_function", "compile_source"),
     "repro.ir": (
@@ -145,10 +142,7 @@ _SOURCES = {
         "ParallelCopy", "Phi", "Variable", "parse_function", "print_function",
         "verify_ssa",
     ),
-    "repro.liveness": (
-        "CountingOracle", "DataflowLiveness", "LivenessOracle",
-        "PathExplorationLiveness",
-    ),
+    "repro.liveness": ("CountingOracle", "DataflowLiveness", "LivenessOracle"),
     "repro.obs": ("MetricsRegistry", "Observability", "Tracer", "to_prometheus"),
     "repro.regalloc": (
         "Allocation", "allocate", "color_function", "compute_pressure", "max_live",

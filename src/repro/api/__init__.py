@@ -59,7 +59,6 @@ from repro.api.registry import (
     DATAFLOW,
     FAST,
     GRAPH,
-    SETS,
     EngineCapabilities,
     EngineSpec,
     UnknownEngineError,
@@ -83,7 +82,6 @@ __all__ = [
     "DATAFLOW",
     "FAST",
     "GRAPH",
-    "SETS",
     "EngineCapabilities",
     "EngineSpec",
     "UnknownEngineError",

@@ -31,8 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: The paper's checker: Algorithm 3 on bitsets, batch engine, incremental
 #: def–use maintenance.
 FAST = "fast"
-#: The same checker forced onto the readable Algorithm-1/2 set path.
-SETS = "sets"
 #: The conventional baseline: precomputed data-flow sets.
 DATAFLOW = "dataflow"
 #: The conventional *structure*: an eager full interference graph built
@@ -149,12 +147,6 @@ def _fast_oracle(function: "Function") -> "LivenessOracle":
     return FastLivenessChecker(function)
 
 
-def _sets_oracle(function: "Function") -> "LivenessOracle":
-    from repro.core.live_checker import FastLivenessChecker
-
-    return FastLivenessChecker(function, use_bitsets=False)
-
-
 def _dataflow_oracle(function: "Function") -> "LivenessOracle":
     from repro.liveness.dataflow import DataflowLiveness
 
@@ -171,17 +163,6 @@ register_engine(
         description=(
             "the paper's checker: Algorithm 3 on bitsets with cached query "
             "plans and the amortised batch engine"
-        ),
-    )
-)
-register_engine(
-    EngineSpec(
-        name=SETS,
-        oracle_factory=_sets_oracle,
-        capabilities=EngineCapabilities(supports_edits=True),
-        description=(
-            "the same checker on the readable Algorithm-1/2 set path "
-            "(no bitsets, no batching)"
         ),
     )
 )

@@ -7,8 +7,6 @@ chordal coloring — with only the liveness backend swapped out:
 
 * ``fast`` — :class:`~repro.core.FastLivenessChecker` with the batch
   engine; spill edits only rebuild def–use chains;
-* ``sets`` — the same checker forced onto the readable Algorithm-1/2
-  set path, no bitsets, no batching (how much the engineering buys);
 * ``dataflow`` — the conventional baseline, which must recompute its
   whole fixpoint after every spill rewrite (a fresh
   :class:`~repro.liveness.DataflowLiveness` per round).
@@ -33,14 +31,14 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from repro.api.registry import DATAFLOW, FAST, SETS
+from repro.api.registry import DATAFLOW, FAST
 from repro.bench.reporting import format_table, parse_bench_argv, write_json_report
 from repro.ir.function import Function
 from repro.regalloc.allocator import allocate
 from repro.synth.spec_profiles import generate_function_with_blocks
 
 #: Backend names in reporting order; ``dataflow`` is the speed-up baseline.
-BACKEND_ORDER = (FAST, SETS, DATAFLOW)
+BACKEND_ORDER = (FAST, DATAFLOW)
 
 
 @dataclass(frozen=True)

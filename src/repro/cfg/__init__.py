@@ -16,15 +16,12 @@ depends *only* on graph structure, never on instructions or variables:
 * :func:`~repro.cfg.reducibility.is_reducible` -- the back-edge based
   reducibility test of Section 2.1, plus an independent interval (T1/T2)
   based check used for validation.
-* :class:`~repro.cfg.loops.LoopNestingForest` -- natural-loop nesting forest
-  used by the Section 8 "outlook" variant of the checker.
 """
 
 from repro.cfg.dfs import DepthFirstSearch, EdgeKind
 from repro.cfg.domfrontier import DominanceFrontiers
 from repro.cfg.dominance import DominatorTree
 from repro.cfg.graph import ControlFlowGraph, Edge
-from repro.cfg.loops import Loop, LoopNestingForest
 from repro.cfg.reducibility import is_reducible, is_reducible_by_intervals
 
 __all__ = [
@@ -36,6 +33,4 @@ __all__ = [
     "DominanceFrontiers",
     "is_reducible",
     "is_reducible_by_intervals",
-    "Loop",
-    "LoopNestingForest",
 ]

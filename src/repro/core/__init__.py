@@ -16,8 +16,6 @@ The package is organised to mirror the paper:
   implementation with the reducible-CFG fast path (Theorem 2).
 * :mod:`repro.core.live_checker` — :class:`FastLivenessChecker`, the public
   oracle tying a function's def–use chains to the precomputation.
-* :mod:`repro.core.loopforest` — the loop-nesting-forest variant sketched
-  in the paper's outlook (Section 8).
 * :mod:`repro.core.invalidation` — a transformation session demonstrating
   which edits preserve the precomputation (all of them except CFG edits).
 * :mod:`repro.core.incremental` — :class:`CfgDelta` and
@@ -39,7 +37,6 @@ from repro.core.bitset_query import BitsetChecker
 from repro.core.incremental import CfgDelta, UpdateResult, apply_cfg_delta
 from repro.core.invalidation import TransformationSession
 from repro.core.live_checker import FastLivenessChecker
-from repro.core.loopforest import LoopForestChecker
 from repro.core.plans import PlanCache, QueryPlan
 from repro.core.precompute import LivenessPrecomputation
 from repro.core.query import SetBasedChecker
@@ -56,7 +53,6 @@ __all__ = [
     "SetBasedChecker",
     "BitsetChecker",
     "FastLivenessChecker",
-    "LoopForestChecker",
     "TransformationSession",
     "CfgDelta",
     "UpdateResult",

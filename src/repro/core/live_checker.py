@@ -16,8 +16,8 @@ reference kernel the door must agree with.
 It implements :class:`~repro.liveness.oracle.LivenessOracle`, so it is a
 drop-in replacement for the data-flow baseline inside the SSA destruction
 pass and the benchmark harness.  The engine can also *enumerate* live sets
-by querying every (variable, block) pair, which is how the differential
-tests establish that the characteristic function matches the sets computed
+(one dominance-interval sweep per variable through the batch engine), which
+is how the differential tests establish that the characteristic function matches the sets computed
 by the conventional analyses.
 """
 
@@ -27,7 +27,6 @@ from repro.core.batch import BatchQueryEngine
 from repro.core.incremental import CfgDelta, UpdateResult, apply_cfg_delta
 from repro.core.plans import PlanCache
 from repro.core.precompute import LivenessPrecomputation
-from repro.core.query import SetBasedChecker
 from repro.ir.function import Function
 from repro.ir.value import Variable
 from repro.liveness.oracle import LivenessOracle, LiveSets
@@ -37,17 +36,10 @@ from repro.ssa.defuse import DefUseChains
 class FastLivenessChecker(LivenessOracle):
     """Liveness checking per Boissinot et al. for one SSA-form function."""
 
-    def __init__(
-        self,
-        function: Function,
-        defuse: DefUseChains | None = None,
-        use_bitsets: bool = True,
-    ) -> None:
+    def __init__(self, function: Function, defuse: DefUseChains | None = None) -> None:
         self._function = function
         self._defuse = defuse
-        self._use_bitsets = use_bitsets
         self._pre: LivenessPrecomputation | None = None
-        self._set_checker: SetBasedChecker | None = None
         self._batch: BatchQueryEngine | None = None
         self._plans: PlanCache | None = None
         # The query door: the plan cache's dict and the numeric arrays
@@ -56,12 +48,7 @@ class FastLivenessChecker(LivenessOracle):
         self._door: tuple | None = None
 
     @classmethod
-    def from_precomputation(
-        cls,
-        function: Function,
-        pre,
-        use_bitsets: bool = True,
-    ) -> "FastLivenessChecker":
+    def from_precomputation(cls, function: Function, pre) -> "FastLivenessChecker":
         """Build a checker over an already-materialised precomputation.
 
         The restore path of :mod:`repro.persist` hands in a
@@ -73,7 +60,7 @@ class FastLivenessChecker(LivenessOracle):
         normal :meth:`prepare`; a later :meth:`notify_cfg_changed` drops
         ``pre`` and the next query recomputes from scratch.
         """
-        checker = cls(function, use_bitsets=use_bitsets)
+        checker = cls(function)
         checker._pre = pre
         return checker
 
@@ -158,7 +145,7 @@ class FastLivenessChecker(LivenessOracle):
             result = apply_cfg_delta(self._pre, delta)
             if result.applied:
                 # The door binds the reducibility flag, which an edge edit
-                # may flip; the set-based checker reads the views afresh.
+                # may flip.
                 self._door = None
                 if result.renumbered:
                     self._batch = None
@@ -173,7 +160,6 @@ class FastLivenessChecker(LivenessOracle):
         else:
             result = UpdateResult(False, "full-invalidation")
         self._pre = None
-        self._set_checker = None
         self._batch = None
         self._plans = None
         self._door = None
@@ -231,13 +217,6 @@ class FastLivenessChecker(LivenessOracle):
         )
         return door
 
-    def _sets(self) -> SetBasedChecker:
-        """Algorithms 1 and 2 over the resident precomputation (``sets``)."""
-        self.prepare()
-        if self._set_checker is None:
-            self._set_checker = SetBasedChecker(self._pre)
-        return self._set_checker
-
     def is_live_in(self, var: Variable, block: str) -> bool:
         """Algorithm 3, served in one frame over the bound door.
 
@@ -248,11 +227,6 @@ class FastLivenessChecker(LivenessOracle):
         """
         door = self._door
         if door is None:
-            if not self._use_bitsets:
-                defuse = self.defuse
-                return self._sets().is_live_in(
-                    defuse.def_block(var), defuse.use_blocks(var), block
-                )
             door = self._open_door()
         compiled, plans, numbering, maxnums, r_masks, t_masks, _, reducible = door
         def_num, max_dom, use_mask = compiled.get(var) or plans.plan(var)
@@ -282,11 +256,6 @@ class FastLivenessChecker(LivenessOracle):
         """
         door = self._door
         if door is None:
-            if not self._use_bitsets:
-                defuse = self.defuse
-                return self._sets().is_live_out(
-                    defuse.def_block(var), defuse.use_blocks(var), block
-                )
             door = self._open_door()
         compiled, plans, numbering, maxnums, r_masks, t_masks, is_back_target, _ = door
         def_num, max_dom, use_mask = compiled.get(var) or plans.plan(var)
@@ -344,7 +313,7 @@ class FastLivenessChecker(LivenessOracle):
     # Set enumeration (for parity with set-producing engines)
     # ------------------------------------------------------------------
     def live_sets(self, variables: list[Variable] | None = None) -> LiveSets:
-        """Materialise live-in/live-out sets by exhaustive querying.
+        """Materialise live-in/live-out sets for ``variables`` (default: all).
 
         The paper's point is that one usually does *not* want to do this —
         the checker's strength is answering isolated queries — but having
@@ -352,24 +321,11 @@ class FastLivenessChecker(LivenessOracle):
         data-flow baseline in the differential tests and exposes the
         crossover measured by the query-count benchmark.
         """
-        self.prepare()
-        assert self._pre is not None
         tracked = variables if variables is not None else self.live_variables()
-        if self._use_bitsets:
-            # One joint interval sweep per variable instead of
-            # |variables| × |blocks| independent Algorithm-3 runs.
-            in_map, out_map = self.batch.live_maps(tracked)
-            return LiveSets(
-                live_in={block: frozenset(vs) for block, vs in in_map.items()},
-                live_out={block: frozenset(vs) for block, vs in out_map.items()},
-            )
-        blocks = list(self._pre.graph.nodes())
-        live_in = {
-            block: frozenset(v for v in tracked if self.is_live_in(v, block))
-            for block in blocks
-        }
-        live_out = {
-            block: frozenset(v for v in tracked if self.is_live_out(v, block))
-            for block in blocks
-        }
-        return LiveSets(live_in=live_in, live_out=live_out)
+        # One joint interval sweep per variable instead of
+        # |variables| × |blocks| independent Algorithm-3 runs.
+        in_map, out_map = self.batch.live_maps(tracked)
+        return LiveSets(
+            live_in={block: frozenset(vs) for block, vs in in_map.items()},
+            live_out={block: frozenset(vs) for block, vs in out_map.items()},
+        )

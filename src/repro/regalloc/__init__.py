@@ -20,11 +20,7 @@ liveness oracle on demand — batched through
 
 from repro.regalloc.allocator import (
     Allocation,
-    BACKENDS,
-    DataflowBackend,
-    FastCheckerBackend,
     LivenessBackend,
-    SetCheckerBackend,
     allocate,
     make_backend,
 )
@@ -45,15 +41,11 @@ from repro.regalloc.verify import (
 
 __all__ = [
     "Allocation",
-    "BACKENDS",
     "BlockLiveness",
     "BlockPressure",
     "Coloring",
-    "DataflowBackend",
-    "FastCheckerBackend",
     "LivenessBackend",
     "PressureInfo",
-    "SetCheckerBackend",
     "SpillReport",
     "VerificationResult",
     "allocate",

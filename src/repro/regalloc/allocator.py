@@ -37,14 +37,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.api.registry import (
-    DATAFLOW,
-    FAST,
-    SETS,
-    EngineCapabilities,
-    EngineSpec,
-    get_engine,
-)
+from repro.api.registry import FAST, EngineCapabilities, EngineSpec, get_engine
 from repro.ir.function import Function
 from repro.ir.value import Variable
 from repro.liveness.oracle import LivenessOracle
@@ -121,49 +114,10 @@ class OracleBackend(LivenessBackend):
             self._oracle = self.spec.make_oracle(self.function)
 
 
-class FastCheckerBackend(OracleBackend):
-    """The paper's checker: queries via Algorithm 3 plus the batch engine."""
-
-    def __init__(self, function: Function) -> None:
-        super().__init__(get_engine(FAST), function)
-
-
-class SetCheckerBackend(OracleBackend):
-    """The readable Algorithm-1/2 path: same engine, no bitsets, no batch."""
-
-    def __init__(self, function: Function) -> None:
-        super().__init__(get_engine(SETS), function)
-
-
-class DataflowBackend(OracleBackend):
-    """The conventional baseline: precomputed sets, full recompute on edit."""
-
-    def __init__(self, function: Function) -> None:
-        super().__init__(get_engine(DATAFLOW), function)
-
-
-#: The built-in engines' named adapter classes; :func:`make_backend`
-#: consults this first so pre-registry call sites see the same types.
-BACKENDS = {
-    FAST: FastCheckerBackend,
-    SETS: SetCheckerBackend,
-    DATAFLOW: DataflowBackend,
-}
-
-
-def make_backend(name: str | EngineSpec, function: Function) -> LivenessBackend:
-    """Instantiate a backend adapter for a registered engine (by name).
-
-    Built-in names come back as their named adapter classes (so
-    pre-registry ``isinstance`` checks keep working); anything else the
-    registry knows resolves to the generic :class:`OracleBackend`.
-    """
-    if isinstance(name, EngineSpec):
-        return OracleBackend(name, function)
-    adapter_cls = BACKENDS.get(name)
-    if adapter_cls is not None:
-        return adapter_cls(function)
-    return OracleBackend(get_engine(name), function)
+def make_backend(name: str | EngineSpec, function: Function) -> OracleBackend:
+    """The backend adapter for a registered engine (by name) or a spec."""
+    spec = name if isinstance(name, EngineSpec) else get_engine(name)
+    return OracleBackend(spec, function)
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,11 @@ were routed through one lean lane; every other message type — batch,
 live set, destruct, allocate, notify, evict, compile, and the
 duplicate-function, compile-error and unknown-engine failures — was
 recorded from the thread-sharded client before the three placements
-shared one router.  Each frame is asserted byte for byte through the
-serial, the thread-sharded and the multi-process client.
+shared one router.  The unknown-engine detail lists the registered
+engines, so that frame was re-recorded when the ``sets`` engine was
+retired; only the list in its text changed.  Each frame is asserted
+byte for byte through the serial, the thread-sharded and the
+multi-process client.
 ``StatsRequest``'s answer is left out: its snapshot carries clock
 readings.
 
@@ -212,16 +215,15 @@ GOLDEN = {
         "6420277b2720617420313a39227d7d7d",
     ),
     "unknown_engine": (
-        "63000000b20184000000010e756e6b6e6f776e5f656e67696e654c756e6b6e6f"
+        "5b000000b20184000000010e756e6b6e6f776e5f656e67696e6544756e6b6e6f"
         "776e20656e67696e6520276e6f7065273b206578706563746564206f6e65206f"
-        "6620282766617374272c202773657473272c202764617461666c6f77272c2027"
-        "67726170682729",
+        "6620282766617374272c202764617461666c6f77272c202767726170682729",
         "7b22617069223a312c2274797065223a226465737472756374222c22626f6479"
         "223a7b2266756e6374696f6e223a6e756c6c2c227374617473223a6e756c6c2c"
         "226572726f72223a7b22636f6465223a22756e6b6e6f776e5f656e67696e6522"
         "2c2264657461696c223a22756e6b6e6f776e20656e67696e6520276e6f706527"
-        "3b206578706563746564206f6e65206f6620282766617374272c202773657473"
-        "272c202764617461666c6f77272c202767726170682729227d7d7d",
+        "3b206578706563746564206f6e65206f6620282766617374272c202764617461"
+        "666c6f77272c202767726170682729227d7d7d",
     ),
 }
 

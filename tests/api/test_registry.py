@@ -1,5 +1,5 @@
 """The engine registry: lookup, capabilities, third-party plug-in, and
-the four built-ins as seen from the wire."""
+the three built-ins as seen from the wire."""
 
 import os
 import subprocess
@@ -17,7 +17,6 @@ from repro.api.registry import (
     DATAFLOW,
     FAST,
     GRAPH,
-    SETS,
     EngineCapabilities,
     EngineSpec,
     UnknownEngineError,
@@ -34,19 +33,17 @@ from tests.service.test_service import make_module
 
 class TestBuiltins:
     def test_builtin_engines_are_registered(self):
-        assert set(available_engines()) >= {FAST, SETS, DATAFLOW, GRAPH}
+        assert set(available_engines()) >= {FAST, DATAFLOW, GRAPH}
         assert [spec.name for spec in engine_specs()] == list(available_engines())
 
     def test_capability_table(self):
         assert get_engine(FAST).capabilities.supports_edits
         assert get_engine(FAST).capabilities.batch_queries
-        assert get_engine(SETS).capabilities.supports_edits
-        assert not get_engine(SETS).capabilities.batch_queries
         assert not get_engine(DATAFLOW).capabilities.supports_edits
         assert get_engine(GRAPH).capabilities.per_point_sets
 
     def test_oracle_factories_produce_working_oracles(self, gcd_function):
-        for name in (FAST, SETS, DATAFLOW):
+        for name in (FAST, DATAFLOW):
             oracle = get_engine(name).make_oracle(gcd_function)
             oracle.prepare()
             var = gcd_function.variables()[0]

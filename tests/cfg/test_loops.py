@@ -1,9 +1,10 @@
 """Tests for the loop nesting forest."""
 
-from repro.cfg import ControlFlowGraph, DominatorTree, LoopNestingForest
+from repro.cfg import ControlFlowGraph, DominatorTree
 from repro.cfg.dfs import DepthFirstSearch
 from repro.synth import random_reducible_cfg
 from tests.conftest import build_figure3_cfg
+from tests.support.loops import LoopNestingForest
 
 
 def nested_loops() -> ControlFlowGraph:

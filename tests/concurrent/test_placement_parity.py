@@ -5,7 +5,8 @@ The serial :class:`CompilerClient`, the thread-sharded
 :class:`ProcClient` share one router, so a single-threaded stream —
 queries, batches, live sets, every mutation, bogus names, stale handles
 and a source compiled twice — must get byte-identical canonical
-responses from each, and the same ``StatsResponse.stats`` keys.
+responses from each, and the same ``StatsResponse.stats`` keys.  An
+engine name nothing registers is refused the same way everywhere.
 """
 
 import random
@@ -13,7 +14,14 @@ import random
 import pytest
 
 from repro.api.client import CompilerClient
-from repro.api.protocol import CompileSourceRequest, StatsRequest
+from repro.api.errors import ErrorCode
+from repro.api.protocol import (
+    AllocateRequest,
+    CompileSourceRequest,
+    DestructRequest,
+    EvictRequest,
+    StatsRequest,
+)
 from repro.concurrent.client import ShardedClient
 from repro.concurrent.procs import ProcClient
 from tests.support.concurrency import (
@@ -72,3 +80,25 @@ def test_every_placement_answers_the_stream_identically(seed):
             assert got == want, (placement, index, stream[index])
         assert len(responses) == len(expected)
         assert keys == expected_keys, placement
+
+
+@pytest.mark.parametrize("placement", ["serial", "threads-4", "procs-2"])
+def test_sets_engine_is_unknown_on_every_placement(placement):
+    # ``sets`` is no registered engine: both mutating requests that name
+    # an engine are refused before they touch the function.
+    functions = corpus_functions(2)
+    name = functions[0].name
+    client = PLACEMENTS[placement](functions)
+    try:
+        before = client.dispatch(EvictRequest(function=name)).function
+        for request in (
+            DestructRequest(function=before, engine="sets"),
+            AllocateRequest(function=before, num_registers=4, engine="sets"),
+        ):
+            response = client.dispatch(request)
+            assert response.error is not None, (placement, request)
+            assert response.error.code is ErrorCode.UNKNOWN_ENGINE, placement
+        assert client.dispatch(EvictRequest(function=name)).function == before
+    finally:
+        if isinstance(client, ProcClient):
+            client.close()

@@ -4,8 +4,8 @@ import pytest
 
 from repro.core import TransformationSession
 from repro.frontend import compile_source
-from repro.liveness import PathExplorationLiveness
 from tests.conftest import GCD_SOURCE, SUM_LOOP_SOURCE
+from tests.support.ssa_liveness import PathExplorationLiveness
 
 
 @pytest.fixture

@@ -11,9 +11,11 @@ import pytest
 
 from repro.core import FastLivenessChecker
 from repro.frontend import compile_source
-from repro.liveness import CountingOracle, DataflowLiveness, PathExplorationLiveness
+from repro.liveness import CountingOracle, DataflowLiveness
 from repro.synth import random_ssa_function
 from tests.conftest import GCD_SOURCE, NESTED_SOURCE, SUM_LOOP_SOURCE
+from tests.support.set_oracle import SetCheckerOracle
+from tests.support.ssa_liveness import PathExplorationLiveness
 
 
 def assert_engines_agree(function, subset=None):
@@ -98,8 +100,8 @@ class TestRandomFunctions:
     def test_set_based_and_bitset_configurations_agree(self, rng):
         for _ in range(8):
             function = random_ssa_function(rng, num_blocks=10)
-            with_bitsets = FastLivenessChecker(function, use_bitsets=True)
-            without_bitsets = FastLivenessChecker(function, use_bitsets=False)
+            with_bitsets = FastLivenessChecker(function)
+            without_bitsets = SetCheckerOracle(function)
             for var in with_bitsets.live_variables():
                 for block in function.blocks:
                     assert with_bitsets.is_live_in(var, block) == without_bitsets.is_live_in(var, block)
@@ -246,7 +248,7 @@ class TestLiveSetsBatchRouting:
             function = fuzz_function(index)
             fast = FastLivenessChecker(function)
             fast.prepare()
-            sets_engine = FastLivenessChecker(function, use_bitsets=False)
+            sets_engine = SetCheckerOracle(function)
             sets_engine.prepare()
             a = fast.live_sets()
             b = sets_engine.live_sets()

@@ -7,6 +7,7 @@ from repro.frontend import compile_source
 from repro.ssa.defuse import DefUseChains
 from repro.synth import random_ssa_function
 from tests.conftest import SUM_LOOP_SOURCE
+from tests.support.set_oracle import SetCheckerOracle
 
 
 def make_checker():
@@ -118,7 +119,7 @@ class TestPlanQueriesAgreeAcrossPaths:
                 name=f"plans_{trial}",
             )
             fast = FastLivenessChecker(function)
-            sets = FastLivenessChecker(function, use_bitsets=False)
+            sets = SetCheckerOracle(function)
             blocks = [block.name for block in function]
             for var in fast.live_variables():
                 for block in blocks:

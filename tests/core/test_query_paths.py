@@ -7,7 +7,7 @@ The batch doors share per-variable setups cached on the engine, so a
 packing or caching bug shows up as one door disagreeing with the others.
 Each test here compares all of them against two independent references
 over the same function: the readable Algorithm-1/2 set path
-(``use_bitsets=False``, the ``sets`` engine) and the data-flow fixpoint,
+(:class:`~tests.support.set_oracle.SetCheckerOracle`) and the data-flow fixpoint,
 on fuzzed reducible and irreducible corpora and across incremental CFG
 edits.
 """
@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from repro.api.registry import DATAFLOW, FAST, SETS, get_engine
+from repro.api.registry import DATAFLOW, FAST, get_engine
 from repro.core.batch import BatchQueryEngine
 from repro.core.bitset_query import BitsetChecker
 from repro.core.invalidation import TransformationSession
@@ -26,12 +26,13 @@ from repro.core.live_checker import FastLivenessChecker
 from repro.liveness.dataflow import DataflowLiveness
 from tests.core.test_incremental import assert_checker_matches_rebuild, session_edit_mix
 from tests.support.genfn import GenSpec, fuzz_function, generate_function, structured_function
+from tests.support.set_oracle import SET_ENGINE, SetCheckerOracle
 
 
 def assert_query_paths_agree(function, context: str) -> None:
     fast = FastLivenessChecker(function)
     fast.prepare()
-    sets = FastLivenessChecker(function, use_bitsets=False)
+    sets = SetCheckerOracle(function)
     sets.prepare()
     blocks = list(function.blocks)
     variables = fast.live_variables()
@@ -162,20 +163,12 @@ class TestRegistry:
         assert spec.capabilities.batch_queries
         assert isinstance(oracle.batch, BatchQueryEngine)
 
-    def test_sets_factory_builds_the_set_path_checker(self):
-        function = structured_function(0, target_blocks=8)
-        spec = get_engine(SETS)
-        oracle = spec.oracle_factory(function)
-        assert isinstance(oracle, FastLivenessChecker)
-        assert not spec.capabilities.batch_queries
-        assert spec.capabilities.supports_edits
-        assert not oracle._use_bitsets
-
-    @pytest.mark.parametrize("name", [SETS, DATAFLOW])
+    @pytest.mark.parametrize("name", ["sets", DATAFLOW])
     def test_registry_answers_match_fast(self, name):
         function = structured_function(4, target_blocks=24)
         fast = get_engine(FAST).oracle_factory(function)
-        other = get_engine(name).oracle_factory(function)
+        spec = SET_ENGINE if name == SET_ENGINE.name else get_engine(name)
+        other = spec.oracle_factory(function)
         fast.prepare()
         other.prepare()
         for var in fast.live_variables():

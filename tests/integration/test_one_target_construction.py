@@ -5,10 +5,13 @@ single-candidate fast path and the in-place CFG patcher all rely on, so
 no constructor, factory or persisted record between the kernel and the
 snapshot takes a target-set ``strategy`` — and the served checker takes
 no ``reducible_fast_path`` (that ablation knob lives on
-:class:`~repro.core.bitset_query.BitsetChecker` only).  Each entry below
-must refuse the keyword at call binding, before any work (or worker
-process) starts.  The §5.2 propagated sets stay reproducible through
-``tests.support.reference_precompute``.
+:class:`~repro.core.bitset_query.BitsetChecker` only) and no
+``use_bitsets``: Algorithm 3 on bitsets is its one query path, and no
+``sets`` engine is registered.  Each entry below must refuse the keyword
+at call binding, before any work (or worker process) starts.  The §5.2
+propagated sets stay reproducible through
+``tests.support.reference_precompute``, and Algorithms 1/2 over def–use
+chains through ``tests.support.set_oracle``.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api.client import CompilerClient
+from repro.api.registry import UnknownEngineError, available_engines, get_engine
 from repro.concurrent.client import ShardedClient
 from repro.concurrent.procs import ProcClient
 from repro.concurrent.sharded import ShardedService
@@ -42,7 +46,8 @@ TAKES_NO_STRATEGY = {
     "PrecompState": PrecompState,
 }
 
-TAKES_NO_FAST_PATH_SWITCH = {
+#: The served checker's entry points: one query path, no switches.
+SERVED_CHECKER = {
     "FastLivenessChecker": FastLivenessChecker,
     "FastLivenessChecker.from_precomputation": FastLivenessChecker.from_precomputation,
 }
@@ -66,10 +71,22 @@ def test_restore_client_takes_no_strategy():
         restore_client(None, strategy="exact")
 
 
-@pytest.mark.parametrize("name", sorted(TAKES_NO_FAST_PATH_SWITCH))
+@pytest.mark.parametrize("name", sorted(SERVED_CHECKER))
 def test_served_checker_has_no_fast_path_switch(name):
     with pytest.raises(TypeError, match="reducible_fast_path"):
-        TAKES_NO_FAST_PATH_SWITCH[name](reducible_fast_path=False)
+        SERVED_CHECKER[name](reducible_fast_path=False)
+
+
+@pytest.mark.parametrize("name", sorted(SERVED_CHECKER))
+def test_served_checker_has_no_bitset_switch(name):
+    with pytest.raises(TypeError, match="use_bitsets"):
+        SERVED_CHECKER[name](use_bitsets=False)
+
+
+def test_sets_is_no_registered_engine():
+    assert available_engines() == ("fast", "dataflow", "graph")
+    with pytest.raises(UnknownEngineError):
+        get_engine("sets")
 
 
 def test_topology_names_no_strategy():

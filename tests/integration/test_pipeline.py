@@ -6,11 +6,12 @@ from repro.core import FastLivenessChecker
 from repro.frontend import compile_source
 from repro.ir import verify_function, verify_ssa
 from repro.ir.interp import execute
-from repro.liveness import CountingOracle, DataflowLiveness, PathExplorationLiveness
+from repro.liveness import CountingOracle, DataflowLiveness
 from repro.ssa import DefUseChains
 from repro.ssadestruct import destruct, phi_related_variables
 from repro.synth import generate_benchmark_functions
 from repro.synth.spec_profiles import profile_by_name
+from tests.support.ssa_liveness import PathExplorationLiveness
 
 MATMUL_SOURCE = """
 func dot3(a0, a1) {

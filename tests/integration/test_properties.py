@@ -13,11 +13,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core import FastLivenessChecker, LivenessPrecomputation, SetBasedChecker
 from repro.ir import verify_function, verify_ssa
 from repro.ir.interp import execute
-from repro.liveness import DataflowLiveness, PathExplorationLiveness
+from repro.liveness import DataflowLiveness
 from repro.ssadestruct import destruct
 from repro.synth import random_cfg
 from tests.conftest import reference_is_live_in, reference_is_live_out
 from tests.support.genfn import GenSpec, generate_function, structured_function
+from tests.support.ssa_liveness import PathExplorationLiveness
 
 SETTINGS = settings(
     max_examples=30,

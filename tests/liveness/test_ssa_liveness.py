@@ -4,9 +4,9 @@ import pytest
 
 from repro.frontend import compile_source
 from repro.ir import parse_function
-from repro.liveness import PathExplorationLiveness
 from repro.ssa import DefUseChains
 from tests.conftest import SUM_LOOP_SOURCE
+from tests.support.ssa_liveness import PathExplorationLiveness
 
 
 @pytest.fixture

@@ -13,10 +13,12 @@ import random
 
 import pytest
 
+from repro.api.registry import available_engines, get_engine
 from repro.cfg.reducibility import is_reducible
-from repro.regalloc.allocator import allocate, make_backend
+from repro.regalloc.allocator import OracleBackend, allocate, make_backend
 from repro.regalloc.verify import verify_allocation
 from repro.synth.random_function import random_ssa_function
+from tests.support.set_oracle import SET_ENGINE
 
 
 def _function(seed: int, **overrides):
@@ -77,7 +79,10 @@ def test_backends_produce_identical_register_counts(backend):
     base = _function(9900)
     function = copy.deepcopy(base)
     reference = allocate(copy.deepcopy(base), num_registers=5, backend="fast")
-    allocation = allocate(function, num_registers=5, backend=backend)
+    # Algorithms 1/2 are no registered engine; the test oracle's spec
+    # drives the allocator the same way.
+    engine = SET_ENGINE if backend == SET_ENGINE.name else backend
+    allocation = allocate(function, num_registers=5, backend=engine)
     assert verify_allocation(function, allocation).ok
     assert allocation.registers_used == reference.registers_used
     assert allocation.max_live == reference.max_live
@@ -89,20 +94,14 @@ def test_make_backend_rejects_unknown_names(gcd_function):
         make_backend("phlogiston", gcd_function)
 
 
-def test_make_backend_returns_named_adapters_for_builtins(gcd_function):
-    from repro.regalloc.allocator import (
-        BACKENDS,
-        DataflowBackend,
-        FastCheckerBackend,
-        SetCheckerBackend,
-    )
-
-    assert isinstance(make_backend("fast", gcd_function), FastCheckerBackend)
-    assert isinstance(make_backend("sets", gcd_function), SetCheckerBackend)
-    assert isinstance(make_backend("dataflow", gcd_function), DataflowBackend)
-    for name, cls in BACKENDS.items():
-        assert make_backend(name, gcd_function).name == name
-        assert issubclass(cls, type(make_backend(name, gcd_function)))
+def test_make_backend_resolves_every_registered_engine(gcd_function):
+    for name in available_engines():
+        if get_engine(name).oracle_factory is None:
+            continue
+        backend = make_backend(name, gcd_function)
+        assert isinstance(backend, OracleBackend)
+        assert backend.spec.name == backend.name == name
+    assert make_backend(SET_ENGINE, gcd_function).spec is SET_ENGINE
 
 
 def test_prebuilt_unregistered_backend_supports_destruct():

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from repro.ir.instruction import Opcode
-from repro.regalloc.allocator import FastCheckerBackend, allocate
+from repro.regalloc.allocator import allocate, make_backend
 from repro.regalloc.pressure import compute_pressure
 from repro.regalloc.verify import verify_allocation
 from repro.synth.random_function import random_ssa_function
@@ -70,7 +70,7 @@ def test_spill_rewrite_shape():
 def test_precomputation_survives_spilling():
     function = _pressured_function(6300)
     function.split_critical_edges()
-    backend = FastCheckerBackend(function)
+    backend = make_backend("fast", function)
     checker = backend.oracle()
     checker.prepare()
     precomputation = checker.precomputation

@@ -20,10 +20,11 @@ from repro.core import FastLivenessChecker
 from repro.frontend import compile_source
 from repro.ir import verify_function
 from repro.ir.interp import execute
-from repro.liveness import CountingOracle, DataflowLiveness, PathExplorationLiveness
+from repro.liveness import CountingOracle, DataflowLiveness
 from repro.ssadestruct import destruct, phi_related_variables
 from repro.synth import random_program_source
 from tests.conftest import GCD_SOURCE, NESTED_SOURCE, SUM_LOOP_SOURCE
+from tests.support.ssa_liveness import PathExplorationLiveness
 
 LOST_COPY_SOURCE = """
 func lost(n) {

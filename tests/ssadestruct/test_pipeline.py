@@ -168,9 +168,9 @@ class TestRegallocAcceptsDestructed:
         assert not allocation.reconstructed_ssa
 
     def test_prebuilt_backend_refuses_non_ssa_input(self):
-        from repro.regalloc.allocator import FastCheckerBackend
+        from repro.regalloc.allocator import make_backend
 
         function = parse_function(SWAP)
         destruct(function)
         with pytest.raises(ValueError, match="non-SSA"):
-            allocate(function, backend=FastCheckerBackend(function))
+            allocate(function, backend=make_backend("fast", function))

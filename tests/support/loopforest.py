@@ -16,7 +16,8 @@ forest:
 
 Compared with Algorithm 3 the query replaces the ``T_q`` bitset scan by a
 walk up the loop forest (usually one or two steps), at the price of an
-extra precomputed structure.  The ablation benchmark compares the two; the
+extra precomputed structure.  No library path uses it: the ablation
+benchmark (``benchmarks/test_ablation_loopforest.py``) compares the two, the
 differential tests check query-for-query agreement with the main checker on
 reducible workloads.  Irreducible CFGs are rejected — the paper's general
 mechanism (``T_q``) is the one that covers them.
@@ -27,8 +28,8 @@ from __future__ import annotations
 from typing import Collection
 
 from repro.cfg.graph import Node
-from repro.cfg.loops import LoopNestingForest
 from repro.core.precompute import LivenessPrecomputation
+from tests.support.loops import LoopNestingForest
 
 
 class LoopForestChecker:

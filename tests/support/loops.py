@@ -2,9 +2,10 @@
 
 The paper's outlook (Section 8) notes that the technique "could take
 advantage of a precomputed loop nesting forest" and "can be adapted to most
-loop nesting forest definitions".  The extension module
-:mod:`repro.core.loopforest` implements such a variant; this module provides
-the forest itself.
+loop nesting forest definitions".  :mod:`tests.support.loopforest`
+implements such a variant; this module provides the forest itself.  Both
+live beside the test suite because only the differential tests and the
+loop-forest ablation use them.
 
 The construction is the recursive strongly-connected-component
 decomposition in the style of Bourdoncle / Ramalingam, which is defined for

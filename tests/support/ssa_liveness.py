@@ -1,4 +1,4 @@
-"""Per-variable path-exploration liveness (Appel & Palsberg style).
+"""Per-variable path-exploration liveness, Appel & Palsberg style (test oracle).
 
 This is the related-work algorithm the paper describes in Section 7: the
 only other liveness analysis that exploits SSA properties.  For each
@@ -6,16 +6,11 @@ variable it walks backwards from the use blocks, marking blocks live until
 the definition is reached; because it uses the def–use chain it never has to
 look inside a block, and it can be run for a single variable in isolation.
 
-Within this library it plays two roles:
-
-* it is the *reference implementation* for the differential tests — it is a
-  direct transcription of Definitions 2 and 3, with none of the machinery
-  (reduced graphs, ``T_q`` sets, bitsets) of the fast checker, so agreement
-  between the two on thousands of random programs is strong evidence of
-  correctness;
-* it is an additional baseline in the benchmark harness, showing where a
-  per-variable set-marking approach sits between the data-flow baseline and
-  the checker.
+It is the *reference implementation* of the differential tests: a direct
+transcription of Definitions 2 and 3, with none of the machinery (reduced
+graphs, ``T_q`` sets, bitsets) of the fast checker, so agreement between
+the two on thousands of random programs is strong evidence of correctness.
+No library code path uses it.
 """
 
 from __future__ import annotations
