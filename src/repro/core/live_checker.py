@@ -17,8 +17,8 @@ It implements :class:`~repro.liveness.oracle.LivenessOracle`, so it is a
 drop-in replacement for the data-flow baseline inside the SSA destruction
 pass and the benchmark harness.  The engine can also *enumerate* live sets
 (one dominance-interval sweep per variable through the batch engine), which
-is how the differential tests establish that the characteristic function matches the sets computed
-by the conventional analyses.
+is how the differential tests establish that the characteristic function
+matches the sets computed by the conventional analyses.
 """
 
 from __future__ import annotations

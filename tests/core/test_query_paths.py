@@ -163,11 +163,12 @@ class TestRegistry:
         assert spec.capabilities.batch_queries
         assert isinstance(oracle.batch, BatchQueryEngine)
 
-    @pytest.mark.parametrize("name", ["sets", DATAFLOW])
-    def test_registry_answers_match_fast(self, name):
+    @pytest.mark.parametrize(
+        "spec", [SET_ENGINE, get_engine(DATAFLOW)], ids=lambda spec: spec.name
+    )
+    def test_registry_answers_match_fast(self, spec):
         function = structured_function(4, target_blocks=24)
         fast = get_engine(FAST).oracle_factory(function)
-        spec = SET_ENGINE if name == SET_ENGINE.name else get_engine(name)
         other = spec.oracle_factory(function)
         fast.prepare()
         other.prepare()

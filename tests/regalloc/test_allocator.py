@@ -74,19 +74,20 @@ def test_allocation_survives_ssa_destruction(seed):
     assert {id(var) for var in function.variables()} <= mapped
 
 
-@pytest.mark.parametrize("backend", ["fast", "sets", "dataflow"])
+# Algorithms 1/2 are no registered engine; their test oracle's spec drives
+# the allocator the same way a name does.
+@pytest.mark.parametrize(
+    "backend", ["fast", SET_ENGINE, "dataflow"], ids=["fast", "sets", "dataflow"]
+)
 def test_backends_produce_identical_register_counts(backend):
     base = _function(9900)
     function = copy.deepcopy(base)
     reference = allocate(copy.deepcopy(base), num_registers=5, backend="fast")
-    # Algorithms 1/2 are no registered engine; the test oracle's spec
-    # drives the allocator the same way.
-    engine = SET_ENGINE if backend == SET_ENGINE.name else backend
-    allocation = allocate(function, num_registers=5, backend=engine)
+    allocation = allocate(function, num_registers=5, backend=backend)
     assert verify_allocation(function, allocation).ok
     assert allocation.registers_used == reference.registers_used
     assert allocation.max_live == reference.max_live
-    assert allocation.backend == backend
+    assert allocation.backend == getattr(backend, "name", backend)
 
 
 def test_make_backend_rejects_unknown_names(gcd_function):

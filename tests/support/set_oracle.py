@@ -13,7 +13,7 @@ allocator tests.
 
 from __future__ import annotations
 
-from repro.api.registry import EngineCapabilities, EngineSpec
+from repro.api.registry import EngineSpec
 from repro.core.precompute import LivenessPrecomputation
 from repro.core.query import SetBasedChecker
 from repro.ir.function import Function
@@ -36,13 +36,6 @@ class SetCheckerOracle(LivenessOracle):
             self._checker = SetBasedChecker(pre)
         if self._defuse is None:
             self._defuse = DefUseChains(self._function)
-
-    def notify_cfg_changed(self, delta=None) -> None:
-        self._checker = None
-        self._defuse = None
-
-    def notify_instructions_changed(self) -> None:
-        self._defuse = None
 
     def is_live_in(self, var: Variable, block: str) -> bool:
         self.prepare()
@@ -78,11 +71,9 @@ class SetCheckerOracle(LivenessOracle):
         )
 
 
-#: Algorithms 1/2 as an allocator backend; edits drop the def–use chains
-#: (instructions) or everything (CFG), like the fast checker's hooks.
+#: Algorithms 1/2 as an allocator backend, rebuilt after every edit.
 SET_ENGINE = EngineSpec(
     name="sets",
     oracle_factory=SetCheckerOracle,
-    capabilities=EngineCapabilities(supports_edits=True),
     description="Algorithms 1/2 on node sets over def-use chains (test oracle)",
 )
