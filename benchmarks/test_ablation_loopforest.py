@@ -5,7 +5,7 @@ loop nesting forest".  This benchmark compares the T_q-based bitset query
 (Algorithm 3) with the loop-forest query on the same recorded streams,
 restricted to reducible procedures (the forest variant's domain).  A third
 row replays the streams through the node-set Algorithms 1/2
-(:class:`~repro.core.query.SetBasedChecker`), which measures what the §5.1
+(:class:`~tests.support.set_checker.SetBasedChecker`), which measures what the §5.1
 bitset engineering buys per query.  Both variants must agree with
 Algorithm 3 on every query; the untimed assertions run on every Python in
 CI.
@@ -14,10 +14,10 @@ CI.
 import time
 
 from repro.bench.reporting import format_table
-from repro.core.bitset_query import BitsetChecker
 from repro.core.precompute import LivenessPrecomputation
-from repro.core.query import SetBasedChecker
+from tests.support.bitset_checker import BitsetChecker
 from tests.support.loopforest import LoopForestChecker
+from tests.support.set_checker import SetBasedChecker
 
 
 def _reducible_procedures(workloads):

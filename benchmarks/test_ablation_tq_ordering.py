@@ -12,8 +12,8 @@ masks from the test-side reference construction.
 import copy
 
 from repro.bench.reporting import format_table
-from repro.core.bitset_query import BitsetChecker
 from repro.core.precompute import LivenessPrecomputation
+from tests.support.bitset_checker import BitsetChecker
 from tests.support.reference_precompute import reference_arrays
 
 

@@ -10,6 +10,7 @@ the synthetic workload and records them next to the published numbers.
 from repro.bench.reporting import format_table
 from repro.cfg import DepthFirstSearch, DominatorTree
 from repro.cfg.reducibility import irreducible_back_edges
+from tests.support.reference_cfg import edge_statistics
 
 
 def collect_edge_statistics(workloads):
@@ -27,8 +28,9 @@ def collect_edge_statistics(workloads):
             dfs = DepthFirstSearch(graph)
             domtree = DominatorTree(graph, dfs)
             total_blocks += len(graph)
-            total_edges += graph.num_edges()
-            back_edges += len(dfs.back_edges())
+            stats = edge_statistics(dfs)
+            total_edges += stats["total"]
+            back_edges += stats["back"]
             bad = irreducible_back_edges(graph, dfs, domtree)
             irreducible_edges += len(bad)
             if bad:

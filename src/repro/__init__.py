@@ -86,8 +86,6 @@ __all__ = [
     "LivenessPrecomputation",
     "ReducedReachability",
     "TargetSets",
-    "SetBasedChecker",
-    "BitsetChecker",
     "FastLivenessChecker",
     "TransformationSession",
     # regalloc (the query-driven client)
@@ -132,9 +130,8 @@ _SOURCES = {
         "ProcClient", "ShardedClient", "ShardedService", "WireServer", "serve_loop",
     ),
     "repro.core": (
-        "BitsetChecker", "FastLivenessChecker", "LivenessPrecomputation",
-        "ReducedReachability", "SetBasedChecker", "TargetSets",
-        "TransformationSession",
+        "FastLivenessChecker", "LivenessPrecomputation", "ReducedReachability",
+        "TargetSets", "TransformationSession",
     ),
     "repro.frontend": ("compile_function", "compile_source"),
     "repro.ir": (

@@ -69,9 +69,6 @@ class EngineCapabilities:
     per_point_sets: bool = False
     #: The engine's analysis does not require strict SSA input.
     non_ssa_input: bool = False
-    #: The engine exposes the amortised batch query API
-    #: (``oracle.batch`` / ``query_batch``).
-    batch_queries: bool = False
 
 
 @dataclass(frozen=True)
@@ -157,9 +154,7 @@ register_engine(
     EngineSpec(
         name=FAST,
         oracle_factory=_fast_oracle,
-        capabilities=EngineCapabilities(
-            supports_edits=True, batch_queries=True
-        ),
+        capabilities=EngineCapabilities(supports_edits=True),
         description=(
             "the paper's checker: Algorithm 3 on bitsets with cached query "
             "plans and the amortised batch engine"

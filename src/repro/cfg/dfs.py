@@ -18,7 +18,7 @@ mapped to lists of integer ids once (``ids``: a node's position in the
 graph's node order), and every number the search produces lives in a
 flat list over those ids.  Edge kinds are not stored at all — a kind is
 an O(1) function of the parent and pre/post numbers — so the name-keyed
-API (:meth:`preorder_number`, :meth:`parent`, :meth:`edge_kinds`,
+API (:meth:`preorder`, :meth:`parent`, :meth:`edge_kind`,
 :meth:`back_edges`, …) is a translation of these arrays, never a second
 traversal of the graph.
 
@@ -52,8 +52,7 @@ class DepthFirstSearch:
     deterministic for a given graph construction order.  All nodes are
     assumed reachable from the entry (callers should run
     :meth:`ControlFlowGraph.validate` first); unreachable nodes keep the
-    number ``-1``, are absent from the name-keyed numberings and
-    ``classify_edge`` raises for them.
+    number ``-1`` and are absent from the name-keyed orders.
 
     The integer arrays are public and shared (callers must not mutate
     them); every list below is indexed by node id, ``nodes[id]`` being the
@@ -154,14 +153,6 @@ class DepthFirstSearch:
         """The graph that was traversed."""
         return self._graph
 
-    def preorder_number(self, node: Node) -> int:
-        """DFS preorder (discovery) number of ``node``."""
-        return self.pre[self._id(node)]
-
-    def postorder_number(self, node: Node) -> int:
-        """DFS postorder (finish) number of ``node``."""
-        return self.post[self._id(node)]
-
     def preorder(self) -> list[Node]:
         """Nodes in DFS preorder."""
         nodes = self.nodes
@@ -192,76 +183,10 @@ class DepthFirstSearch:
         parent = self.parents[self._id(node)]
         return self.nodes[parent] if parent >= 0 else None
 
-    def is_ancestor(self, ancestor: Node, descendant: Node) -> bool:
-        """True iff ``ancestor`` is an ancestor of ``descendant`` in the DFS tree.
-
-        A node is considered an ancestor of itself, matching the convention
-        used for back edges (a self-loop is a back edge).
-        """
-        a, d = self._id(ancestor), self._id(descendant)
-        return self.pre[a] <= self.pre[d] and self.post[a] >= self.post[d]
-
-    # ------------------------------------------------------------------
-    # Edge classification
-    # ------------------------------------------------------------------
-    def classify_edge(self, source: Node, target: Node) -> EdgeKind:
-        """Return the :class:`EdgeKind` of an existing edge."""
-        kind = self.edge_kind(source, target)
-        if kind is None:
-            raise KeyError(f"edge {source!r} -> {target!r} was not traversed")
-        return kind
-
-    def edge_kinds(self) -> dict[Edge, EdgeKind]:
-        """Mapping of every traversed edge to its classification.
-
-        Ordered as the traversal examines the edges: a walk down the
-        spanning tree, reading each node's successor list in order.
-        """
-        nodes, succ_ids, parents = self.nodes, self.succ_ids, self.parents
-        kinds: dict[Edge, EdgeKind] = {}
-        entry = self.pre_order[0]
-        stack = [(entry, iter(succ_ids[entry]))]
-        while stack:
-            node, succ_iter = stack[-1]
-            for succ in succ_iter:
-                kinds[Edge(nodes[node], nodes[succ])] = self._kind(node, succ)
-                if parents[succ] == node:
-                    stack.append((succ, iter(succ_ids[succ])))
-                    break
-            else:
-                stack.pop()
-        return kinds
-
     def back_edges(self) -> list[Edge]:
         """The set E↑ of back edges, in traversal order."""
         nodes = self.nodes
         return [Edge(nodes[source], nodes[target]) for source, target in self.back]
-
-    def back_edge_targets(self) -> list[Node]:
-        """Distinct targets of back edges, in traversal order."""
-        nodes = self.nodes
-        return [nodes[target] for target in dict.fromkeys(t for _s, t in self.back)]
-
-    def is_back_edge(self, source: Node, target: Node) -> bool:
-        """True iff ``source -> target`` is a back edge of this DFS."""
-        return self.edge_kind(source, target) is _BACK
-
-    def is_back_edge_target(self, node: Node) -> bool:
-        """True iff some back edge points at ``node``.
-
-        Algorithm 2's live-out check needs this to decide whether a trivial
-        path from ``q`` to itself can be completed into a non-trivial cycle.
-        """
-        index = self.ids.get(node)
-        return any(target == index for _source, target in self.back)
-
-    def edge_statistics(self) -> dict[str, int]:
-        """Counts per edge kind plus totals (used by the §6.1 statistics)."""
-        counts = {kind.value: 0 for kind in EdgeKind}
-        for kind in self.edge_kinds().values():
-            counts[kind.value] += 1
-        counts["total"] = sum(counts.values())
-        return counts
 
     # ------------------------------------------------------------------
     # Incremental bookkeeping (repro.core.incremental)
@@ -438,20 +363,3 @@ class DepthFirstSearch:
             back = self.back
             back[back.index((s, t))] = (new, t)
 
-
-def reduced_successors(graph: ControlFlowGraph, dfs: DepthFirstSearch) -> dict[Node, list[Node]]:
-    """Successor lists of the reduced graph ``G̃`` (CFG minus back edges).
-
-    The reduced graph is acyclic (every cycle must contain a back edge), so
-    reachability within it — the ``R_v`` sets of Definition 4 — can be
-    computed by a single sweep in reverse topological order; see
-    :mod:`repro.core.reduced_graph`.
-    """
-    result: dict[Node, list[Node]] = {}
-    for node in graph.nodes():
-        result[node] = [
-            succ
-            for succ in graph.successors(node)
-            if not dfs.is_back_edge(node, succ)
-        ]
-    return result

@@ -6,15 +6,10 @@ through ``x``; dominance is *strict* when additionally ``x != y``
 guarantees that every use of a variable is dominated by its definition —
 the property that makes the whole liveness-checking approach work.
 
-Two classic constructions are provided:
-
-* :class:`DominatorTree` (default) — the Cooper–Harvey–Kennedy iterative
-  algorithm ("A Simple, Fast Dominance Algorithm"), run on integer
-  reverse-postorder indices as its authors designed it; near-linear in
-  practice and easy to audit.
-* :func:`immediate_dominators_lengauer_tarjan` — the Lengauer–Tarjan
-  algorithm with simple path compression, used by the test suite to
-  cross-validate the iterative construction on random graphs.
+:class:`DominatorTree` uses the Cooper–Harvey–Kennedy iterative algorithm
+("A Simple, Fast Dominance Algorithm"), run on integer reverse-postorder
+indices as its authors designed it; near-linear in practice and easy to
+audit.
 
 On top of the tree the class exposes the dominance-preorder numbering used
 by the bitset implementation of the checker: ``num(v)`` is a preorder index
@@ -335,88 +330,3 @@ def _rpo_idoms(dfs: DepthFirstSearch) -> list[int]:
                 changed = True
     return idom
 
-
-def _immediate_dominators_iterative(
-    graph: ControlFlowGraph, dfs: DepthFirstSearch
-) -> dict[Node, Node]:
-    """Compute ``idom`` with the classic RPO fixpoint iteration.
-
-    The entry maps to itself (the conventional sentinel), and the public
-    :class:`DominatorTree` API converts that back to ``None``.  ``dfs``
-    may be one preserved across edits by :mod:`repro.core.incremental`,
-    as long as it is still a genuine DFS of ``graph``.
-    """
-    rpo = dfs.reverse_postorder()
-    idom = _rpo_idoms(dfs)
-    return {node: rpo[parent] for node, parent in zip(rpo, idom)}
-
-
-# ----------------------------------------------------------------------
-# Lengauer–Tarjan (simple path compression) — used for cross-validation
-# ----------------------------------------------------------------------
-def immediate_dominators_lengauer_tarjan(
-    graph: ControlFlowGraph,
-) -> dict[Node, Node | None]:
-    """Compute immediate dominators with the Lengauer–Tarjan algorithm.
-
-    This is the "simple" O(m log n) variant with path compression.  The
-    public entry point of the library is :class:`DominatorTree`; this
-    function exists so the test suite can check the two independent
-    constructions against each other on randomly generated CFGs.
-    """
-    dfs = DepthFirstSearch(graph)
-    order = dfs.preorder()
-    number = {node: index for index, node in enumerate(order)}
-    parent = {node: dfs.parent(node) for node in order}
-
-    semi = dict(number)
-    vertex = list(order)
-    bucket: dict[Node, list[Node]] = {node: [] for node in order}
-    dom: dict[Node, Node] = {}
-
-    ancestor: dict[Node, Node | None] = {node: None for node in order}
-    label: dict[Node, Node] = {node: node for node in order}
-
-    def compress(v: Node) -> None:
-        # Iterative path compression to avoid recursion limits.
-        path = []
-        while ancestor[v] is not None and ancestor[ancestor[v]] is not None:
-            path.append(v)
-            v = ancestor[v]
-        while path:
-            node = path.pop()
-            anc = ancestor[node]
-            if semi[label[anc]] < semi[label[node]]:
-                label[node] = label[anc]
-            ancestor[node] = ancestor[anc]
-
-    def evaluate(v: Node) -> Node:
-        if ancestor[v] is None:
-            return label[v]
-        compress(v)
-        return label[v]
-
-    for w in reversed(order[1:]):
-        for v in graph.predecessors(w):
-            if v not in number:
-                continue
-            u = evaluate(v)
-            if semi[u] < semi[w]:
-                semi[w] = semi[u]
-        bucket[vertex[semi[w]]].append(w)
-        par = parent[w]
-        assert par is not None
-        ancestor[w] = par
-        for v in bucket[par]:
-            u = evaluate(v)
-            dom[v] = u if semi[u] < semi[v] else par
-        bucket[par].clear()
-
-    for w in order[1:]:
-        if dom[w] != vertex[semi[w]]:
-            dom[w] = dom[dom[w]]
-
-    result: dict[Node, Node | None] = {order[0]: None}
-    for w in order[1:]:
-        result[w] = dom[w]
-    return result

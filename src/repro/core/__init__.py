@@ -10,12 +10,12 @@ The package is organised to mirror the paper:
 * :mod:`repro.core.precompute` — :class:`LivenessPrecomputation`, bundling
   DFS, dominance, ``R`` and ``T`` for one CFG.  This is the part that is
   *independent of variables* and survives program transformations.
-* :mod:`repro.core.query` — the set-based live-in/live-out checks
-  (Algorithms 1 and 2) used as the readable reference.
-* :mod:`repro.core.bitset_query` — Algorithm 3, the engineered bitset
-  implementation with the reducible-CFG fast path (Theorem 2).
+  ``R`` and ``T`` are held only as int masks indexed by dominance-preorder
+  number (Section 5.1).
 * :mod:`repro.core.live_checker` — :class:`FastLivenessChecker`, the public
-  oracle tying a function's def–use chains to the precomputation.
+  oracle tying a function's def–use chains to the precomputation and
+  answering each query with Algorithm 3 (with the Theorem-2 fast path on
+  reducible CFGs).
 * :mod:`repro.core.invalidation` — a transformation session demonstrating
   which edits preserve the precomputation (all of them except CFG edits).
 * :mod:`repro.core.incremental` — :class:`CfgDelta` and
@@ -33,13 +33,11 @@ The package is organised to mirror the paper:
 """
 
 from repro.core.batch import BatchQueryEngine
-from repro.core.bitset_query import BitsetChecker
 from repro.core.incremental import CfgDelta, UpdateResult, apply_cfg_delta
 from repro.core.invalidation import TransformationSession
 from repro.core.live_checker import FastLivenessChecker
 from repro.core.plans import PlanCache, QueryPlan
 from repro.core.precompute import LivenessPrecomputation
-from repro.core.query import SetBasedChecker
 from repro.core.reduced_graph import ReducedReachability
 from repro.core.targets import TargetSets
 
@@ -50,8 +48,6 @@ __all__ = [
     "PlanCache",
     "QueryPlan",
     "LivenessPrecomputation",
-    "SetBasedChecker",
-    "BitsetChecker",
     "FastLivenessChecker",
     "TransformationSession",
     "CfgDelta",

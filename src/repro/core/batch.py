@@ -26,8 +26,8 @@ counts on a loop" rule), which need a second mask ``H'_a`` built from
 
 Correctness does not depend on reducibility: the masks simply evaluate
 the full (non-fast-path) candidate loop of Algorithm 1/2 all at once, so
-the answers coincide with
-:class:`~repro.core.bitset_query.BitsetChecker` on every CFG — the
+the answers coincide with the single-query door of
+:class:`~repro.core.live_checker.FastLivenessChecker` on every CFG — the
 differential tests in ``tests/core/test_batch_queries.py`` check exactly
 that on random reducible *and* irreducible graphs.
 """

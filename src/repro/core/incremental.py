@@ -51,7 +51,7 @@ The edge patch path rests on three observations:
    step — or, when the edit only adds back edges, grown by the ``T``
    rows they already fold in (``T`` is transitive and only grows).  Each
    row is written once: ``pre.r_masks``/``pre.t_masks`` *are* the
-   ``reach``/``targets`` masks their ``BitSet`` views read.
+   ``reach``/``targets`` masks, the only copy of ``R`` and ``T``.
 
 Every result is provably bit-identical to a from-scratch rebuild of the
 edited graph; ``tests/core/test_incremental.py`` checks exactly that on

@@ -9,9 +9,9 @@ answers ``is_live_in`` / ``is_live_out`` queries through Algorithm 3.
 Queries go through a one-frame *door*: Algorithm 3 inlined over a tuple
 of the precomputation's numeric arrays and the plan cache, bound on the
 first query and cleared by every event that replaces one of them (see
-``DESIGN.md``, "Integer cold path and query door").
-:class:`~repro.core.bitset_query.BitsetChecker` is the instrumented
-reference kernel the door must agree with.
+``DESIGN.md``, "Integer cold path and query door").  The tests hold the
+door to the instrumented reference kernel kept in
+``tests/support/bitset_checker.py``.
 
 It implements :class:`~repro.liveness.oracle.LivenessOracle`, so it is a
 drop-in replacement for the data-flow baseline inside the SSA destruction
@@ -220,8 +220,8 @@ class FastLivenessChecker(LivenessOracle):
     def is_live_in(self, var: Variable, block: str) -> bool:
         """Algorithm 3, served in one frame over the bound door.
 
-        Mirrors :meth:`BitsetChecker.is_live_in_mask`, the instrumented
-        reference kernel: the candidates are ``T_q`` inside the interval
+        Mirrors the test suite's instrumented reference kernel: the
+        candidates are ``T_q`` inside the interval
         ``(num(def), maxnum(def)]``, lowest bit first, each skipping its
         dominance subtree; on a reducible CFG the first decides (Theorem 2).
         """

@@ -19,9 +19,9 @@ are computed on flat lists from there.  The constructor only aliases the
 results (``maxnums`` *is* ``domtree.maxnum_of``, ``r_masks`` *is*
 ``reach.masks``, ``t_masks`` *is* ``targets.masks``) next to
 ``is_back_target``; the name-keyed ``numbering`` is derived on first
-use.  The numeric core
-(:mod:`repro.core.bitset_query`, :mod:`repro.core.batch`) runs Algorithm 3
-on these raw ints with zero ``node_of``/``BitSet`` round-trips per query.
+use.  These int masks are the only form of ``R`` and ``T``: the checker
+(:mod:`repro.core.live_checker`, :mod:`repro.core.batch`) runs Algorithm 3
+on them with no ``node_of`` round-trip per query.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class LivenessPrecomputation:
         # traversal.
         graph.validate(reached=len(dfs.pre_order))
         self.domtree = domtree = DominatorTree(graph, dfs)
-        self.reach = ReducedReachability(graph, dfs, domtree)
+        self.reach = ReducedReachability(dfs, domtree)
         self.targets = TargetSets(dfs, domtree, self.reach)
         # ------------------------------------------------------------------
         # The numeric view: flat arrays indexed by dominance-preorder number,
@@ -82,10 +82,6 @@ class LivenessPrecomputation:
     def node_of(self, number: int) -> Node:
         """Inverse of :meth:`num`."""
         return self.domtree.node_of(number)
-
-    def is_back_edge_target(self, node: Node) -> bool:
-        """True iff a DFS back edge points at ``node`` (Algorithm 2, line 8)."""
-        return self.is_back_target[self.domtree.numbering[node]]
 
     # ------------------------------------------------------------------
     # Statistics and accounting

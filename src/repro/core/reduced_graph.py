@@ -11,16 +11,14 @@ reverse postorder is a topological order of ``G̃``.
 The sets are raw ``int`` bit masks in one list, ``masks``, indexed by the
 *dominance-tree preorder number* of each block (Section 5.1), because that
 is the numbering the query algorithm needs: it lets ``T_q ∩ sdom(def(a))``
-be expressed as a contiguous index interval.  :class:`BitSet` views are
-derived from the masks on demand.
+be expressed as a contiguous index interval.  The masks are the only
+representation: readers index them by ``num(v)``.
 """
 
 from __future__ import annotations
 
 from repro.cfg.dfs import DepthFirstSearch
 from repro.cfg.dominance import DominatorTree
-from repro.cfg.graph import ControlFlowGraph, Node
-from repro.sets.bitset import BitSet
 
 
 def reach_sweep(
@@ -64,41 +62,14 @@ def reach_sweep(
 class ReducedReachability:
     """Per-node reduced-reachability masks ``R_v``."""
 
-    def __init__(
-        self,
-        graph: ControlFlowGraph,
-        dfs: DepthFirstSearch,
-        domtree: DominatorTree,
-    ) -> None:
-        self._domtree = domtree
+    def __init__(self, dfs: DepthFirstSearch, domtree: DominatorTree) -> None:
         #: ``masks[n]`` = bit mask of ``R_v`` for the node numbered ``n``.
         self.masks: list[int] = [0] * len(domtree)
         reach_sweep(dfs, domtree.numbers, self.masks)
 
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    @property
-    def universe(self) -> int:
-        """Size of the bitset universe (number of blocks)."""
-        return len(self.masks)
-
-    def bitset(self, node: Node) -> BitSet:
-        """``R_node`` over dominance-preorder indices (a fresh copy)."""
-        return BitSet.from_mask(self.universe, self.masks[self._domtree.num(node)])
-
-    def reachable_nodes(self, node: Node) -> list[Node]:
-        """``R_node`` as a list of nodes (dominance-preorder order)."""
-        return [self._domtree.node_of(index) for index in self.bitset(node)]
-
-    def is_reduced_reachable(self, source: Node, target: Node) -> bool:
-        """True iff ``target ∈ R_source``."""
-        num = self._domtree.num
-        return bool(self.masks[num(source)] >> num(target) & 1)
-
     def storage_bits(self) -> int:
         """Payload bits of all ``R_v`` rows, each rounded up to 64-bit words."""
-        return len(self.masks) * ((self.universe + 63) // 64) * 64
+        return len(self.masks) * ((len(self.masks) + 63) // 64) * 64
 
     def __len__(self) -> int:
         return len(self.masks)

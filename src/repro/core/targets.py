@@ -24,17 +24,14 @@ claim that the extra targets never change an answer.
 
 Like ``R_v``, the sets are raw ``int`` masks over dominance-preorder
 indices, in one list ``masks``, built from the DFS's back edges and the
-dominator tree's numbers by block id; ``BitSet`` views are derived on
-demand.
+dominator tree's numbers by block id.
 """
 
 from __future__ import annotations
 
 from repro.cfg.dfs import DepthFirstSearch
 from repro.cfg.dominance import DominatorTree
-from repro.cfg.graph import Node
 from repro.core.reduced_graph import ReducedReachability
-from repro.sets.bitset import BitSet
 
 
 def back_edge_groups(dfs: DepthFirstSearch, numbers: list[int]) -> dict[int, int]:
@@ -72,9 +69,6 @@ class TargetSets:
         domtree: DominatorTree,
         reach: ReducedReachability,
     ) -> None:
-        self._dfs = dfs
-        self._domtree = domtree
-        self._reach = reach
         numbers = domtree.numbers
         groups = back_edge_groups(dfs, numbers)
         sources = 0
@@ -91,53 +85,9 @@ class TargetSets:
         #: ``masks[n]`` = bit mask of ``T_v`` for the node numbered ``n``.
         self.masks: list[int] = masks
 
-    def t_up(self, node: Node) -> list[Node]:
-        """``T↑_node`` computed directly from Definition 5.
-
-        Keeps the targets whose source is reduced-reachable from ``node``
-        but which are not themselves reduced-reachable.
-        """
-        num = self._domtree.num
-        r_node = self._reach.masks[num(node)]
-        result: dict[Node, None] = {}
-        for source, target in self._dfs.back_edges():
-            if r_node >> num(source) & 1 and not r_node >> num(target) & 1:
-                result.setdefault(target, None)
-        return list(result)
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    @property
-    def universe(self) -> int:
-        """Size of the bitset universe (number of blocks)."""
-        return len(self.masks)
-
-    def bitset(self, node: Node) -> BitSet:
-        """``T_node`` over dominance-preorder indices (a fresh copy)."""
-        return BitSet.from_mask(self.universe, self.masks[self._domtree.num(node)])
-
-    def target_nodes(self, node: Node) -> list[Node]:
-        """``T_node`` as nodes, ordered by dominance-preorder index."""
-        return [self._domtree.node_of(index) for index in self.bitset(node)]
-
-    def relevant_targets(self, query: Node, def_node: Node) -> list[Node]:
-        """``T_(q,a) = T_q ∩ sdom(def(a))`` in dominance-preorder order.
-
-        Following Section 5.1 this is an index-interval scan: the nodes
-        strictly dominated by ``def_node`` occupy the preorder interval
-        ``(num(def), maxnum(def)]``.
-        """
-        lo = self._domtree.num(def_node) + 1
-        hi = self._domtree.maxnum(def_node)
-        return [
-            self._domtree.node_of(index)
-            for index in self.bitset(query).iter_range(lo, hi)
-        ]
-
     def storage_bits(self) -> int:
         """Payload bits of all ``T_v`` rows, each rounded up to 64-bit words."""
-        return len(self.masks) * ((self.universe + 63) // 64) * 64
+        return len(self.masks) * ((len(self.masks) + 63) // 64) * 64
 
     def __len__(self) -> int:
         return len(self.masks)

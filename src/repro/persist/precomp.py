@@ -66,11 +66,10 @@ class RestoredPrecomputation:
     """The flat-array query surface, rebuilt from snapshot values.
 
     Attribute-compatible with :class:`LivenessPrecomputation` everywhere
-    the numeric engines look (:mod:`repro.core.bitset_query`,
+    the numeric engines look (:mod:`repro.core.live_checker`,
     :mod:`repro.core.plans`, :mod:`repro.core.batch`): the four arrays,
-    ``reducible``, ``graph.nodes()``, the
-    ``numbering`` dict and the ``num``/``node_of``/``is_back_edge_target``
-    mapping helpers.  The object views (``domtree``, ``reach``, ``dfs``)
+    ``reducible``, ``graph.nodes()``, the ``numbering`` dict and the
+    ``num``/``node_of`` mapping helpers.  The object views (``domtree``, ``reach``, ``dfs``)
     are deliberately absent — see the module docstring.
     """
 
@@ -102,10 +101,6 @@ class RestoredPrecomputation:
     def node_of(self, number: int) -> str:
         """Inverse of :meth:`num`."""
         return self._order[number]
-
-    def is_back_edge_target(self, node: str) -> bool:
-        """True iff a DFS back edge points at ``node``."""
-        return self.is_back_target[self.numbering[node]]
 
     def num_blocks(self) -> int:
         """Number of CFG nodes the arrays cover."""

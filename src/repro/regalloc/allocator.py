@@ -63,8 +63,6 @@ class LivenessBackend:
     """
 
     name = "abstract"
-    #: Whether the allocator may route bulk queries through the batch API.
-    use_batch = False
 
     def __init__(self, function: Function) -> None:
         self.function = function
@@ -95,7 +93,6 @@ class OracleBackend(LivenessBackend):
         super().__init__(function)
         self.spec = spec
         self.name = spec.name
-        self.use_batch = spec.capabilities.batch_queries
         self._oracle = spec.make_oracle(function)
 
     def oracle(self) -> LivenessOracle:
@@ -228,9 +225,7 @@ def allocate(
             # unsplit CFG; this is the one edit that invalidates it.
             backend.cfg_changed()
     adapter = backend if prebuilt else OracleBackend(spec, function)
-    liveness = BlockLiveness(
-        function, adapter.oracle(), use_batch=adapter.use_batch
-    )
+    liveness = BlockLiveness(function, adapter.oracle())
     info = compute_pressure(function, adapter.oracle(), block_liveness=liveness)
     allocation = Allocation(
         function=function,
@@ -246,23 +241,15 @@ def allocate(
             num_registers,
             adapter.oracle,
             on_change=adapter.instructions_changed,
-            use_batch=adapter.use_batch,
             initial_info=info,
         )
         allocation.spill_slot_of = dict(allocation.spill_report.slot_of)
         # The program changed under the spiller: refresh the block-level
         # facts before coloring.
-        liveness = BlockLiveness(
-            function, adapter.oracle(), use_batch=adapter.use_batch
-        )
+        liveness = BlockLiveness(function, adapter.oracle())
         info = compute_pressure(function, adapter.oracle(), block_liveness=liveness)
     allocation.max_live = info.max_live
-    coloring = color_function(
-        function,
-        adapter.oracle(),
-        use_batch=adapter.use_batch,
-        block_liveness=liveness,
-    )
+    coloring = color_function(function, adapter.oracle(), block_liveness=liveness)
     allocation.register_of = dict(coloring.color_of)
     allocation.registers_used = coloring.num_colors
     if destruct:
@@ -281,9 +268,7 @@ def allocate(
                 checker_spec = EngineSpec(
                     name=adapter.name,
                     oracle_factory=None,
-                    capabilities=EngineCapabilities(
-                        supports_edits=True, batch_queries=adapter.use_batch
-                    ),
+                    capabilities=EngineCapabilities(supports_edits=True),
                 )
             allocation.destruction_report = destruct_pipeline(
                 function, backend=checker_spec, checker=oracle

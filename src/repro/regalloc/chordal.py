@@ -56,7 +56,6 @@ def color_function(
     function: Function,
     oracle: LivenessOracle,
     variables: list[Variable] | None = None,
-    use_batch: bool = True,
     domtree: DominatorTree | None = None,
     block_liveness: BlockLiveness | None = None,
 ) -> Coloring:
@@ -70,7 +69,7 @@ def color_function(
     liveness = (
         block_liveness
         if block_liveness is not None
-        else BlockLiveness(function, oracle, variables, use_batch)
+        else BlockLiveness(function, oracle, variables)
     )
     if domtree is None:
         pre = getattr(oracle, "precomputation", None)

@@ -38,10 +38,10 @@ class BlockLiveness:
     """Block-level liveness facts for one function, via oracle queries.
 
     This is the query front-end shared by the pressure computation and the
-    chordal coloring: live-in/live-out sets per block (bulk-computed with
-    the batch engine when ``use_batch`` is set and the oracle exposes
-    ``live_in_set``/``live_out_set``), the φ-operand "edge uses" attributed
-    to each predecessor, and the last in-block use index of every variable.
+    chordal coloring: live-in/live-out sets per block (bulk-computed by the
+    batch engine when the oracle exposes one as ``batch``, else one query
+    per variable and block), the φ-operand "edge uses" attributed to each
+    predecessor, and the last in-block use index of every variable.
     """
 
     def __init__(
@@ -49,7 +49,6 @@ class BlockLiveness:
         function: Function,
         oracle: LivenessOracle,
         variables: list[Variable] | None = None,
-        use_batch: bool = True,
     ) -> None:
         self.function = function
         self.oracle = oracle
@@ -69,14 +68,14 @@ class BlockLiveness:
                         self.edge_uses[pred].add(value)
         self._live_in: dict[str, set[Variable]] = {}
         self._live_out: dict[str, set[Variable]] = {}
-        self._compute_block_sets(use_batch)
+        self._compute_block_sets()
 
-    def _compute_block_sets(self, use_batch: bool) -> None:
+    def _compute_block_sets(self) -> None:
         oracle = self.oracle
         blocks = [block.name for block in self.function]
         self._live_in = {name: set() for name in blocks}
         self._live_out = {name: set() for name in blocks}
-        if use_batch and hasattr(oracle, "batch"):
+        if hasattr(oracle, "batch"):
             # One joint interval sweep per variable over the shared query
             # plans — both directions at once.
             live_in, live_out = oracle.batch.live_maps(self.variables)
@@ -85,21 +84,12 @@ class BlockLiveness:
             for name, members in live_out.items():
                 self._live_out[name] |= members
             return
-        batched = use_batch and hasattr(oracle, "live_in_set")
         for var in self.variables:
-            if batched:
-                in_blocks = oracle.live_in_set(var)
-                out_blocks = oracle.live_out_set(var)
-                for name in in_blocks:
+            for name in blocks:
+                if oracle.is_live_in(var, name):
                     self._live_in[name].add(var)
-                for name in out_blocks:
+                if oracle.is_live_out(var, name):
                     self._live_out[name].add(var)
-            else:
-                for name in blocks:
-                    if oracle.is_live_in(var, name):
-                        self._live_in[name].add(var)
-                    if oracle.is_live_out(var, name):
-                        self._live_out[name].add(var)
 
     # ------------------------------------------------------------------
     # Views
@@ -186,19 +176,17 @@ def compute_pressure(
     function: Function,
     oracle: LivenessOracle,
     variables: list[Variable] | None = None,
-    use_batch: bool = True,
     block_liveness: BlockLiveness | None = None,
 ) -> PressureInfo:
     """Compute per-block pressure and MaxLive for ``function``.
 
     Every piece of global information is obtained through ``oracle``
-    queries; pass ``use_batch=False`` to force the one-query-per-pair
-    path (the ablation knob the regalloc benchmark flips).
+    queries (see :class:`BlockLiveness`).
     """
     liveness = (
         block_liveness
         if block_liveness is not None
-        else BlockLiveness(function, oracle, variables, use_batch)
+        else BlockLiveness(function, oracle, variables)
     )
     tracked = {id(var) for var in liveness.variables}
     info = PressureInfo()
@@ -249,7 +237,6 @@ def max_live(
     function: Function,
     oracle: LivenessOracle,
     variables: list[Variable] | None = None,
-    use_batch: bool = True,
 ) -> int:
     """Convenience wrapper: just the MaxLive number."""
-    return compute_pressure(function, oracle, variables, use_batch).max_live
+    return compute_pressure(function, oracle, variables).max_live

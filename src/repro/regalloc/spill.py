@@ -64,7 +64,6 @@ class _Spiller:
         num_registers: int,
         oracle_provider: Callable[[], LivenessOracle],
         on_change: Callable[[], None] | None,
-        use_batch: bool,
         first_slot: int,
         initial_info: PressureInfo | None = None,
     ) -> None:
@@ -72,7 +71,6 @@ class _Spiller:
         self.k = num_registers
         self.oracle_provider = oracle_provider
         self.on_change = on_change
-        self.use_batch = use_batch
         self.report = SpillReport()
         self._next_slot = first_slot
         self._temp_counter = 0
@@ -90,9 +88,7 @@ class _Spiller:
         info = self._initial_info
         while True:
             if info is None:
-                info = compute_pressure(
-                    self.function, self.oracle_provider(), use_batch=self.use_batch
-                )
+                info = compute_pressure(self.function, self.oracle_provider())
             if self.report.rounds == 0:
                 self.report.max_live_before = info.max_live
             self.report.max_live_after = info.max_live
@@ -280,7 +276,6 @@ def lower_pressure(
     num_registers: int,
     oracle_provider: Callable[[], LivenessOracle],
     on_change: Callable[[], None] | None = None,
-    use_batch: bool = True,
     first_slot: int = 0,
     initial_info: PressureInfo | None = None,
 ) -> SpillReport:
@@ -300,7 +295,6 @@ def lower_pressure(
         num_registers,
         oracle_provider,
         on_change,
-        use_batch,
         first_slot,
         initial_info,
     )

@@ -1,14 +1,11 @@
-"""Set data structures used throughout the liveness-checking library.
+"""Set data structures of the data-flow liveness baseline.
 
-The paper (Section 5.1) implements the precomputed ``R_v`` and ``T_v`` sets
-as bitsets indexed by a dominance-preorder numbering of the basic blocks,
-while the "native" LAO liveness analysis represents live sets as sorted
-dense arrays of pointers and uses Briggs--Torczon sparse sets for the local
-(per-block) analysis.  This package provides faithful Python counterparts of
-all three representations:
+The "native" LAO liveness analysis the paper compares against represents
+live sets as sorted dense arrays of pointers and uses Briggs--Torczon
+sparse sets for the local (per-block) analysis.  This package provides
+Python counterparts of both.  (The checker's own ``R_v``/``T_v`` bitsets
+are plain ``int`` masks; see :mod:`repro.core.reduced_graph`.)
 
-* :class:`~repro.sets.bitset.BitSet` -- fixed-universe bitset with the
-  ``next_set_bit`` primitive required by Algorithm 3.
 * :class:`~repro.sets.sparse_set.SparseSet` -- the Briggs & Torczon sparse
   set (O(1) insert/member/clear, iteration proportional to cardinality).
 * :class:`~repro.sets.sorted_set.SortedArraySet` -- a sorted dense array
@@ -16,8 +13,7 @@ all three representations:
   data-flow liveness for global live sets.
 """
 
-from repro.sets.bitset import BitSet, next_set_bit_in_mask
 from repro.sets.sorted_set import SortedArraySet
 from repro.sets.sparse_set import SparseSet
 
-__all__ = ["BitSet", "SparseSet", "SortedArraySet", "next_set_bit_in_mask"]
+__all__ = ["SparseSet", "SortedArraySet"]

@@ -98,8 +98,8 @@ class SortedArraySet:
         """Payload bits of a C implementation: one pointer per member.
 
         Used by the memory break-even ablation, which compares this against
-        :meth:`repro.sets.bitset.BitSet.storage_bits` as the paper's
-        Section 6.1 discussion does (array of 32-bit pointers vs. one bit
-        per basic block).
+        :meth:`repro.core.precompute.LivenessPrecomputation.storage_bits` as
+        the paper's Section 6.1 discussion does (array of 32-bit pointers
+        vs. one bit per basic block).
         """
         return len(self._items) * pointer_bits

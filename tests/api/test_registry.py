@@ -38,7 +38,8 @@ class TestBuiltins:
 
     def test_capability_table(self):
         assert get_engine(FAST).capabilities.supports_edits
-        assert get_engine(FAST).capabilities.batch_queries
+        # Batching is not declared: clients use ``oracle.batch`` when present.
+        assert not hasattr(get_engine(FAST).capabilities, "batch_queries")
         assert not get_engine(DATAFLOW).capabilities.supports_edits
         assert get_engine(GRAPH).capabilities.per_point_sets
 

@@ -25,7 +25,15 @@ from repro.ir.instruction import Instruction, Opcode, ParallelCopy, Phi
 from repro.ssadestruct import isolate_phis
 from repro.synth import random_cfg
 from tests.support.genfn import fuzz_function
-from tests.support.reference_cfg import ReferenceDFS, reference_build_cfg
+from tests.support.reference_cfg import (
+    ReferenceDFS,
+    classify_edge,
+    edge_kinds,
+    is_back_edge,
+    postorder_number,
+    preorder_number,
+    reference_build_cfg,
+)
 
 CORPUS = 200
 
@@ -44,9 +52,9 @@ def assert_same_dfs(dfs: DepthFirstSearch, oracle: ReferenceDFS, graph) -> None:
     assert dfs.postorder() == oracle.postorder()
     for node in oracle.preorder():
         assert dfs.parent(node) == oracle.parent(node)
-        assert dfs.preorder_number(node) == oracle.preorder_number(node)
-        assert dfs.postorder_number(node) == oracle.postorder_number(node)
-    kinds = dfs.edge_kinds()
+        assert preorder_number(dfs, node) == oracle.preorder_number(node)
+        assert postorder_number(dfs, node) == oracle.postorder_number(node)
+    kinds = edge_kinds(dfs)
     assert kinds == oracle.edge_kinds()
     assert list(kinds) == list(oracle.edge_kinds())
     assert all(type(edge) is Edge for edge in kinds)
@@ -54,9 +62,9 @@ def assert_same_dfs(dfs: DepthFirstSearch, oracle: ReferenceDFS, graph) -> None:
     assert back == oracle.back_edges()
     assert all(type(edge) is Edge for edge in back)
     for (source, target), kind in oracle.edge_kinds().items():
-        assert dfs.classify_edge(source, target) is kind
+        assert classify_edge(dfs, source, target) is kind
         assert dfs.edge_kind(source, target) is kind
-        assert dfs.is_back_edge(source, target) is (kind is EdgeKind.BACK)
+        assert is_back_edge(dfs, source, target) is (kind is EdgeKind.BACK)
 
 
 # ----------------------------------------------------------------------

@@ -5,9 +5,18 @@ import random
 import pytest
 
 from repro.cfg import ControlFlowGraph, DepthFirstSearch, EdgeKind
-from repro.cfg.dfs import reduced_successors
 from repro.synth import random_cfg
 from tests.conftest import build_figure3_cfg
+from tests.support.reference_cfg import (
+    back_edge_targets,
+    classify_edge,
+    edge_kinds,
+    edge_statistics,
+    is_ancestor,
+    is_back_edge,
+    preorder_number,
+    reduced_successors,
+)
 
 
 def simple_loop() -> ControlFlowGraph:
@@ -21,7 +30,7 @@ class TestNumbering:
     def test_preorder_starts_at_entry(self):
         dfs = DepthFirstSearch(simple_loop())
         assert dfs.preorder()[0] == 0
-        assert dfs.preorder_number(0) == 0
+        assert preorder_number(dfs, 0) == 0
 
     def test_preorder_and_postorder_are_permutations(self):
         dfs = DepthFirstSearch(simple_loop())
@@ -45,9 +54,9 @@ class TestNumbering:
 
     def test_is_ancestor(self):
         dfs = DepthFirstSearch(simple_loop())
-        assert dfs.is_ancestor(0, 3)
-        assert dfs.is_ancestor(1, 1)
-        assert not dfs.is_ancestor(3, 1)
+        assert is_ancestor(dfs, 0, 3)
+        assert is_ancestor(dfs, 1, 1)
+        assert not is_ancestor(dfs, 3, 1)
 
     def test_visited(self):
         dfs = DepthFirstSearch(simple_loop())
@@ -58,17 +67,17 @@ class TestNumbering:
 class TestEdgeClassification:
     def test_tree_and_back_edges_in_simple_loop(self):
         dfs = DepthFirstSearch(simple_loop())
-        assert dfs.classify_edge(0, 1) is EdgeKind.TREE
-        assert dfs.classify_edge(1, 2) is EdgeKind.TREE
-        assert dfs.classify_edge(2, 1) is EdgeKind.BACK
-        assert dfs.classify_edge(2, 3) is EdgeKind.TREE
+        assert classify_edge(dfs, 0, 1) is EdgeKind.TREE
+        assert classify_edge(dfs, 1, 2) is EdgeKind.TREE
+        assert classify_edge(dfs, 2, 1) is EdgeKind.BACK
+        assert classify_edge(dfs, 2, 3) is EdgeKind.TREE
         assert dfs.back_edges() == [(2, 1)]
-        assert dfs.back_edge_targets() == [1]
+        assert back_edge_targets(dfs) == [1]
 
     def test_forward_edge(self):
         graph = ControlFlowGraph.from_edges([(0, 1), (1, 2), (0, 2)], entry=0)
         dfs = DepthFirstSearch(graph)
-        assert dfs.classify_edge(0, 2) is EdgeKind.FORWARD
+        assert classify_edge(dfs, 0, 2) is EdgeKind.FORWARD
 
     def test_cross_edge(self):
         graph = ControlFlowGraph.from_edges(
@@ -76,18 +85,18 @@ class TestEdgeClassification:
         )
         dfs = DepthFirstSearch(graph)
         # 4 -> 1 goes to a node in an already-finished subtree.
-        assert dfs.classify_edge(4, 1) is EdgeKind.CROSS
+        assert classify_edge(dfs, 4, 1) is EdgeKind.CROSS
 
     def test_self_loop_is_back_edge(self):
         graph = ControlFlowGraph.from_edges([(0, 1), (1, 1)], entry=0)
         dfs = DepthFirstSearch(graph)
-        assert dfs.classify_edge(1, 1) is EdgeKind.BACK
-        assert dfs.is_back_edge_target(1)
+        assert classify_edge(dfs, 1, 1) is EdgeKind.BACK
+        assert back_edge_targets(dfs) == [1]
 
     def test_unknown_edge_raises(self):
         dfs = DepthFirstSearch(simple_loop())
         with pytest.raises(KeyError):
-            dfs.classify_edge(3, 0)
+            classify_edge(dfs, 3, 0)
 
     def test_figure3_back_edges(self):
         dfs = DepthFirstSearch(build_figure3_cfg())
@@ -97,11 +106,11 @@ class TestEdgeClassification:
     def test_every_edge_classified(self):
         graph = build_figure3_cfg()
         dfs = DepthFirstSearch(graph)
-        assert len(dfs.edge_kinds()) == graph.num_edges()
+        assert len(edge_kinds(dfs)) == graph.num_edges()
 
     def test_edge_statistics_totals(self):
         graph = build_figure3_cfg()
-        stats = DepthFirstSearch(graph).edge_statistics()
+        stats = edge_statistics(DepthFirstSearch(graph))
         assert stats["total"] == graph.num_edges()
         assert sum(stats[k.value] for k in EdgeKind) == stats["total"]
 
@@ -121,16 +130,16 @@ class TestClassificationProperties:
             graph = random_cfg(rng, rng.randrange(3, 25))
             dfs = DepthFirstSearch(graph)
             for source, target in graph.edges():
-                kind = dfs.classify_edge(source, target)
-                is_ancestor = dfs.is_ancestor(target, source)
-                assert (kind is EdgeKind.BACK) == is_ancestor, (source, target, kind)
+                kind = classify_edge(dfs, source, target)
+                ancestor = is_ancestor(dfs, target, source)
+                assert (kind is EdgeKind.BACK) == ancestor, (source, target, kind)
 
     def test_tree_edges_form_spanning_tree(self, rng):
         for _ in range(20):
             graph = random_cfg(rng, rng.randrange(2, 25))
             dfs = DepthFirstSearch(graph)
             tree_edges = [
-                edge for edge, kind in dfs.edge_kinds().items() if kind is EdgeKind.TREE
+                edge for edge, kind in edge_kinds(dfs).items() if kind is EdgeKind.TREE
             ]
             # |V| - 1 tree edges, and each non-entry node has exactly one
             # tree-edge parent.
@@ -143,13 +152,13 @@ class TestClassificationProperties:
         for _ in range(20):
             graph = random_cfg(rng, rng.randrange(3, 25))
             dfs = DepthFirstSearch(graph)
-            for (source, target), kind in dfs.edge_kinds().items():
+            for (source, target), kind in edge_kinds(dfs).items():
                 if kind is EdgeKind.CROSS:
                     # Cross edges always lead to smaller preorder numbers
                     # (the observation behind Theorem 3).
-                    assert dfs.preorder_number(target) < dfs.preorder_number(source)
+                    assert preorder_number(dfs, target) < preorder_number(dfs, source)
                 if kind is EdgeKind.FORWARD:
-                    assert dfs.preorder_number(target) > dfs.preorder_number(source)
+                    assert preorder_number(dfs, target) > preorder_number(dfs, source)
 
     def test_reverse_postorder_topologically_orders_reduced_graph(self, rng):
         # Section 5.2: reverse postorder is a topological order of G-tilde.
@@ -158,7 +167,7 @@ class TestClassificationProperties:
             dfs = DepthFirstSearch(graph)
             position = {node: i for i, node in enumerate(dfs.reverse_postorder())}
             for source, target in graph.edges():
-                if not dfs.is_back_edge(source, target):
+                if not is_back_edge(dfs, source, target):
                     assert position[source] < position[target]
 
 

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.cfg import ControlFlowGraph, DominatorTree
-from repro.cfg.dominance import immediate_dominators_lengauer_tarjan
 from repro.synth import random_cfg
 from tests.conftest import build_figure3_cfg, reference_dominators
+from tests.support.reference_dominance import immediate_dominators_lengauer_tarjan
 
 
 def diamond_with_loop() -> ControlFlowGraph:

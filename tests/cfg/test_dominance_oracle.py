@@ -16,7 +16,7 @@ import random
 import pytest
 
 from repro.cfg.dfs import DepthFirstSearch, EdgeKind
-from repro.cfg.dominance import DominatorTree, _immediate_dominators_iterative
+from repro.cfg.dominance import DominatorTree, _rpo_idoms
 from repro.cfg.reducibility import is_reducible
 from repro.core.incremental import CfgDelta
 from tests.support.genfn import fuzz_function
@@ -27,6 +27,12 @@ CORPUS = 240
 
 def corpus_cfg(index: int):
     return fuzz_function(index, base_seed=7).build_cfg()
+
+
+def rpo_idom_map(dfs: DepthFirstSearch) -> dict:
+    """:func:`_rpo_idoms` by node, the entry mapping to itself."""
+    rpo = dfs.reverse_postorder()
+    return {node: rpo[parent] for node, parent in zip(rpo, _rpo_idoms(dfs))}
 
 
 def assert_matches_oracle(graph, dfs=None) -> None:
@@ -40,7 +46,7 @@ def assert_matches_oracle(graph, dfs=None) -> None:
         assert domtree.num(node) == oracle.num[node], node
         assert domtree.maxnum(node) == oracle.maxnum[node], node
     assert domtree.maxnums() == [oracle.maxnum[node] for node in oracle.preorder]
-    assert _immediate_dominators_iterative(graph, dfs) == oracle.idom
+    assert rpo_idom_map(dfs) == oracle.idom
 
 
 def test_corpus_mixes_reducible_and_irreducible():
@@ -115,9 +121,7 @@ def test_preserved_dfs_after_edits_matches_oracle(chunk):
                 break
             apply_preserving_dfs(graph, dfs, delta)
             edits += 1
-            assert _immediate_dominators_iterative(graph, dfs) == reference_idoms(
-                graph, dfs
-            ), (index, delta)
+            assert rpo_idom_map(dfs) == reference_idoms(graph, dfs), (index, delta)
     assert edits >= 200
 
 
@@ -128,4 +132,4 @@ def test_unreachable_nodes_are_reported_like_the_oracle():
     with pytest.raises(ValueError, match="unreachable"):
         reference_idoms(graph, dfs)
     with pytest.raises(ValueError, match="unreachable"):
-        _immediate_dominators_iterative(graph, dfs)
+        _rpo_idoms(dfs)

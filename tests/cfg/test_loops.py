@@ -5,6 +5,7 @@ from repro.cfg.dfs import DepthFirstSearch
 from repro.synth import random_reducible_cfg
 from tests.conftest import build_figure3_cfg
 from tests.support.loops import LoopNestingForest
+from tests.support.reference_cfg import back_edge_targets
 
 
 def nested_loops() -> ControlFlowGraph:
@@ -85,7 +86,7 @@ class TestForestProperties:
             graph = random_reducible_cfg(rng, rng.randrange(3, 30))
             dfs = DepthFirstSearch(graph)
             forest = LoopNestingForest(graph, dfs)
-            assert set(forest.headers()) == set(dfs.back_edge_targets())
+            assert set(forest.headers()) == set(back_edge_targets(dfs))
 
     def test_header_dominates_loop_body_on_reducible_cfgs(self, rng):
         for _ in range(25):

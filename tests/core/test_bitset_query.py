@@ -1,9 +1,11 @@
 """Tests for Algorithm 3 (bitset implementation) and its fast path."""
 
 from repro.cfg import ControlFlowGraph
-from repro.core import BitsetChecker, LivenessPrecomputation, SetBasedChecker
+from repro.core import LivenessPrecomputation
 from repro.synth import random_cfg, random_reducible_cfg
 from tests.conftest import build_figure3_cfg, reference_is_live_in
+from tests.support.bitset_checker import BitsetChecker
+from tests.support.set_checker import SetBasedChecker
 
 
 def make(graph: ControlFlowGraph, **kwargs):

@@ -2,20 +2,23 @@
 
 Sections 3.2 and 4.1 walk through a series of queries on the example CFG;
 this module asserts each of them, both through the set-based checker
-(Algorithm 1/2) and through the bitset implementation (Algorithm 3), and
-cross-checks against the brute-force path search so the reconstruction
-itself is validated.
+(Algorithm 1/2) and through the reference bitset kernel (Algorithm 3),
+and cross-checks against the brute-force path search so the
+reconstruction itself is validated.
 """
 
 import pytest
 
-from repro.core import BitsetChecker, LivenessPrecomputation, SetBasedChecker
+from repro.core import LivenessPrecomputation
 from tests.conftest import (
     FIGURE3_VARIABLES,
     build_figure3_cfg,
     reference_is_live_in,
     reference_is_live_out,
 )
+from tests.support.bitset_checker import BitsetChecker
+from tests.support.reference_cfg import is_back_edge
+from tests.support.set_checker import SetBasedChecker, reduced_reachable, row_nodes
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +29,14 @@ def pre() -> LivenessPrecomputation:
 @pytest.fixture(scope="module")
 def checkers(pre):
     return SetBasedChecker(pre), BitsetChecker(pre)
+
+
+def reaches(pre, source, target) -> bool:
+    return reduced_reachable(pre.r_masks, pre.domtree, source, target)
+
+
+def targets_of(pre, node) -> list:
+    return row_nodes(pre.t_masks, pre.domtree, node)
 
 
 def ask_live_in(pre, checkers, variable: str, query: int) -> bool:
@@ -59,9 +70,9 @@ class TestPaperQueries:
 
     def test_x_liveness_needs_back_edge_target(self, pre):
         """"No use of x is reduced reachable from 10" — but it is from 8."""
-        assert not pre.reach.is_reduced_reachable(10, 9)
-        assert pre.reach.is_reduced_reachable(8, 9)
-        assert pre.dfs.is_back_edge(10, 8)
+        assert not reaches(pre, 10, 9)
+        assert reaches(pre, 8, 9)
+        assert is_back_edge(pre.dfs, 10, 8)
 
     def test_y_is_live_in_at_10(self, pre, checkers):
         """Second example: requires two levels of back-edge indirection."""
@@ -69,10 +80,10 @@ class TestPaperQueries:
 
     def test_y_indirection_chain(self, pre):
         """The chain 10 → 8 → 5 of Section 3.2 is visible in the T sets."""
-        assert not pre.reach.is_reduced_reachable(10, 5)
-        assert not pre.reach.is_reduced_reachable(8, 5)
-        assert 5 in pre.targets.target_nodes(10)
-        assert 5 in pre.targets.target_nodes(8)
+        assert not reaches(pre, 10, 5)
+        assert not reaches(pre, 8, 5)
+        assert 5 in targets_of(pre, 10)
+        assert 5 in targets_of(pre, 8)
 
     def test_w_is_not_live_in_at_10(self, pre, checkers):
         """Third example: node 2 must be excluded because it is not strictly
@@ -81,8 +92,8 @@ class TestPaperQueries:
 
     def test_w_counterexample_without_dominance_filter(self, pre):
         """Picking t = 2 without the sdom filter would wrongly report w live."""
-        assert 2 in pre.targets.target_nodes(10)
-        assert pre.reach.is_reduced_reachable(2, 4)
+        assert 2 in targets_of(pre, 10)
+        assert reaches(pre, 2, 4)
         assert not pre.domtree.strictly_dominates(3, 2)
 
     def test_x_is_not_live_in_at_4(self, pre, checkers):
@@ -98,11 +109,11 @@ class TestPaperQueries:
         for source, target in zip(path, path[1:]):
             assert graph.has_edge(source, target)
         assert pre.domtree.strictly_dominates(3, 8)
-        assert 8 not in pre.targets.target_nodes(4)
+        assert 8 not in targets_of(pre, 4)
 
     def test_all_back_edge_targets_reachable_from_10(self, pre):
         """"All back edge targets (8, 5, 2) are reachable from 10"."""
-        assert set(pre.targets.target_nodes(10)) == {10, 8, 5, 2}
+        assert set(targets_of(pre, 10)) == {10, 8, 5, 2}
 
 
 class TestExhaustiveAgreementOnFigure3:

@@ -25,7 +25,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api.protocol import NotifyRequest, decode_request, encode_request
 from repro.cfg.graph import ControlFlowGraph
-from repro.core.bitset_query import BitsetChecker
 from repro.core.incremental import (
     APPLIED,
     CfgDelta,
@@ -33,16 +32,18 @@ from repro.core.incremental import (
     apply_cfg_delta,
     update_precomputation,
 )
-from repro.core.live_checker import FastLivenessChecker
 from repro.core.invalidation import TransformationSession
+from repro.core.live_checker import FastLivenessChecker
 from repro.core.precompute import LivenessPrecomputation
 from repro.ir.instruction import Instruction, Opcode
 from repro.ir.value import Constant, Variable
 from repro.ir.verify import IRVerificationError, verify_ssa
 from repro.liveness.dataflow import DataflowLiveness
 from repro.synth import random_irreducible_cfg, random_reducible_cfg
+from tests.support.bitset_checker import BitsetChecker
 from tests.support.genfn import fuzz_function, structured_function
 from tests.support.precomp_views import assert_matches_rebuild
+from tests.support.reference_cfg import edge_kinds
 
 
 # ----------------------------------------------------------------------
@@ -53,15 +54,9 @@ def assert_identical(pre: LivenessPrecomputation, context: str) -> None:
     fresh = LivenessPrecomputation(pre.graph.copy())
     # Masks, numbering, flags, the graph, DFS and dominator-tree views.
     assert_matches_rebuild(pre, fresh, context)
-    for node in pre.graph.nodes():
-        # The object-level views (introspection, the loop-forest
-        # fallback) must read the patched rows too.
-        assert pre.reach.bitset(node).mask == fresh.reach.bitset(node).mask, (
-            f"reach row diverged after {context}"
-        )
-        assert pre.targets.bitset(node).mask == fresh.targets.bitset(node).mask, (
-            f"target row diverged after {context}"
-        )
+    # The reach and target objects must keep sharing the patched masks.
+    assert pre.reach.masks is pre.r_masks, f"reach masks detached after {context}"
+    assert pre.targets.masks is pre.t_masks, f"target masks detached after {context}"
 
 
 def random_delta(rng: random.Random, graph: ControlFlowGraph) -> CfgDelta | None:
@@ -429,7 +424,7 @@ class TestEdgeSplit:
         # back, forward and cross edges, all in one small graph.
         edges = [(0, 1), (1, 2), (2, 3), (3, 1), (1, 3), (0, 4), (4, 3), (2, 2)]
         graph = ControlFlowGraph.from_edges(edges, entry=0)
-        kinds = LivenessPrecomputation(graph).dfs.edge_kinds()
+        kinds = edge_kinds(LivenessPrecomputation(graph).dfs)
         assert {kind.value for kind in kinds.values()} == {
             "tree", "back", "forward", "cross",
         }

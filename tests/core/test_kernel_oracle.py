@@ -3,7 +3,7 @@
 :meth:`BitsetChecker.is_live_in_mask` / :meth:`is_live_out_mask` scan
 ``T_q >> (num(def) + 1)`` inline: lowest set bit first, then a jump past
 ``maxnum(t)``.  The reference below is the loop they replaced, one
-:func:`~repro.sets.bitset.next_set_bit_in_mask` call per candidate.
+:func:`~tests.support.bitset.next_set_bit_in_mask` call per candidate.
 Answers *and* ``last_candidates_tested`` must agree on every
 (variable, block) pair of the fuzz corpus, over the exact ``T`` masks and
 the reference §5.2 propagated ones, with the reducible fast path on and
@@ -17,9 +17,10 @@ import copy
 
 import pytest
 
-from repro.core import BitsetChecker, FastLivenessChecker, LivenessPrecomputation
+from repro.core import FastLivenessChecker, LivenessPrecomputation
 from repro.liveness.dataflow import DataflowLiveness
-from repro.sets.bitset import next_set_bit_in_mask
+from tests.support.bitset import next_set_bit_in_mask
+from tests.support.bitset_checker import BitsetChecker
 from tests.support.genfn import fuzz_function
 from tests.support.reference_precompute import reference_arrays
 

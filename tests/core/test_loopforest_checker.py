@@ -3,10 +3,11 @@
 import pytest
 
 from repro.cfg import ControlFlowGraph
-from repro.core import LivenessPrecomputation, SetBasedChecker
+from repro.core import LivenessPrecomputation
 from repro.synth import random_reducible_cfg
 from tests.conftest import build_figure3_cfg, reference_is_live_in, reference_is_live_out
 from tests.support.loopforest import LoopForestChecker
+from tests.support.set_checker import SetBasedChecker
 
 
 class TestApplicability:

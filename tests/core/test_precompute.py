@@ -23,10 +23,10 @@ class TestPrecomputation:
 
     def test_back_edge_target_membership(self):
         pre = LivenessPrecomputation(build_figure3_cfg())
-        assert pre.is_back_edge_target(8)
-        assert pre.is_back_edge_target(5)
-        assert pre.is_back_edge_target(2)
-        assert not pre.is_back_edge_target(9)
+        assert pre.is_back_target[pre.num(8)]
+        assert pre.is_back_target[pre.num(5)]
+        assert pre.is_back_target[pre.num(2)]
+        assert not pre.is_back_target[pre.num(9)]
 
     def test_num_and_node_of_are_inverse(self):
         pre = LivenessPrecomputation(build_figure3_cfg())
@@ -58,5 +58,5 @@ class TestPrecomputation:
         pre = LivenessPrecomputation(build_figure3_cfg())
         assert pre.domtree.graph is pre.graph
         assert pre.dfs.graph is pre.graph
-        assert pre.reach.universe == len(pre.graph)
-        assert pre.targets.universe == len(pre.graph)
+        assert len(pre.reach) == len(pre.graph)
+        assert len(pre.targets) == len(pre.graph)

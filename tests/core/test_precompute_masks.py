@@ -4,8 +4,8 @@
 ``T_v`` straight into flat int masks.  Every array it exposes must be
 bit-identical to the literal ``BitSet`` construction kept in
 :mod:`tests.support.reference_precompute` — over reducible and
-irreducible functions — and the ``BitSet`` views must keep reading the
-same rows after incremental CFG patches.  The reference's §5.2
+irreducible functions — and ``reach``/``targets`` must keep sharing those
+masks after incremental CFG patches.  The reference's §5.2
 propagated ``T`` keeps the paper's claim about that shortcut under test:
 it only adds targets, and adding them changes no answer.
 """
@@ -17,12 +17,12 @@ import random
 
 import pytest
 
-from repro.core.bitset_query import BitsetChecker
 from repro.core.incremental import apply_cfg_delta
 from repro.core.live_checker import FastLivenessChecker
 from repro.core.precompute import LivenessPrecomputation
 from repro.synth.random_function import random_ssa_function
 from tests.core.test_incremental import random_delta
+from tests.support.bitset_checker import BitsetChecker
 from tests.support.genfn import fuzz_function
 from tests.support.reference_precompute import reference_arrays
 
@@ -121,8 +121,6 @@ def test_views_track_masks_through_cfg_edits(sequence):
             break
         if not apply_cfg_delta(pre, delta).applied:
             pre = LivenessPrecomputation(pre.graph)
-        for node in pre.graph.nodes():
-            number = pre.num(node)
-            assert pre.reach.bitset(node).mask == pre.r_masks[number]
-            assert pre.targets.bitset(node).mask == pre.t_masks[number]
+        assert pre.reach.masks is pre.r_masks
+        assert pre.targets.masks is pre.t_masks
         assert_matches_reference(pre)

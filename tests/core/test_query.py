@@ -3,13 +3,14 @@
 import random
 
 from repro.cfg import ControlFlowGraph
-from repro.core import LivenessPrecomputation, SetBasedChecker
+from repro.core import LivenessPrecomputation
 from repro.synth import random_cfg
 from tests.conftest import (
     build_figure3_cfg,
     reference_is_live_in,
     reference_is_live_out,
 )
+from tests.support.set_checker import SetBasedChecker
 
 
 def make_checker(graph: ControlFlowGraph) -> SetBasedChecker:

@@ -20,11 +20,11 @@ import pytest
 
 from repro.api.registry import DATAFLOW, FAST, get_engine
 from repro.core.batch import BatchQueryEngine
-from repro.core.bitset_query import BitsetChecker
 from repro.core.invalidation import TransformationSession
 from repro.core.live_checker import FastLivenessChecker
 from repro.liveness.dataflow import DataflowLiveness
 from tests.core.test_incremental import assert_checker_matches_rebuild, session_edit_mix
+from tests.support.bitset_checker import BitsetChecker
 from tests.support.genfn import GenSpec, fuzz_function, generate_function, structured_function
 from tests.support.set_oracle import SET_ENGINE, SetCheckerOracle
 
@@ -160,7 +160,6 @@ class TestRegistry:
         spec = get_engine(FAST)
         oracle = spec.oracle_factory(function)
         assert isinstance(oracle, FastLivenessChecker)
-        assert spec.capabilities.batch_queries
         assert isinstance(oracle.batch, BatchQueryEngine)
 
     @pytest.mark.parametrize(

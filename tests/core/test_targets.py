@@ -4,35 +4,28 @@ from repro.cfg import ControlFlowGraph, DepthFirstSearch, DominatorTree
 from repro.core import LivenessPrecomputation, ReducedReachability, TargetSets
 from repro.synth import random_cfg, random_reducible_cfg
 from tests.conftest import build_figure3_cfg
+from tests.support.reference_cfg import preorder_number
+from tests.support.set_checker import relevant_targets, row_nodes, t_up
 
 
-def build(graph: ControlFlowGraph) -> TargetSets:
+def build(graph: ControlFlowGraph) -> tuple[TargetSets, DominatorTree]:
     dfs = DepthFirstSearch(graph)
     domtree = DominatorTree(graph, dfs)
-    reach = ReducedReachability(graph, dfs, domtree)
-    return TargetSets(dfs, domtree, reach)
+    reach = ReducedReachability(dfs, domtree)
+    return TargetSets(dfs, domtree, reach), domtree
 
 
 def reference_t_set(graph: ControlFlowGraph, query) -> set:
     """Definition 5 computed literally as a fixpoint of T↑ steps."""
     dfs = DepthFirstSearch(graph)
     domtree = DominatorTree(graph, dfs)
-    reach = ReducedReachability(graph, dfs, domtree)
-
-    def t_up(node):
-        result = set()
-        r_node = set(reach.reachable_nodes(node))
-        for source, target in dfs.back_edges():
-            if source in r_node and target not in r_node:
-                result.add(target)
-        return result
-
+    reach = ReducedReachability(dfs, domtree)
     result = {query}
     frontier = {query}
     while frontier:
         new = set()
         for node in frontier:
-            new |= t_up(node)
+            new.update(t_up(dfs, domtree, reach.masks, node))
         frontier = new - result
         result |= new
     return result
@@ -41,33 +34,33 @@ def reference_t_set(graph: ControlFlowGraph, query) -> set:
 class TestExactConstruction:
     def test_acyclic_graph_has_trivial_t_sets(self):
         graph = ControlFlowGraph.from_edges([(0, 1), (0, 2), (1, 3), (2, 3)], entry=0)
-        targets = build(graph)
+        targets, domtree = build(graph)
         for node in graph.nodes():
-            assert targets.target_nodes(node) == [node]
+            assert row_nodes(targets.masks, domtree, node) == [node]
 
     def test_simple_loop(self):
         graph = ControlFlowGraph.from_edges([(0, 1), (1, 2), (2, 1), (2, 3)], entry=0)
-        targets = build(graph)
+        targets, domtree = build(graph)
         # From inside the loop the header (target of the back edge) is relevant.
-        assert set(targets.target_nodes(2)) == {2, 1}
-        assert set(targets.target_nodes(1)) == {1}
-        assert set(targets.target_nodes(3)) == {3}
+        assert set(row_nodes(targets.masks, domtree, 2)) == {2, 1}
+        assert set(row_nodes(targets.masks, domtree, 1)) == {1}
+        assert set(row_nodes(targets.masks, domtree, 3)) == {3}
 
     def test_figure3_t_set_of_node_10(self):
         """Section 3.2: all back edge targets (8, 5, 2) are relevant for node 10."""
-        targets = build(build_figure3_cfg())
-        assert set(targets.target_nodes(10)) == {10, 8, 5, 2}
+        targets, domtree = build(build_figure3_cfg())
+        assert set(row_nodes(targets.masks, domtree, 10)) == {10, 8, 5, 2}
 
     def test_figure3_t_set_of_node_4(self):
-        targets = build(build_figure3_cfg())
-        assert set(targets.target_nodes(4)) == {4, 2}
+        targets, domtree = build(build_figure3_cfg())
+        assert set(row_nodes(targets.masks, domtree, 4)) == {4, 2}
 
     def test_matches_definition5_fixpoint(self, rng):
         for _ in range(30):
             graph = random_cfg(rng, rng.randrange(2, 22))
-            targets = build(graph)
+            targets, domtree = build(graph)
             for node in graph.nodes():
-                assert set(targets.target_nodes(node)) == reference_t_set(graph, node)
+                assert set(row_nodes(targets.masks, domtree, node)) == reference_t_set(graph, node)
 
 
 class TestTheorem3:
@@ -77,12 +70,11 @@ class TestTheorem3:
             graph = random_cfg(rng, rng.randrange(2, 25))
             dfs = DepthFirstSearch(graph)
             domtree = DominatorTree(graph, dfs)
-            reach = ReducedReachability(graph, dfs, domtree)
-            targets = TargetSets(dfs, domtree, reach)
+            reach = ReducedReachability(dfs, domtree)
             for node in graph.nodes():
-                for upstream in targets.t_up(node):
+                for upstream in t_up(dfs, domtree, reach.masks, node):
                     assert (
-                        dfs.preorder_number(upstream) < dfs.preorder_number(node)
+                        preorder_number(dfs, upstream) < preorder_number(dfs, node)
                     ), (node, upstream)
 
 
@@ -94,7 +86,7 @@ class TestLemma3:
             pre = LivenessPrecomputation(graph)
             assert pre.reducible
             for node in graph.nodes():
-                members = pre.targets.target_nodes(node)
+                members = row_nodes(pre.t_masks, pre.domtree, node)
                 for i, a in enumerate(members):
                     for b in members[i + 1 :]:
                         assert pre.domtree.dominates(a, b) or pre.domtree.dominates(
@@ -105,7 +97,7 @@ class TestLemma3:
         """The reconstruction of Figure 3 breaks the total order (irreducible)."""
         graph = build_figure3_cfg()
         pre = LivenessPrecomputation(graph)
-        members = pre.targets.target_nodes(10)
+        members = row_nodes(pre.t_masks, pre.domtree, 10)
         ordered = all(
             pre.domtree.dominates(a, b) or pre.domtree.dominates(b, a)
             for i, a in enumerate(members)
@@ -124,17 +116,16 @@ class TestRelevantTargets:
                 for def_node in graph.nodes():
                     expected = {
                         t
-                        for t in pre.targets.target_nodes(query)
+                        for t in row_nodes(pre.t_masks, pre.domtree, query)
                         if pre.domtree.strictly_dominates(def_node, t)
                     }
-                    actual = set(pre.targets.relevant_targets(query, def_node))
-                    assert actual == expected
+                    actual = relevant_targets(pre.t_masks, pre.domtree, query, def_node)
+                    assert set(actual) == expected
 
 
 class TestStorage:
     def test_storage_accounting(self):
         graph = build_figure3_cfg()
-        targets = build(graph)
+        targets, _ = build(graph)
         assert targets.storage_bits() == len(graph) * 64
-        assert targets.universe == len(graph)
         assert len(targets) == len(graph)

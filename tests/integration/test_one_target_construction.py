@@ -4,11 +4,13 @@ The exact Equation-1 ``T_v`` sets are what the query, the Theorem-2
 single-candidate fast path and the in-place CFG patcher all rely on, so
 no constructor, factory or persisted record between the kernel and the
 snapshot takes a target-set ``strategy`` — and the served checker takes
-no ``reducible_fast_path`` (that ablation knob lives on
-:class:`~repro.core.bitset_query.BitsetChecker` only) and no
+no ``reducible_fast_path`` (that ablation knob lives on the test-side
+:class:`~tests.support.bitset_checker.BitsetChecker` only) and no
 ``use_bitsets``: Algorithm 3 on bitsets is its one query path, and no
-``sets`` engine is registered.  Each entry below must refuse the keyword
-at call binding, before any work (or worker process) starts.  The §5.2
+``sets`` engine is registered.  The register allocator takes no
+``use_batch``: it uses the batch engine exactly when the oracle has one.
+Each entry below must refuse the keyword at call binding, before any
+work (or worker process) starts.  The §5.2
 propagated sets stay reproducible through
 ``tests.support.reference_precompute``, and Algorithms 1/2 over def–use
 chains through ``tests.support.set_oracle``.
@@ -29,6 +31,9 @@ from repro.core.targets import TargetSets
 from repro.persist.precomp import PrecompState
 from repro.persist.recovery import recover, restore_client
 from repro.persist.snapshot import SnapshotState, make_snapshot_state
+from repro.regalloc.chordal import color_function
+from repro.regalloc.pressure import BlockLiveness, compute_pressure, max_live
+from repro.regalloc.spill import lower_pressure
 from repro.service.service import LivenessService
 
 TAKES_NO_STRATEGY = {
@@ -50,6 +55,17 @@ TAKES_NO_STRATEGY = {
 SERVED_CHECKER = {
     "FastLivenessChecker": FastLivenessChecker,
     "FastLivenessChecker.from_precomputation": FastLivenessChecker.from_precomputation,
+}
+
+
+#: The allocator's liveness front ends: the batch engine is used exactly
+#: when the oracle exposes one, so no caller chooses.
+TAKES_NO_BATCH_SWITCH = {
+    "BlockLiveness": BlockLiveness,
+    "compute_pressure": compute_pressure,
+    "max_live": max_live,
+    "color_function": color_function,
+    "lower_pressure": lower_pressure,
 }
 
 
@@ -81,6 +97,12 @@ def test_served_checker_has_no_fast_path_switch(name):
 def test_served_checker_has_no_bitset_switch(name):
     with pytest.raises(TypeError, match="use_bitsets"):
         SERVED_CHECKER[name](use_bitsets=False)
+
+
+@pytest.mark.parametrize("name", sorted(TAKES_NO_BATCH_SWITCH))
+def test_allocator_has_no_batch_switch(name):
+    with pytest.raises(TypeError, match="use_batch"):
+        TAKES_NO_BATCH_SWITCH[name](None, None, use_batch=False)
 
 
 def test_sets_is_no_registered_engine():

@@ -10,7 +10,7 @@ import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core import FastLivenessChecker, LivenessPrecomputation, SetBasedChecker
+from repro.core import FastLivenessChecker, LivenessPrecomputation
 from repro.ir import verify_function, verify_ssa
 from repro.ir.interp import execute
 from repro.liveness import DataflowLiveness
@@ -18,6 +18,8 @@ from repro.ssadestruct import destruct
 from repro.synth import random_cfg
 from tests.conftest import reference_is_live_in, reference_is_live_out
 from tests.support.genfn import GenSpec, generate_function, structured_function
+from tests.support.reference_cfg import is_back_edge
+from tests.support.set_checker import SetBasedChecker, row_nodes
 from tests.support.ssa_liveness import PathExplorationLiveness
 
 SETTINGS = settings(
@@ -102,11 +104,13 @@ def test_precomputation_invariants(seed, size):
         assert pre.node_of(pre.num(node)) == node
         assert pre.num(node) <= pre.maxnum(node)
         # q itself is always in T_q (the trivial candidate).
-        assert node in pre.targets.target_nodes(node)
-        for target in pre.targets.target_nodes(node):
+        members = row_nodes(pre.t_masks, pre.domtree, node)
+        assert node in members
+        for target in members:
             if target != node:
                 # Every non-trivial member of T_q is a back-edge target.
-                assert pre.is_back_edge_target(target)
+                assert pre.is_back_target[pre.num(target)]
+    r_masks = pre.r_masks
     for source, target in graph.edges():
-        if not pre.dfs.is_back_edge(source, target):
-            assert pre.reach.bitset(target).issubset(pre.reach.bitset(source))
+        if not is_back_edge(pre.dfs, source, target):
+            assert not r_masks[pre.num(target)] & ~r_masks[pre.num(source)]

@@ -146,7 +146,6 @@ def test_prebuilt_unregistered_fast_backend_supports_destruct():
 
     class HandRolledFast(LivenessBackend):
         name = "hand-rolled-fast"
-        use_batch = True
 
         def __init__(self, function):
             super().__init__(function)

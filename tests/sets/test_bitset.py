@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sets import BitSet
+from tests.support.bitset import BitSet
 
 
 class TestBasics:

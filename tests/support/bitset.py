@@ -1,17 +1,13 @@
-"""Fixed-universe bitsets.
+"""Fixed-universe bitsets over dominance-preorder numbers (test reference).
 
-The fast liveness checker stores, for every basic block ``v``, the sets
-``R_v`` (reduced reachability) and ``T_v`` (relevant back-edge targets) as
-bitsets over the blocks of the function, numbered in dominance-tree preorder
-(paper, Section 5.1).  Python integers are arbitrary-precision, so a single
-``int`` is the natural machine representation: bitwise operations are
-implemented in C and a 512-block function still fits in a handful of
-machine words, mirroring the paper's observation that two 32-bit words
-suffice for the average procedure.
-
-The class below wraps such an integer together with the universe size and
-provides the operations Algorithm 3 needs, most importantly
-:meth:`BitSet.next_set_bit` (the paper's ``bitset_next_set``).
+The paper (Section 5.1) stores ``R_v`` and ``T_v`` as bitsets over the
+blocks, numbered in dominance-tree preorder.  The library keeps each row
+as a raw ``int`` mask (:mod:`repro.core.reduced_graph`,
+:mod:`repro.core.targets`).  :class:`BitSet` wraps such an integer together
+with its universe size and checks every element against it; the literal
+reference construction (:mod:`tests.support.reference_precompute`) builds
+its sets from it, and :meth:`BitSet.next_set_bit` is the paper's
+``bitset_next_set``.
 """
 
 from __future__ import annotations
@@ -23,9 +19,8 @@ def next_set_bit_in_mask(mask: int, start: int) -> int:
     """Smallest set bit of ``mask`` at position ``>= start``, or ``-1``.
 
     The raw-integer counterpart of :meth:`BitSet.next_set_bit`, used by the
-    numeric query core (:mod:`repro.core.bitset_query`) which operates on
-    plain ``int`` masks with no :class:`BitSet` objects on the hot path.
-    Returns ``-1`` when exhausted (the paper's ``MAX_INT`` sentinel).
+    candidate-scan oracle of the kernel tests.  Returns ``-1`` when
+    exhausted (the paper's ``MAX_INT`` sentinel).
     """
     if start > 0:
         mask >>= start

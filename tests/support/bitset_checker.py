@@ -1,4 +1,4 @@
-"""Algorithm 3: the bitset implementation of the liveness check.
+"""Algorithm 3 with a candidate counter and a fast-path switch (test reference).
 
 Section 5.1 of the paper engineers Algorithm 1 into a tight loop over two
 bitsets and the def–use chain:
@@ -22,7 +22,7 @@ The checker works purely on the *numeric* view of the precomputation: the
 flat ``r_masks``/``t_masks``/``maxnums``/``is_back_target`` arrays indexed
 by dominance-preorder number, with uses passed as one raw integer mask.
 A query is a handful of word-level integer operations — no ``node_of``
-translation, no :class:`~repro.sets.bitset.BitSet` dispatch.
+translation, no :class:`~tests.support.bitset.BitSet` dispatch.
 
 This is the *reference* kernel: it counts the candidates each query
 inspects (``last_candidates_tested``, read by the T_q-ordering ablation)

@@ -30,6 +30,7 @@ from typing import Collection
 from repro.cfg.graph import Node
 from repro.core.precompute import LivenessPrecomputation
 from tests.support.loops import LoopNestingForest
+from tests.support.set_checker import row_bitset
 
 
 class LoopForestChecker:
@@ -74,7 +75,7 @@ class LoopForestChecker:
         if not pre.domtree.strictly_dominates(def_node, query):
             return False
         start = self._effective_query_node(query, def_node)
-        reach = pre.reach.bitset(start)
+        reach = row_bitset(pre.r_masks, pre.domtree, start)
         return any(pre.num(use) in reach for use in uses)
 
     def is_live_out(
@@ -93,8 +94,8 @@ class LoopForestChecker:
         if not pre.domtree.strictly_dominates(def_node, query):
             return False
         start = self._effective_query_node(query, def_node)
-        reach = pre.reach.bitset(start)
+        reach = row_bitset(pre.r_masks, pre.domtree, start)
         relevant_uses = set(uses)
-        if start == query and not pre.is_back_edge_target(query):
+        if start == query and not pre.is_back_target[pre.num(query)]:
             relevant_uses.discard(query)
         return any(pre.num(use) in reach for use in relevant_uses)

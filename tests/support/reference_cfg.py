@@ -13,13 +13,18 @@ straightforward versions they must agree with:
   over copied successor lists, one :class:`Edge` built and classified per
   traversed edge, and the same incremental hooks (an added edge takes the
   place a fresh traversal of the edited graph examines it in).
+
+It also keeps the name-keyed questions only tests ask of a library
+:class:`~repro.cfg.dfs.DepthFirstSearch` (numbers, ancestry, edge kinds,
+back edges, the reduced graph ``G̃``), as functions of the DFS that read
+its block-id arrays.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from repro.cfg.dfs import EdgeKind
+from repro.cfg.dfs import DepthFirstSearch, EdgeKind
 from repro.cfg.graph import ControlFlowGraph, Edge, Node
 from repro.ir.function import Function
 
@@ -34,6 +39,94 @@ def reference_build_cfg(function: Function) -> ControlFlowGraph:
         for succ in block.successors():
             graph.add_edge(name, succ)
     return graph
+
+
+def _visited_id(dfs: DepthFirstSearch, node: Node) -> int:
+    """The id of a visited ``node``; ``KeyError`` otherwise."""
+    index = dfs.ids[node]
+    if dfs.pre[index] < 0:
+        raise KeyError(node)
+    return index
+
+
+def preorder_number(dfs: DepthFirstSearch, node: Node) -> int:
+    """DFS preorder (discovery) number of ``node``."""
+    return dfs.pre[_visited_id(dfs, node)]
+
+
+def postorder_number(dfs: DepthFirstSearch, node: Node) -> int:
+    """DFS postorder (finish) number of ``node``."""
+    return dfs.post[_visited_id(dfs, node)]
+
+
+def is_ancestor(dfs: DepthFirstSearch, ancestor: Node, descendant: Node) -> bool:
+    """True iff ``ancestor`` is an ancestor of ``descendant`` in the DFS tree.
+
+    A node is considered an ancestor of itself, matching the convention
+    used for back edges (a self-loop is a back edge).
+    """
+    a, d = _visited_id(dfs, ancestor), _visited_id(dfs, descendant)
+    return dfs.pre[a] <= dfs.pre[d] and dfs.post[a] >= dfs.post[d]
+
+
+def classify_edge(dfs: DepthFirstSearch, source: Node, target: Node) -> EdgeKind:
+    """The :class:`EdgeKind` of an existing edge; ``KeyError`` otherwise."""
+    kind = dfs.edge_kind(source, target)
+    if kind is None:
+        raise KeyError(f"edge {source!r} -> {target!r} was not traversed")
+    return kind
+
+
+def edge_kinds(dfs: DepthFirstSearch) -> dict[Edge, EdgeKind]:
+    """Mapping of every traversed edge to its classification.
+
+    Ordered as the traversal examines the edges: a walk down the spanning
+    tree, reading each node's successor list in order.
+    """
+    nodes, succ_ids, parents = dfs.nodes, dfs.succ_ids, dfs.parents
+    kinds: dict[Edge, EdgeKind] = {}
+    entry = dfs.pre_order[0]
+    stack = [(entry, iter(succ_ids[entry]))]
+    while stack:
+        node, succ_iter = stack[-1]
+        for succ in succ_iter:
+            edge = Edge(nodes[node], nodes[succ])
+            kinds[edge] = dfs.edge_kind(*edge)
+            if parents[succ] == node:
+                stack.append((succ, iter(succ_ids[succ])))
+                break
+        else:
+            stack.pop()
+    return kinds
+
+
+def back_edge_targets(dfs: DepthFirstSearch) -> list[Node]:
+    """Distinct targets of back edges, in traversal order."""
+    return [dfs.nodes[target] for target in dict.fromkeys(t for _s, t in dfs.back)]
+
+
+def is_back_edge(dfs: DepthFirstSearch, source: Node, target: Node) -> bool:
+    """True iff ``source -> target`` is a back edge of ``dfs``."""
+    return dfs.edge_kind(source, target) is EdgeKind.BACK
+
+
+def edge_statistics(dfs: DepthFirstSearch) -> dict[str, int]:
+    """Counts per edge kind plus totals (the §6.1 statistics)."""
+    counts = {kind.value: 0 for kind in EdgeKind}
+    for kind in edge_kinds(dfs).values():
+        counts[kind.value] += 1
+    counts["total"] = sum(counts.values())
+    return counts
+
+
+def reduced_successors(
+    graph: ControlFlowGraph, dfs: DepthFirstSearch
+) -> dict[Node, list[Node]]:
+    """Successor lists of the reduced graph ``G̃`` (CFG minus back edges)."""
+    return {
+        node: [succ for succ in graph.successors(node) if not is_back_edge(dfs, node, succ)]
+        for node in graph.nodes()
+    }
 
 
 class ReferenceDFS:

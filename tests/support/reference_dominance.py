@@ -1,4 +1,4 @@
-"""The node-keyed Cooper–Harvey–Kennedy construction (test oracle).
+"""Node-keyed dominator constructions (test oracles).
 
 The library runs CHK on integer reverse-postorder indices
 (:func:`repro.cfg.dominance._rpo_idoms`) and derives the dominance
@@ -9,7 +9,9 @@ node-keyed dicts:
 * :func:`reference_idoms` — the RPO fixpoint with ``intersect`` walking
   node-keyed ``idom`` links, every sweep repeated until nothing changes;
 * :class:`ReferenceDominance` — children sorted by RPO index and the
-  ``num``/``maxnum`` numbering from an explicit stack preorder walk.
+  ``num``/``maxnum`` numbering from an explicit stack preorder walk;
+* :func:`immediate_dominators_lengauer_tarjan` — an independent
+  construction, Lengauer–Tarjan with simple path compression.
 """
 
 from __future__ import annotations
@@ -90,3 +92,70 @@ class ReferenceDominance:
     def idom_map(self) -> dict[Node, Node | None]:
         """Immediate dominators with the entry mapped to ``None``."""
         return {node: None if idom == node else idom for node, idom in self.idom.items()}
+
+
+def immediate_dominators_lengauer_tarjan(
+    graph: ControlFlowGraph,
+) -> dict[Node, Node | None]:
+    """Compute immediate dominators with the Lengauer–Tarjan algorithm.
+
+    This is the "simple" O(m log n) variant with path compression, an
+    independent construction to check :class:`DominatorTree` against on
+    randomly generated CFGs.
+    """
+    dfs = DepthFirstSearch(graph)
+    order = dfs.preorder()
+    number = {node: index for index, node in enumerate(order)}
+    parent = {node: dfs.parent(node) for node in order}
+
+    semi = dict(number)
+    vertex = list(order)
+    bucket: dict[Node, list[Node]] = {node: [] for node in order}
+    dom: dict[Node, Node] = {}
+
+    ancestor: dict[Node, Node | None] = {node: None for node in order}
+    label: dict[Node, Node] = {node: node for node in order}
+
+    def compress(v: Node) -> None:
+        # Iterative path compression to avoid recursion limits.
+        path = []
+        while ancestor[v] is not None and ancestor[ancestor[v]] is not None:
+            path.append(v)
+            v = ancestor[v]
+        while path:
+            node = path.pop()
+            anc = ancestor[node]
+            if semi[label[anc]] < semi[label[node]]:
+                label[node] = label[anc]
+            ancestor[node] = ancestor[anc]
+
+    def evaluate(v: Node) -> Node:
+        if ancestor[v] is None:
+            return label[v]
+        compress(v)
+        return label[v]
+
+    for w in reversed(order[1:]):
+        for v in graph.predecessors(w):
+            if v not in number:
+                continue
+            u = evaluate(v)
+            if semi[u] < semi[w]:
+                semi[w] = semi[u]
+        bucket[vertex[semi[w]]].append(w)
+        par = parent[w]
+        assert par is not None
+        ancestor[w] = par
+        for v in bucket[par]:
+            u = evaluate(v)
+            dom[v] = u if semi[u] < semi[v] else par
+        bucket[par].clear()
+
+    for w in order[1:]:
+        if dom[w] != vertex[semi[w]]:
+            dom[w] = dom[dom[w]]
+
+    result: dict[Node, Node | None] = {order[0]: None}
+    for w in order[1:]:
+        result[w] = dom[w]
+    return result

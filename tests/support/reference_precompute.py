@@ -3,10 +3,10 @@
 The library builds ``R``/``T`` directly as flat int masks
 (:mod:`repro.core.reduced_graph`, :mod:`repro.core.targets`).  This module
 keeps the textbook construction the masks must agree with, written the
-slow, obvious way over :class:`~repro.sets.bitset.BitSet` objects:
+slow, obvious way over :class:`~tests.support.bitset.BitSet` objects:
 
 * ``R_v``: the Definition-4 sweep in DFS postorder, skipping every
-  successor ``w`` with :meth:`DepthFirstSearch.is_back_edge`;
+  successor ``w`` with :func:`~tests.support.reference_cfg.is_back_edge`;
 * ``T_v``: Equation 1 in DFS preorder, with ``T↑_v`` computed straight
   from Definition 5 by scanning every back edge;
 * ``T_v`` propagated: the §5.2 three-pass shortcut — exact sets for
@@ -27,7 +27,8 @@ from repro.cfg.dfs import DepthFirstSearch
 from repro.cfg.dominance import DominatorTree
 from repro.cfg.graph import ControlFlowGraph, Node
 from repro.cfg.reducibility import is_reducible
-from repro.sets.bitset import BitSet
+from tests.support.bitset import BitSet
+from tests.support.reference_cfg import back_edge_targets, is_back_edge, preorder_number
 
 
 def reference_reach(
@@ -40,7 +41,7 @@ def reference_reach(
         bits = BitSet(universe)
         bits.add(domtree.num(node))
         for succ in graph.successors(node):
-            if dfs.is_back_edge(node, succ):
+            if is_back_edge(dfs, node, succ):
                 continue
             bits.update(sets[succ])
         sets[node] = bits
@@ -88,7 +89,7 @@ def reference_targets_propagate(
     num = domtree.num
     back_edges = dfs.back_edges()
     partial: dict[Node, BitSet] = {}
-    for target in sorted({t for _, t in back_edges}, key=dfs.preorder_number):
+    for target in sorted({t for _, t in back_edges}, key=lambda node: preorder_number(dfs, node)):
         bits = BitSet(universe)
         bits.add(num(target))
         for upstream in reference_t_up(target, dfs, domtree, reach):
@@ -101,7 +102,7 @@ def reference_targets_propagate(
     for node in dfs.postorder():
         bits = seed[node].copy()
         for succ in graph.successors(node):
-            if not dfs.is_back_edge(node, succ):
+            if not is_back_edge(dfs, node, succ):
                 bits.update(sets[succ])
         sets[node] = bits
     result: dict[Node, BitSet] = {}
@@ -140,7 +141,7 @@ def reference_arrays(graph: ControlFlowGraph, propagated: bool = False) -> Refer
     else:
         targets = reference_targets_exact(dfs, domtree, reach)
     order = domtree.preorder()
-    back_targets = set(dfs.back_edge_targets())
+    back_targets = set(back_edge_targets(dfs))
     return ReferenceArrays(
         r_masks=[reach[node].mask for node in order],
         t_masks=[targets[node].mask for node in order],

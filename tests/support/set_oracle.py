@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from repro.api.registry import EngineSpec
 from repro.core.precompute import LivenessPrecomputation
-from repro.core.query import SetBasedChecker
 from repro.ir.function import Function
 from repro.ir.value import Variable
 from repro.liveness.oracle import LivenessOracle, LiveSets
 from repro.ssa.defuse import DefUseChains
+from tests.support.set_checker import SetBasedChecker
 
 
 class SetCheckerOracle(LivenessOracle):

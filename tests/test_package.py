@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -53,3 +54,31 @@ def test_star_import_binds_all_of_all():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_importing_the_core_loads_no_reference_layer():
+    """``R`` and ``T`` are int masks only: no node-keyed sets or checkers."""
+    result = _run(
+        "import sys, repro.core\n"
+        "gone = ('repro.sets.bitset', 'repro.core.bitset_query', 'repro.core.query')\n"
+        "print(sorted(m for m in sys.modules if m in gone))\n"
+        "print(len([m for m in sys.modules if m.split('.')[0] == 'repro']))\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["[]", "36"]
+
+
+def test_no_library_module_imports_the_tests():
+    src = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "tests" for name in names):
+                offenders.append(str(path.relative_to(src)))
+    assert offenders == []
